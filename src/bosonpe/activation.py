@@ -136,9 +136,8 @@ def activate_pure_vector(occupation, array: BeamSplitterArray,
     va = pre_rotation if pre_rotation is not None else identity_unitary(m)
     u = beam_splitter_unitary(array) @ block_direct_sum(va, identity_unitary(m))
     basis = enumerate_basis(2 * m, N, caps)
-    vec = np.zeros(basis.dim, dtype=complex)
-    vec[basis.index(occupation + (0,) * m)] = 1.0
-    return basis, lift_unitary(u, N, caps=caps) @ vec
+    column = basis.index(occupation + (0,) * m)
+    return basis, lift_unitary(u, N, caps=caps, columns=[column])[:, 0]
 
 
 def _multinomial(total: int, parts) -> float:
@@ -248,20 +247,14 @@ def local_filter_relation_check(occupation, r_vector, tol: float = 1e-9) -> bool
     return bool(np.max(np.abs(eta - filtered)) <= tol)
 
 
-def _sector_dim_a(key, m: int) -> int:
-    na, _ = key
-    return enumerate_basis(m, na, UNCAPPED).dim
-
-
 def e_ssr_trace_lower_bound(report: ActivationReport) -> float:
     """Rigorous lower bound on the trace-distance SSR-entanglement.
 
     Per sector, the trace distance to separable states is at least the
     negativity divided by the A-side dimension (the partial transpose blows
     up the trace norm by at most that factor)."""
-    m = len(report.partition.a_modes)
     total = 0.0
-    for key, (p, s) in report.sectors.entries.items():
+    for p, s in report.sectors.entries.values():
         da = s.dims[0]
         total += p * sector_negativity(s) / da
     return float(total)

@@ -7,6 +7,7 @@ exit with status 0 on success, 2 on validation errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -15,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .fock import (
+    DESK,
     BlockDiagonalState,
-    DeskCaps,
     ValidationError,
     fock_state,
     vacuum_state,
@@ -56,11 +57,19 @@ from .witness import (
 )
 
 
-def _parse_complex_list(text: str) -> np.ndarray:
+def _parse_numbers(text: str, kind, what: str) -> list:
+    """Comma-separated values of one type; a malformed entry is a ValidationError."""
     try:
-        return np.array([complex(x) for x in text.split(",") if x], dtype=complex)
+        return [kind(x) for x in text.split(",") if x]
     except ValueError as exc:
-        raise ValidationError(f"could not parse amplitudes {text!r}: {exc}") from exc
+        raise ValidationError(f"could not parse {what} {text!r}: {exc}") from exc
+
+
+def _parse_number(text: str, kind, what: str):
+    values = _parse_numbers(text, kind, what)
+    if len(values) != 1:
+        raise ValidationError(f"expected one {what}, got {text!r}")
+    return values[0]
 
 
 def parse_state(text: str) -> BlockDiagonalState:
@@ -69,21 +78,21 @@ def parse_state(text: str) -> BlockDiagonalState:
     name, _, args = text.partition(":")
     name = name.strip().lower()
     if name == "vacuum":
-        return vacuum_state(int(args) if args else 1)
+        return vacuum_state(_parse_number(args, int, "mode count") if args else 1)
     if name == "fock":
-        return fock_state(tuple(int(x) for x in args.split(","))).to_block_state()
+        return fock_state(_parse_numbers(args, int, "occupations")).to_block_state()
     if name == "css":
         parts = args.split(",")
         if len(parts) < 2:
             raise ValidationError("css preset needs amplitudes and N: css:a0,a1,...,N")
-        n = int(parts[-1])
-        psi = _parse_complex_list(",".join(parts[:-1]))
+        n = _parse_number(parts[-1], int, "particle number")
+        psi = np.array(_parse_numbers(",".join(parts[:-1]), complex, "amplitudes"))
         psi = psi / np.linalg.norm(psi)
         return coherent_spin_state(CoherentSpinSpec(psi, n)).to_block_state()
     if name == "noon":
-        return noon_state(int(args)).to_block_state()
+        return noon_state(_parse_number(args, int, "particle number")).to_block_state()
     if name == "classical":
-        return classical_nd_state(_parse_complex_list(args))
+        return classical_nd_state(np.array(_parse_numbers(args, complex, "amplitudes")))
     raise ValidationError(f"unknown state preset {text!r}")
 
 
@@ -95,7 +104,7 @@ def parse_r_vector(text: str, m: int) -> BeamSplitterArray:
         return BeamSplitterArray((1.0,) * m)
     if text == "swap":
         return BeamSplitterArray((0.0,) * m)
-    values = tuple(float(x) for x in text.split(","))
+    values = tuple(_parse_numbers(text, float, "reflectivities"))
     if len(values) != m:
         raise ValidationError(f"need {m} reflectivities, got {len(values)}")
     return BeamSplitterArray(values)
@@ -106,7 +115,7 @@ def parse_observable(text: str) -> SingleParticleObservable:
     if text in PAULI:
         return SingleParticleObservable(PAULI[text])
     if text.startswith("bloch:"):
-        n = [float(x) for x in text[len("bloch:"):].split(",")]
+        n = _parse_numbers(text[len("bloch:"):], float, "Bloch components")
         return bloch_observable(n)
     raise ValidationError(f"unknown observable {text!r}; use x, y, z or bloch:nx,ny,nz")
 
@@ -140,14 +149,14 @@ def cmd_activate(args) -> int:
     if args.va:
         if not args.va.startswith("random:"):
             raise ValidationError("--va takes random:<seed>")
-        rng = np.random.default_rng(int(args.va.split(":", 1)[1]))
+        rng = np.random.default_rng(_parse_number(args.va.split(":", 1)[1], int, "seed"))
         z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         va = ModeUnitary(np.linalg.qr(z)[0])
     postselect = None
     if args.postselect:
-        postselect = tuple(int(x) for x in args.postselect.split(","))
-    caps = DeskCaps(max_particles=max(state.max_particles, 6),
-                    max_modes=max(2 * m, 8))
+        postselect = tuple(_parse_numbers(args.postselect, int, "post-selected sector"))
+    # presets with a Poisson tail may exceed the particle cap; the mode cap stays
+    caps = dataclasses.replace(DESK, max_particles=max(state.max_particles, DESK.max_particles))
     report = activate(ActivationSpec(state, pre_rotation=va, array=array),
                       postselect=postselect, caps=caps)
 
@@ -320,11 +329,14 @@ def cmd_demo(args) -> int:
 def cmd_definetti(args) -> int:
     if args.mixture:
         with open(args.mixture) as fh:
-            doc = json.load(fh)
-        terms = []
-        for entry in doc["terms"]:
-            vec = np.array([complex(re, im) for re, im in entry["c"]], dtype=complex)
-            terms.append((float(entry["q"]), vec))
+            text = fh.read()
+        try:
+            terms = []
+            for entry in json.loads(text)["terms"]:
+                vec = np.array([complex(re, im) for re, im in entry["c"]], dtype=complex)
+                terms.append((float(entry["q"]), vec))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed mixture JSON: {exc}") from exc
     else:
         terms = [(1.0, np.ones(args.m) / math.sqrt(args.m))]
     spec = ExchangeableSeparableSpec(args.N, args.m, tuple(terms))

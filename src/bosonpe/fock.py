@@ -102,10 +102,6 @@ def enumerate_basis(m: int, N: int, caps: DeskCaps = DESK) -> FockBasis:
     return FockBasis(m, N, _basis_states(m, N))
 
 
-def sector_dim(m: int, N: int) -> int:
-    return math.comb(N + m - 1, m - 1)
-
-
 def canonical_phase(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Rescale a global phase so the first non-tiny amplitude is real positive."""
     for x in vec:
@@ -162,9 +158,13 @@ def _validate_block(mat: np.ndarray, dim: int, N: int) -> np.ndarray:
     tr = np.trace(mat).real
     if abs(tr - 1.0) > 1e-9:
         raise ValidationError(f"block N={N} trace {tr} not 1")
-    if abs(tr - 1.0) > RENORM_TOL:
-        mat = mat / tr
-    return mat
+    return _unit_trace(mat)
+
+
+def _unit_trace(mat: np.ndarray) -> np.ndarray:
+    """Rescale to unit trace unless already within RENORM_TOL of it."""
+    tr = np.trace(mat).real
+    return mat / tr if abs(tr - 1.0) > RENORM_TOL else mat
 
 
 class BlockDiagonalState:
@@ -200,6 +200,23 @@ class BlockDiagonalState:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "blocks", {N: (p, _freeze(mat)) for N, (p, mat) in cleaned.items()})
 
+    @classmethod
+    def _trusted(cls, modes: int, blocks: dict) -> "BlockDiagonalState":
+        """Build from blocks that are valid by construction, skipping the checks.
+
+        Only for results of operations that map a validated state to a valid
+        one (vacuum re-indexing, isometric conjugation): the weights are kept
+        as given, and each block is only symmetrised and renormalised exactly
+        as ``_validate_block`` would, so a valid block comes out unchanged.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "modes", modes)
+        object.__setattr__(state, "blocks", {
+            N: (p, _freeze(_unit_trace((mat + mat.conj().T) / 2)))
+            for N, (p, mat) in sorted(blocks.items())
+        })
+        return state
+
     def __setattr__(self, *_):
         raise AttributeError("BlockDiagonalState is immutable")
 
@@ -220,7 +237,8 @@ class BlockDiagonalState:
         return sum(p * N for N, (p, _) in self.blocks.items())
 
     def purity(self) -> float:
-        return sum(p**2 * np.trace(mat @ mat).real for p, mat in self.blocks.values())
+        # Tr rho^2 = sum_ij |rho_ij|^2 for Hermitian rho
+        return sum(p**2 * np.vdot(mat, mat).real for p, mat in self.blocks.values())
 
     def allclose(self, other: "BlockDiagonalState", tol: float = 1e-10) -> bool:
         if self.modes != other.modes:
@@ -357,7 +375,7 @@ class SectorState:
         return (self.basis_a.dim, self.basis_b.dim)
 
     def is_pure(self, tol: float = 1e-8) -> bool:
-        return np.trace(self.matrix @ self.matrix).real >= 1.0 - tol
+        return np.vdot(self.matrix, self.matrix).real >= 1.0 - tol
 
     def pure_vector(self) -> np.ndarray:
         evals, evecs = np.linalg.eigh(self.matrix)

@@ -135,21 +135,27 @@ def beam_splitter_unitary(bs: BeamSplitterArray) -> ModeUnitary:
     return ModeUnitary(u)
 
 
-def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK) -> np.ndarray:
+def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
+                 columns=None) -> np.ndarray:
     """Unitary on the (m, N) sector induced by the mode substitution.
 
     Column for input occupation n is the expansion of
     prod_i (sum_j u_ji a_j†)^{n_i} |0> / sqrt(prod_i n_i!).
+    ``columns``, a sequence of sector basis indices, restricts the result to
+    those columns (shape dim x len(columns)); by default all are lifted.
     """
     if N < 0:
         raise ValidationError("sector index must be nonnegative")
     m = u.modes
     basis = enumerate_basis(m, N, caps)
     index = basis.index
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    if columns is None:
+        columns = range(basis.dim)
+    out = np.zeros((basis.dim, len(columns)), dtype=complex)
     mat = u.matrix
     sqrt_fact = [math.sqrt(math.factorial(k)) for k in range(N + 1)]
-    for col, occ in enumerate(basis.states):
+    for col, src in enumerate(columns):
+        occ = basis.states[src]
         # polynomial in the a_j†, keyed by occupation vector
         poly = {(0,) * m: 1.0 + 0j}
         for i, n_i in enumerate(occ):
@@ -178,21 +184,27 @@ def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK) -> np.ndarray:
 
 def apply_mode_unitary(state: BlockDiagonalState, u: ModeUnitary,
                        caps: DeskCaps = DESK) -> BlockDiagonalState:
-    """Apply the sector lift of u to every block; weights are unchanged."""
+    """Apply the sector lift of u to every block; weights are unchanged.
+
+    Only the lift's columns on a block's support S (its rows with a nonzero
+    entry) are needed: a Hermitian block vanishes outside S x S, so
+    U rho U† = W rho[S, S] W† with W = U[:, S].
+    """
     if u.modes != state.modes:
         raise ValidationError(f"unitary on {u.modes} modes, state on {state.modes}")
     blocks = {}
     for N, (p, mat) in state.blocks.items():
-        U = lift_unitary(u, N, caps=UNCAPPED)
-        blocks[N] = (p, U @ mat @ U.conj().T)
-    return BlockDiagonalState(state.modes, blocks, caps=UNCAPPED)
+        support = np.flatnonzero(np.any(mat != 0, axis=1))
+        W = lift_unitary(u, N, caps=UNCAPPED, columns=support)
+        blocks[N] = (p, W @ mat[np.ix_(support, support)] @ W.conj().T)
+    return BlockDiagonalState._trusted(state.modes, blocks)
 
 
 def apply_to_pure(s: PureSectorState, u: ModeUnitary) -> PureSectorState:
     if u.modes != s.modes:
         raise ValidationError("mode count mismatch")
-    U = lift_unitary(u, s.particles, caps=UNCAPPED)
-    amps = U @ s.amplitudes
+    support = np.flatnonzero(s.amplitudes)
+    amps = lift_unitary(u, s.particles, caps=UNCAPPED, columns=support) @ s.amplitudes[support]
     amps = amps / np.linalg.norm(amps)
     return PureSectorState(s.basis, amps)
 
@@ -212,7 +224,7 @@ def append_vacuum(state: BlockDiagonalState, k: int,
         big = np.zeros((new.dim, new.dim), dtype=complex)
         big[np.ix_(idx, idx)] = mat
         blocks[N] = (p, big)
-    return BlockDiagonalState(m + k, blocks, caps=caps)
+    return BlockDiagonalState._trusted(m + k, blocks)
 
 
 def measure_total_number(state: BlockDiagonalState) -> dict:

@@ -296,9 +296,12 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
     n_a = f * n_atoms
     n_b = (1.0 - f) * n_atoms
     per_axis = n_shots // 3
+    # the remainder goes to x, which draws no random numbers, so the z and y
+    # draws do not depend on n_shots mod 3
+    counts = {"z": per_axis, "y": per_axis, "x": n_shots - 2 * per_axis}
     shots = []
     for axis, xi in (("z", xi_z), ("y", xi_y), ("x", None)):
-        for _ in range(per_axis):
+        for _ in range(counts[axis]):
             if axis == "x":
                 # polarization axis: fully stretched spins, no model noise
                 s_a, s_b = n_a / 2.0, n_b / 2.0

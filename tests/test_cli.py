@@ -128,10 +128,26 @@ def test_binpoisson_subcommand(capsys):
     assert json.loads(out)["satisfied"] is True
 
 
-def test_validation_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "activate", "--state", "nonsense:3")
-    assert code == 2
-    assert "error" in err
+BAD_INPUTS = (
+    ("activate", "--state", "nonsense:3"),
+    ("activate", "--state", "fock:x,1"),
+    ("activate", "--state", "fock:1,1", "--postselect", "a"),
+    ("activate", "--state", "fock:1,1", "--r", "0.5,x"),
+    ("activate", "--state", "fock:1,1", "--va", "random:x"),
+    # 10 output modes exceed the desk mode cap
+    ("activate", "--state", "fock:1,1,1,1,1"),
+    ("qfi", "--state", "noon:2", "--observable", "bloch:1,x,0"),
+    ("definetti", "--N", "2", "--m", "2", "--l", "1", "--mixture", "{no_terms}"),
+)
+
+
+def test_validation_error_exit_code(capsys, tmp_path):
+    no_terms = tmp_path / "mixture.json"
+    no_terms.write_text("{}")
+    for argv in BAD_INPUTS:
+        code, _, err = run_cli(capsys, *(a.format(no_terms=no_terms) for a in argv))
+        assert code == 2, argv
+        assert "error" in err, argv
 
 
 def test_missing_file_exit_code(capsys):

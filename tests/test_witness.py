@@ -148,6 +148,21 @@ def test_synthetic_models_statistics():
     assert res_css.bound <= 3 * res_css.bootstrap_se
 
 
+def test_synthesize_keeps_every_shot():
+    def shots(n):
+        return synthesize_dataset("squeezed", n_atoms=100, n_shots=n, seed=7, xi2=0.25).shots
+
+    full, even = shots(10000), shots(9999)
+    assert len(full) == 10000
+    assert sum(1 for s in full if s.setting == "x") == 3334
+    # the remainder goes to x, which draws no random numbers, so the z and y
+    # shots equal those of the 9999-shot dataset, which splits evenly
+    assert [s for s in full if s.setting != "x"] == [s for s in even if s.setting != "x"]
+    for axis, sums in (("z", (82962.0, 83721.0)), ("y", (83187.0, 82958.0))):
+        on_axis = [s for s in full if s.setting == axis]
+        assert (sum(s.n1a for s in on_axis), sum(s.n1b for s in on_axis)) == sums
+
+
 def test_population_linearization_consistency():
     # whenever the ratio is below 1 on (near-)population moments, the bound
     # numerator is positive
