@@ -40,6 +40,7 @@ from .optics import (
     lift_unitary,
 )
 from .measures import (
+    _shannon_entropy_bits,
     distance_to_candidate_set,
     sector_negativity,
     schmidt_spectrum,
@@ -79,10 +80,11 @@ class ActivationReport:
     postselected: tuple | None = None
 
 
-def activation_unitary(spec: ActivationSpec) -> ModeUnitary:
-    m = spec.input_state.modes
-    va = spec.pre_rotation if spec.pre_rotation is not None else identity_unitary(m)
-    return beam_splitter_unitary(spec.array) @ block_direct_sum(va, identity_unitary(m))
+def _activation_unitary(m: int, array: BeamSplitterArray,
+                        pre_rotation: ModeUnitary | None) -> ModeUnitary:
+    """The splitter array after V_A on the m input modes (identity if None)."""
+    va = pre_rotation if pre_rotation is not None else identity_unitary(m)
+    return beam_splitter_unitary(array) @ block_direct_sum(va, identity_unitary(m))
 
 
 def activate(spec: ActivationSpec, postselect=None,
@@ -90,7 +92,8 @@ def activate(spec: ActivationSpec, postselect=None,
     """Run the protocol and analyse the output across (N_A, N_B) sectors."""
     m = spec.input_state.modes
     padded = append_vacuum(spec.input_state, m, caps=caps)
-    out = apply_mode_unitary(padded, activation_unitary(spec), caps=caps)
+    u = _activation_unitary(m, spec.array, spec.pre_rotation)
+    out = apply_mode_unitary(padded, u, caps=caps)
     partition = ModePartition(tuple(range(m)), tuple(range(m, 2 * m)))
     dec = project_local_number(out, partition)
 
@@ -101,10 +104,8 @@ def activate(spec: ActivationSpec, postselect=None,
         schmidt = {}
         entropy = 0.0
         for key, (p, s) in dec.entries.items():
-            spectrum = schmidt_spectrum(s)
-            schmidt[key] = spectrum
-            probs = spectrum[spectrum > 1e-15]
-            entropy += p * float(-np.sum(probs * np.log2(probs)))
+            schmidt[key] = schmidt_spectrum(s)
+            entropy += p * _shannon_entropy_bits(schmidt[key])
     neg = float(sum(p * sector_negativity(s) for p, s in dec.entries.values()))
 
     selected = None
@@ -133,8 +134,7 @@ def activate_pure_vector(occupation, array: BeamSplitterArray,
     occupation = tuple(int(x) for x in occupation)
     m = len(occupation)
     N = sum(occupation)
-    va = pre_rotation if pre_rotation is not None else identity_unitary(m)
-    u = beam_splitter_unitary(array) @ block_direct_sum(va, identity_unitary(m))
+    u = _activation_unitary(m, array, pre_rotation)
     basis = enumerate_basis(2 * m, N, caps)
     column = basis.index(occupation + (0,) * m)
     return basis, lift_unitary(u, N, caps=caps, columns=[column])[:, 0]

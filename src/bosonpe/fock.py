@@ -47,6 +47,12 @@ DESK = DeskCaps()
 UNCAPPED = DeskCaps(max_particles=10**9, max_modes=10**9)
 
 
+def _desk_caps_at_least(particles: int, modes: int) -> DeskCaps:
+    """The desk caps, raised where needed to admit (particles, modes)."""
+    return DeskCaps(max_particles=max(particles, DESK.max_particles),
+                    max_modes=max(modes, DESK.max_modes))
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -269,6 +275,15 @@ def fock_state(occupation, caps: DeskCaps = DESK) -> PureSectorState:
     return PureSectorState(basis, amps)
 
 
+def _normalized_blocks(acc: dict) -> tuple[dict, float]:
+    """{N: matrix} -> ({N: (trace / total trace, matrix / trace)}, total trace),
+    dropping blocks whose trace is at most BLOCK_DROP_TOL."""
+    traces = {N: np.trace(mat).real for N, mat in acc.items()}
+    total = sum(traces.values())
+    blocks = {N: (tr / total, acc[N] / tr) for N, tr in traces.items() if tr > BLOCK_DROP_TOL}
+    return blocks, total
+
+
 def mix_states(pairs) -> BlockDiagonalState:
     """Convex mixture of block-diagonal states on a common mode count."""
     pairs = list(pairs)
@@ -283,11 +298,7 @@ def mix_states(pairs) -> BlockDiagonalState:
     for w, s in pairs:
         for N, (p, mat) in s.blocks.items():
             acc[N] = acc.get(N, 0) + w * p * mat
-    blocks = {}
-    for N, mat in acc.items():
-        p = np.trace(mat).real
-        if p > BLOCK_DROP_TOL:
-            blocks[N] = (p, mat / p)
+    blocks, _ = _normalized_blocks(acc)
     return BlockDiagonalState(modes, blocks, caps=UNCAPPED)
 
 
@@ -310,11 +321,7 @@ def tensor_compose(s1: BlockDiagonalState, s2: BlockDiagonalState,
             small = np.kron(a, b)
             big = acc.setdefault(N, np.zeros((basis.dim, basis.dim), dtype=complex))
             big[np.ix_(idx, idx)] += p1 * p2 * small
-    blocks = {}
-    for N, mat in acc.items():
-        p = np.trace(mat).real
-        if p > BLOCK_DROP_TOL:
-            blocks[N] = (p, mat / p)
+    blocks, _ = _normalized_blocks(acc)
     return BlockDiagonalState(m, blocks, caps=caps)
 
 
@@ -480,11 +487,7 @@ def trace_out(state: BlockDiagonalState, partition: ModePartition) -> BlockDiago
                 for i, a_occ in terms:
                     for j, a_occ2 in terms:
                         out[ba.index(a_occ), ba.index(a_occ2)] += p * mat[i, j]
-    blocks = {}
-    for na, mat in acc.items():
-        w = np.trace(mat).real
-        if w > BLOCK_DROP_TOL:
-            blocks[na] = (w, mat / w)
+    blocks, _ = _normalized_blocks(acc)
     return BlockDiagonalState(ma, blocks, caps=UNCAPPED)
 
 
@@ -508,16 +511,22 @@ def single_particle_rdm(s: PureSectorState) -> np.ndarray:
     return (rdm + rdm.conj().T) / 2
 
 
+def _complex_to_json(mat: np.ndarray) -> list:
+    """Complex matrix as nested [[re, im], ...] rows of exact doubles."""
+    return [[[float(x.real), float(x.imag)] for x in row] for row in mat]
+
+
+def _complex_from_json(rows) -> np.ndarray:
+    """Inverse of ``_complex_to_json``, bit for bit."""
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
 def state_to_json(state: BlockDiagonalState) -> str:
     """Serialize to JSON; exact double-precision round trip."""
     blocks = []
     for N in state.sectors():
         p, mat = state.blocks[N]
-        blocks.append({
-            "N": N,
-            "p": p,
-            "matrix": [[[float(x.real), float(x.imag)] for x in row] for row in mat],
-        })
+        blocks.append({"N": N, "p": p, "matrix": _complex_to_json(mat)})
     return json.dumps({"modes": state.modes, "blocks": blocks})
 
 
@@ -527,8 +536,7 @@ def state_from_json(text: str, caps: DeskCaps = DESK) -> BlockDiagonalState:
         modes = int(doc["modes"])
         blocks = {}
         for entry in doc["blocks"]:
-            mat = np.array([[complex(re, im) for re, im in row] for row in entry["matrix"]])
-            blocks[int(entry["N"])] = (float(entry["p"]), mat)
+            blocks[int(entry["N"])] = (float(entry["p"]), _complex_from_json(entry["matrix"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed state JSON: {exc}") from exc
     return BlockDiagonalState(modes, blocks, caps=caps)

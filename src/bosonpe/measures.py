@@ -125,18 +125,27 @@ def collective_generator(h: SingleParticleObservable, m: int, n_max: int) -> Col
     return CollectiveGenerator(h.h, m, n_max)
 
 
-def qfi_matrix(rho: np.ndarray, H: np.ndarray,
-               cutoff: float = QFI_EIGENVALUE_CUTOFF) -> float:
-    """Spectral-form QFI 2 sum (l_i - l_j)^2 / (l_i + l_j) |<i|H|j>|^2."""
-    rho = np.asarray(rho, dtype=complex)
-    evals, evecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    Hm = evecs.conj().T @ H @ evecs
-    lam = np.clip(evals, 0.0, None)
+def _qfi_weights(mat: np.ndarray, p: float,
+                 cutoff: float = QFI_EIGENVALUE_CUTOFF) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of the block and w_ij = 2 (l_i - l_j)^2 / (l_i + l_j) over
+    its eigenvalues times p (0 where l_i + l_j <= cutoff): the block's QFI
+    for H is sum_ij w_ij |<i|H|j>|^2 in that eigenbasis."""
+    evals, evecs = np.linalg.eigh(mat)
+    lam = np.clip(evals, 0.0, None) * p
     s = lam[:, None] + lam[None, :]
     d = lam[:, None] - lam[None, :]
     w = np.zeros_like(s)
     mask = s > cutoff
     w[mask] = 2.0 * d[mask] ** 2 / s[mask]
+    return evecs, w
+
+
+def qfi_matrix(rho: np.ndarray, H: np.ndarray,
+               cutoff: float = QFI_EIGENVALUE_CUTOFF) -> float:
+    """Spectral-form QFI 2 sum (l_i - l_j)^2 / (l_i + l_j) |<i|H|j>|^2."""
+    rho = np.asarray(rho, dtype=complex)
+    evecs, w = _qfi_weights((rho + rho.conj().T) / 2, 1.0, cutoff)
+    Hm = evecs.conj().T @ H @ evecs
     return float(np.sum(w * np.abs(Hm) ** 2).real)
 
 
@@ -157,15 +166,8 @@ def qfi(state: BlockDiagonalState, G: CollectiveGenerator) -> float:
         raise ValidationError("generator mode count mismatch")
     total = 0.0
     for N, (p, mat) in state.blocks.items():
-        H = G.sector(N)
-        evals, evecs = np.linalg.eigh(mat)
-        lam = np.clip(evals, 0.0, None) * p
-        Hm = evecs.conj().T @ H @ evecs
-        s = lam[:, None] + lam[None, :]
-        d = lam[:, None] - lam[None, :]
-        w = np.zeros_like(s)
-        mask = s > QFI_EIGENVALUE_CUTOFF
-        w[mask] = 2.0 * d[mask] ** 2 / s[mask]
+        evecs, w = _qfi_weights(mat, p)
+        Hm = evecs.conj().T @ G.sector(N) @ evecs
         total += np.sum(w * np.abs(Hm) ** 2).real
     return float(total)
 
@@ -231,17 +233,11 @@ def _two_mode_quadratic_form(state: BlockDiagonalState) -> tuple[np.ndarray, flo
         if N == 0:
             continue
         const += 4.0 * p * np.trace(mat @ second_quantized(support, m, N)).real / N
-        evals, evecs = np.linalg.eigh(mat)
-        lam = np.clip(evals, 0.0, None) * p
+        evecs, w = _qfi_weights(mat, p)
         As = []
         for sig in axes:
             H = second_quantized(sig, m, N) / math.sqrt(N)
             As.append(evecs.conj().T @ H @ evecs)
-        s = lam[:, None] + lam[None, :]
-        d = lam[:, None] - lam[None, :]
-        w = np.zeros_like(s)
-        mask = s > QFI_EIGENVALUE_CUTOFF
-        w[mask] = 2.0 * d[mask] ** 2 / s[mask]
         for a in range(3):
             v[a] += np.trace(mat @ second_quantized(axes[a], m, N)).real * p / N
             for b in range(3):
@@ -406,15 +402,18 @@ def negativity(state: BlockDiagonalState, partition: ModePartition) -> float:
         for i, (ia, ib) in enumerate(rows):
             for j, (ja, jb) in enumerate(rows):
                 rho[ia, ib, ja, jb] += p * mat[i, j]
-    pt = rho.transpose(2, 1, 0, 3).reshape(da * db, da * db)
-    evals = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
-    return float(max((np.sum(np.abs(evals)) - 1.0) / 2.0, 0.0))
+    return _partial_transpose_negativity(rho)
 
 
 def sector_negativity(sector: SectorState) -> float:
     da, db = sector.dims
-    r = sector.matrix.reshape(da, db, da, db)
-    pt = r.transpose(2, 1, 0, 3).reshape(da * db, da * db)
+    return _partial_transpose_negativity(sector.matrix.reshape(da, db, da, db))
+
+
+def _partial_transpose_negativity(rho: np.ndarray) -> float:
+    """(||rho^{T_A}||_1 - 1) / 2 for rho indexed [a, b, a', b'], clipped at 0."""
+    da, db = rho.shape[:2]
+    pt = rho.transpose(2, 1, 0, 3).reshape(da * db, da * db)
     evals = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
     return float(max((np.sum(np.abs(evals)) - 1.0) / 2.0, 0.0))
 
@@ -430,10 +429,14 @@ def schmidt_spectrum(sector: SectorState, tol: float = 1e-8) -> np.ndarray:
     return probs / probs.sum()
 
 
-def entanglement_entropy(sector: SectorState, tol: float = 1e-8) -> float:
-    probs = schmidt_spectrum(sector, tol)
+def _shannon_entropy_bits(probs: np.ndarray) -> float:
+    """-sum p log2 p over the entries above 1e-15."""
     probs = probs[probs > 1e-15]
     return float(-np.sum(probs * np.log2(probs)))
+
+
+def entanglement_entropy(sector: SectorState, tol: float = 1e-8) -> float:
+    return _shannon_entropy_bits(schmidt_spectrum(sector, tol))
 
 
 def e_ssr(state: BlockDiagonalState, partition: ModePartition,

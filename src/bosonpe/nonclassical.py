@@ -23,12 +23,15 @@ from .fock import (
     BlockDiagonalState,
     DeskCaps,
     ValidationError,
+    _desk_caps_at_least,
+    _normalized_blocks,
     tensor_compose,
     vacuum_state,
 )
 from .activation import ActivationReport, ActivationSpec, activate
 from .measures import block_trace_distance
 from .states import (
+    _classical_terms,
     classical_nd_state,
     classical_truncation_mass,
     css_density,
@@ -112,8 +115,7 @@ def exchangeable_state(spec: ExchangeableSeparableSpec,
                        caps: DeskCaps | None = None) -> BlockDiagonalState:
     """The full m-mode state described by ``spec`` (single block at N)."""
     if caps is None:
-        caps = DeskCaps(max_particles=max(spec.N, DESK.max_particles),
-                        max_modes=max(spec.m, DESK.max_modes))
+        caps = _desk_caps_at_least(spec.N, spec.m)
     if spec.N == 0:
         return vacuum_state(spec.m)
     mat = None
@@ -130,26 +132,16 @@ def _direction_mixture_state(terms, l: int, number_weights, n_hi: int,
     ``number_weights(t)`` returns the weight array over n = 0..n_hi for term
     t.  Returns the normalized state and the total mass kept."""
     acc: dict[int, np.ndarray] = {}
-    kept = 0.0
     for t, (w, direction) in enumerate(terms):
         weights = number_weights(t)
         for n in range(n_hi + 1):
             pw = w * weights[n]
             if pw < 1e-16:
                 continue
-            kept += pw
-            if n == 0:
-                blk = acc.setdefault(0, np.zeros((1, 1), dtype=complex))
-                blk += pw
-            else:
-                d = css_density(direction, n, caps)
-                blk = acc.setdefault(n, np.zeros_like(d))
-                blk += pw * d
-    blocks = {}
-    for n, mat in acc.items():
-        p = np.trace(mat).real
-        if p > 1e-15:
-            blocks[n] = (p / kept, mat / p)
+            d = css_density(direction, n, caps) if n else np.ones((1, 1), dtype=complex)
+            blk = acc.setdefault(n, np.zeros_like(d))
+            blk += pw * d
+    blocks, kept = _normalized_blocks(acc)
     return BlockDiagonalState(l, blocks, caps=caps), kept
 
 
@@ -185,8 +177,7 @@ def definetti_classical_approx(spec: ExchangeableSeparableSpec, l: int,
     if n_max is None:
         n_max = max(spec.N,
                     max(default_poisson_truncation(spec.N * p) for _, _, p in terms))
-    caps = DeskCaps(max_particles=max(n_max, DESK.max_particles),
-                    max_modes=max(spec.m, DESK.max_modes))
+    caps = _desk_caps_at_least(n_max, spec.m)
 
     dir_terms = [(w, d) for w, d, _ in terms]
     binom_w = [np.concatenate([stats.binom.pmf(np.arange(spec.N + 1), spec.N, p),
@@ -285,18 +276,13 @@ def many_copy_nc_bound_check(classical_or_state, k: int,
                               "for a bare state at this scale")
 
     # classical mixture path: [(weight, alpha vector)] or a single vector
-    alpha = classical_or_state
-    if isinstance(alpha, (list, tuple)) and alpha and isinstance(alpha[0], tuple):
-        terms = [(float(w), np.asarray(a, dtype=complex).ravel()) for w, a in alpha]
-    else:
-        terms = [(1.0, np.asarray(alpha, dtype=complex).ravel())]
+    terms = _classical_terms(classical_or_state)
     mus = [float(np.vdot(a, a).real) for _, a in terms]
     if n_max is None:
         n_max = max(default_poisson_truncation(mu) for mu in mus)
-    rho = classical_nd_state(terms if len(terms) > 1 else terms[0][1], n_max)
-    rho_tail = classical_truncation_mass(terms if len(terms) > 1 else terms[0][1], n_max)
-    caps = DeskCaps(max_particles=max(n_max, DESK.max_particles),
-                    max_modes=max(rho.modes, DESK.max_modes))
+    rho = classical_nd_state(terms, n_max)
+    rho_tail = classical_truncation_mass(terms, n_max)
+    caps = _desk_caps_at_least(n_max, rho.modes)
 
     # sigma = sum over direction tuples of (product weight) x
     #         sum_L Poisson_M(L) Poisson_{L * mu_1 / M}(n) |css(dir_1, n)>

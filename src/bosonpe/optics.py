@@ -12,6 +12,7 @@ operators row by row.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,9 @@ from .fock import (
     ModePartition,
     PureSectorState,
     ValidationError,
+    _complex_from_json,
+    _complex_to_json,
+    _normalized_blocks,
     enumerate_basis,
     split_occupation,
 )
@@ -63,18 +67,13 @@ def identity_unitary(m: int) -> ModeUnitary:
 
 
 def mode_unitary_to_json(u: ModeUnitary) -> str:
-    import json
-    return json.dumps({
-        "modes": u.modes,
-        "matrix": [[[float(x.real), float(x.imag)] for x in row] for row in u.matrix],
-    })
+    return json.dumps({"modes": u.modes, "matrix": _complex_to_json(u.matrix)})
 
 
 def mode_unitary_from_json(text: str) -> ModeUnitary:
-    import json
     try:
         doc = json.loads(text)
-        mat = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
+        mat = _complex_from_json(doc["matrix"])
         if mat.shape != (int(doc["modes"]),) * 2:
             raise ValidationError("matrix shape disagrees with the mode count")
     except (KeyError, TypeError, ValueError) as exc:
@@ -325,14 +324,9 @@ def measure_destructive(state: BlockDiagonalState, partition: ModePartition,
                     out = acc.setdefault(sum(na_i), np.zeros((ba.dim, ba.dim), dtype=complex))
                     out[ba.index(na_i if ma else (0,)), ba.index(na_j if ma else (0,))] += \
                         p * mat[i, j] * w
-        prob = sum(np.trace(mat).real for mat in acc.values())
-        if prob < 1e-14:
+        blocks, prob = _normalized_blocks(acc)
+        if not blocks:
             continue
-        blocks = {}
-        for na, mat in acc.items():
-            w = np.trace(mat).real
-            if w > 1e-14:
-                blocks[na] = (w / prob, mat / w)
         outcomes[k] = (prob, BlockDiagonalState(max(ma, 1), blocks, caps=UNCAPPED))
     return outcomes
 

@@ -19,6 +19,7 @@ from .fock import (
     DeskCaps,
     PureSectorState,
     ValidationError,
+    _desk_caps_at_least,
     canonical_phase,
     enumerate_basis,
     mix_states,
@@ -208,6 +209,25 @@ def default_poisson_truncation(mu: float) -> int:
     return n_max
 
 
+def _classical_terms(alpha) -> list[tuple[float, np.ndarray]]:
+    """One amplitude vector, or a list of (weight, vector) pairs, as a checked
+    list of (weight, vector) terms; a parsed list parses to itself."""
+    if isinstance(alpha, (list, tuple)) and alpha and isinstance(alpha[0], tuple):
+        terms = [(float(w), np.asarray(a, dtype=complex).ravel()) for w, a in alpha]
+    else:
+        terms = [(1.0, np.asarray(alpha, dtype=complex).ravel())]
+    m = terms[0][1].size
+    if m == 0:
+        raise ValidationError("a classical mixture needs at least one term and one mode")
+    if any(a.size != m for _, a in terms):
+        raise ValidationError("all coherent vectors must share the mode count")
+    if not all(w >= 0 for w, _ in terms):
+        raise ValidationError("classical mixture weights must be nonnegative")
+    if not abs(sum(w for w, _ in terms) - 1.0) <= 1e-12:
+        raise ValidationError("classical mixture weights must sum to 1")
+    return terms
+
+
 def classical_nd_state(alpha, n_max: int | None = None,
                        caps: DeskCaps | None = None) -> BlockDiagonalState:
     """Number-dephased (mixture of) multimode coherent state(s).
@@ -215,23 +235,17 @@ def classical_nd_state(alpha, n_max: int | None = None,
     ``alpha`` is one complex amplitude vector or a list of (weight, vector)
     pairs.  Each term becomes a Poisson mixture over total number of coherent
     spin states along alpha/|alpha|, truncated at n_max and renormalized; the
-    truncated tail must weigh less than 1e-6.
+    truncated tail must weigh less than 1e-6.  Raises ValidationError for an
+    empty list or vector, a negative weight, weights not summing to 1 within
+    1e-12, or vectors with different mode counts.
     """
-    if isinstance(alpha, (list, tuple)) and alpha and isinstance(alpha[0], tuple):
-        terms = [(float(w), np.asarray(a, dtype=complex).ravel()) for w, a in alpha]
-    else:
-        terms = [(1.0, np.asarray(alpha, dtype=complex).ravel())]
-    if abs(sum(w for w, _ in terms) - 1.0) > 1e-12:
-        raise ValidationError("classical mixture weights must sum to 1")
+    terms = _classical_terms(alpha)
     m = terms[0][1].size
-    if any(a.size != m for _, a in terms):
-        raise ValidationError("all coherent vectors must share the mode count")
     mus = [float(np.vdot(a, a).real) for _, a in terms]
     if n_max is None:
         n_max = max(default_poisson_truncation(mu) for mu in mus)
     if caps is None:
-        caps = DeskCaps(max_particles=max(n_max, DESK.max_particles),
-                        max_modes=max(m, DESK.max_modes))
+        caps = _desk_caps_at_least(n_max, m)
     parts = []
     for (w, a), mu in zip(terms, mus):
         weights = poisson_weights(mu, n_max)
@@ -246,22 +260,16 @@ def classical_nd_state(alpha, n_max: int | None = None,
         for n, pw in enumerate(weights):
             if pw < 1e-15:
                 continue
-            if n == 0:
-                blocks[0] = (pw / mass, np.array([[1.0 + 0j]]))
-            else:
-                blocks[n] = (pw / mass, css_density(direction, n, caps))
+            block = css_density(direction, n, caps) if n else np.ones((1, 1), dtype=complex)
+            blocks[n] = (pw / mass, block)
         parts.append((w, BlockDiagonalState(m, blocks, caps=caps)))
     return mix_states(parts) if len(parts) > 1 else parts[0][1]
 
 
 def classical_truncation_mass(alpha, n_max: int) -> float:
     """Poisson tail mass discarded by truncating at n_max (worst term)."""
-    if isinstance(alpha, (list, tuple)) and alpha and isinstance(alpha[0], tuple):
-        terms = [(float(w), np.asarray(a, dtype=complex).ravel()) for w, a in alpha]
-    else:
-        terms = [(1.0, np.asarray(alpha, dtype=complex).ravel())]
     tail = 0.0
-    for w, a in terms:
+    for w, a in _classical_terms(alpha):
         mu = float(np.vdot(a, a).real)
         tail += w * (1.0 - poisson_weights(mu, n_max).sum())
     return max(tail, 0.0)

@@ -94,6 +94,15 @@ def test_tensor_compose_convolves_weights():
         2 * half.mean_particle_number())
 
 
+def test_mix_states_renormalizes_weights_it_accepts():
+    # mix_states admits weights summing to 1 within 1e-10, looser than the
+    # 1e-12 that BlockDiagonalState demands of block weights
+    state = mix_states([(0.5 + 5e-11, vacuum_state(2)),
+                        (0.5, fock_state((0, 1)).to_block_state())])
+    assert state.weight(0) + state.weight(1) == pytest.approx(1.0, abs=1e-15)
+    assert state.weight(0) == pytest.approx(0.5, abs=1e-10)
+
+
 def test_project_local_number_single_particle():
     basis = enumerate_basis(2, 1)
     amps = np.array([1.0, 1.0]) / math.sqrt(2)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from bosonpe.fock import DeskCaps, ValidationError, enumerate_basis, single_particle_rdm
+from bosonpe.nonclassical import many_copy_nc_bound_check
 from bosonpe.optics import ModeUnitary, apply_to_pure
 from bosonpe.states import (
     CoherentSpinSpec,
     SeparableMixtureSpec,
     classical_nd_state,
+    classical_truncation_mass,
     coherent_spin_state,
     is_coherent_spin_pure,
     is_particle_separable_two_qubit,
@@ -116,6 +118,27 @@ def test_random_separable_deterministic():
 def test_classical_vacuum():
     state = classical_nd_state(np.zeros(2))
     assert state.sectors() == [0]
+
+
+def test_bad_classical_mixtures_rejected():
+    a, b = np.array([0.5]), np.array([0.3 + 0.4j])
+    bad_mixtures = [
+        [(1.2, a), (-0.2, b)],                    # negative weight
+        [(0.6, a), (0.6, b)],                     # weights sum to 1.2
+        [(0.5, a), (0.4, b)],                     # weights sum to 0.9
+        [(float("nan"), a), (1.0, b)],            # weight is not a number
+        [],                                       # no term
+        [(0.5, a), (0.5, np.array([0.3, 0.4]))],  # mismatched mode counts
+    ]
+    entry_points = [
+        lambda alpha: classical_nd_state(alpha, n_max=7),
+        lambda alpha: classical_truncation_mass(alpha, 7),
+        lambda alpha: many_copy_nc_bound_check(alpha, k=2, n_max=7),
+    ]
+    for alpha in bad_mixtures:
+        for call in entry_points:
+            with pytest.raises(ValidationError):
+                call(alpha)
 
 
 def test_classical_single_mode_poisson():
