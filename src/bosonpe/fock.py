@@ -438,14 +438,15 @@ def project_local_number(state: BlockDiagonalState,
             dim_b = bb.dim
             idx = [t[0] for t in members]
             sub = mat[np.ix_(idx, idx)]
-            prob = p * np.trace(sub).real
+            tr = np.trace(sub).real
+            prob = p * tr
             if prob < BLOCK_DROP_TOL:
                 continue
             d = ba.dim * bb.dim
             big = np.zeros((d, d), dtype=complex)
             pos = [ba.index(t[1] if ma else (0,)) * dim_b + bb.index(t[2] if mb else (0,))
                    for t in members]
-            big[np.ix_(pos, pos)] = sub / np.trace(sub).real
+            big[np.ix_(pos, pos)] = sub / tr
             entries[(na, nb)] = (prob, SectorState(ba, bb, big))
     return SectorDecomposition(entries)
 

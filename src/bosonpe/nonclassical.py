@@ -12,32 +12,37 @@ the two-copy activation check live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import permutations, product
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 from scipy import stats
+from scipy.special import gammaln
 
 from .fock import (
+    BLOCK_DROP_TOL,
     DESK,
     BlockDiagonalState,
     DeskCaps,
+    DeskScaleError,
     ValidationError,
     _desk_caps_at_least,
     _normalized_blocks,
+    enumerate_basis,
     tensor_compose,
     vacuum_state,
 )
 from .activation import ActivationReport, ActivationSpec, activate
-from .measures import block_trace_distance
 from .states import (
     _classical_terms,
-    classical_nd_state,
     classical_truncation_mass,
     css_density,
     default_poisson_truncation,
     is_particle_separable_two_qubit,
     poisson_weights,
+    _truncated_poisson_weights,
 )
 
 
@@ -77,8 +82,9 @@ class ExchangeableSeparableSpec:
     """Mixture of N-particle coherent spin states, symmetrized over modes.
 
     ``terms`` are (weight, single-particle amplitude vector on m modes)
-    pairs; the constructor symmetrizes over all mode permutations so the
-    resulting state is exchangeable whatever the supplied directions.
+    pairs, checked by the classical-mixture parser; the constructor
+    symmetrizes over all mode permutations so the resulting state is
+    exchangeable whatever the supplied directions.
     """
 
     N: int
@@ -88,27 +94,54 @@ class ExchangeableSeparableSpec:
     def __post_init__(self):
         if self.N < 0 or self.m < 1:
             raise ValidationError("need N >= 0 and m >= 1")
-        terms = []
-        for w, c in self.terms:
-            c = np.asarray(c, dtype=complex).ravel()
+        terms = _classical_terms([tuple(t) for t in self.terms])
+        for _, c in terms:
             if c.size != self.m:
                 raise ValidationError("amplitude vector length must equal m")
-            if abs(np.linalg.norm(c) - 1.0) > 1e-10:
+            if not abs(np.linalg.norm(c) - 1.0) <= 1e-10:
                 raise ValidationError("amplitude vectors must be unit norm")
-            if w < 0:
-                raise ValidationError("weights must be nonnegative")
-            terms.append((float(w), c))
-        if abs(sum(w for w, _ in terms) - 1.0) > 1e-10:
-            raise ValidationError("weights must sum to 1")
         object.__setattr__(self, "terms", tuple(terms))
 
     def symmetrized_terms(self):
-        perms = list(permutations(range(self.m)))
-        out = []
+        """Each distinct mode permutation of every term once, as (weight,
+        vector) pairs.
+
+        A term whose entries take exactly equal values k_v times has
+        m!/prod k_v! distinct permutations; each carries the term's weight
+        over that count.  Raises DeskScaleError, before enumerating any,
+        when the total exceeds the permutation count at the desk mode cap."""
+        patterns, counts = [], []
         for w, c in self.terms:
-            for perm in perms:
-                out.append((w / len(perms), c[list(perm)]))
-        return out
+            values = list(dict.fromkeys(c.tolist()))
+            labels = sorted(values.index(x) for x in c.tolist())
+            counts.append(math.factorial(self.m) // math.prod(
+                math.factorial(k) for k in Counter(labels).values()))
+            patterns.append((w / counts[-1], np.array(values), labels))
+        limit = math.factorial(DESK.max_modes)
+        if sum(counts) > limit:
+            raise DeskScaleError(
+                f"{sum(counts)} distinct mode permutations exceed {limit}, the "
+                f"count at the desk mode cap ({DESK.max_modes} modes)")
+        return [(w, values[list(order)])
+                for w, values, labels in patterns
+                for order in _distinct_orderings(labels)]
+
+
+def _distinct_orderings(labels):
+    """The distinct orderings of a sorted list, in lexicographic order."""
+    a = list(labels)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
 
 
 def exchangeable_state(spec: ExchangeableSeparableSpec,
@@ -125,34 +158,124 @@ def exchangeable_state(spec: ExchangeableSeparableSpec,
     return BlockDiagonalState(spec.m, {spec.N: (1.0, mat)}, caps=caps)
 
 
-def _direction_mixture_state(terms, l: int, number_weights, n_hi: int,
-                             caps: DeskCaps) -> tuple[BlockDiagonalState, float]:
-    """Assemble sum_t w_t sum_n weights_t(n) |css(dir_t, n)> on l modes.
-
-    ``number_weights(t)`` returns the weight array over n = 0..n_hi for term
-    t.  Returns the normalized state and the total mass kept."""
+def _direction_mixture_state(directions, weights: np.ndarray, l: int,
+                             caps: DeskCaps) -> BlockDiagonalState:
+    """The dense state sum_t sum_n weights[t, n] |css(directions[t], n)><..|
+    on l modes, normalized by its total trace; entries below 1e-16 are
+    skipped."""
     acc: dict[int, np.ndarray] = {}
-    for t, (w, direction) in enumerate(terms):
-        weights = number_weights(t)
-        for n in range(n_hi + 1):
-            pw = w * weights[n]
+    for direction, row in zip(directions, weights):
+        for n, pw in enumerate(row):
             if pw < 1e-16:
                 continue
             d = css_density(direction, n, caps) if n else np.ones((1, 1), dtype=complex)
             blk = acc.setdefault(n, np.zeros_like(d))
             blk += pw * d
-    blocks, kept = _normalized_blocks(acc)
-    return BlockDiagonalState(l, blocks, caps=caps), kept
+    blocks, _ = _normalized_blocks(acc)
+    return BlockDiagonalState(l, blocks, caps=caps)
+
+
+def _block_coefficients(weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per-term weights (terms x n) -> the coefficient of each term's
+    coherent-spin projector in the state that ``_direction_mixture_state``
+    builds from them, and the total mass kept: entries below 1e-16 are
+    skipped, every weight is divided by the kept mass, and blocks of trace at
+    most BLOCK_DROP_TOL are dropped, as in ``_normalized_blocks``."""
+    kept = np.where(weights < 1e-16, 0.0, weights)
+    traces = kept.sum(axis=0)
+    total = float(traces.sum())
+    return np.where(traces > BLOCK_DROP_TOL, kept, 0.0) / total, total
+
+
+# largest dense block at the desk caps: C(8 + 6 - 1, 6) = 1716
+_MAX_BLOCK_DIM = math.comb(DESK.max_modes + DESK.max_particles - 1, DESK.max_particles)
+
+
+def _css_amplitudes(dirs: np.ndarray, n: int, caps: DeskCaps) -> np.ndarray:
+    """Rows: the Fock amplitudes of |css(d, n)> for each row d of ``dirs``."""
+    occ = np.array(enumerate_basis(dirs.shape[1], n, caps).states)
+    log_multinom = math.lgamma(n + 1) - np.sum(gammaln(occ + 1), axis=1)
+    return np.exp(0.5 * log_multinom) * np.prod(dirs[:, None, :] ** occ, axis=2)
+
+
+def _css_trace_distance(directions, rho_weights: np.ndarray, sigma_weights: np.ndarray,
+                        caps: DeskCaps) -> tuple[float, float, float]:
+    """Trace distance between the states ``_direction_mixture_state`` builds
+    from ``rho_weights`` and ``sigma_weights`` (per-term rows over n = 0..n_hi,
+    term t along ``directions[t]``), with the kept mass of each.
+
+    Block n of the difference is sum_t c_t |css_t^n><css_t^n|, summed over
+    the T distinct directions.  Its trace norm is that of G^{1/2} C G^{1/2}
+    with G_st = (d_s^dag d_t)^n, a T x T problem, or, when the sector is
+    smaller than T, of the block itself built from Fock amplitudes.  A
+    direction may be None (nothing on the retained modes) only where its
+    weights vanish above n = 0; the vacuum block is a scalar."""
+    rho_c, rho_mass = _block_coefficients(rho_weights)
+    sigma_c, sigma_mass = _block_coefficients(sigma_weights)
+    merged: dict = {}
+    for d, row in zip(directions, rho_c - sigma_c):
+        key = None if d is None else d.tobytes()
+        merged[key] = (d, merged[key][1] + row) if key in merged else (d, row)
+    norm = abs(sum(row[0] for _, row in merged.values()))
+    live = [(d, row) for d, row in merged.values() if d is not None]
+    if not live:
+        return 0.5 * float(norm), rho_mass, sigma_mass
+    dirs = np.array([d for d, _ in live])
+    coef = np.array([row for _, row in live])
+    l = dirs.shape[1]
+    dims = [math.comb(n + l - 1, n) for n in range(coef.shape[1])]
+    for n in range(1, coef.shape[1]):
+        t = np.count_nonzero(coef[:, n])
+        if min(t, dims[n]) > _MAX_BLOCK_DIM:
+            raise DeskScaleError(
+                f"block n={n} has {t} directions in a {dims[n]}-dimensional "
+                f"sector; both exceed the desk block size {_MAX_BLOCK_DIM}")
+    for n in range(1, coef.shape[1]):
+        keep = coef[:, n] != 0
+        c, d = coef[keep, n], dirs[keep]
+        if c.size == 0:
+            continue
+        if c.size <= dims[n]:
+            lam, u = np.linalg.eigh((d.conj() @ d.T) ** n)
+            root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
+            mat = root @ (c[:, None] * root)
+        else:
+            mat = np.zeros((dims[n], dims[n]), dtype=complex)
+            # rows per chunk keep the (rows, dim, l) power temporary at 2**20 entries
+            chunk = max(1, 2**20 // (dims[n] * l))
+            for s in range(0, c.size, chunk):
+                amps = _css_amplitudes(d[s:s + chunk], n, caps)
+                mat += amps.T @ (c[s:s + chunk, None] * amps.conj())
+        norm += np.sum(np.abs(np.linalg.eigvalsh(mat)))
+    return 0.5 * float(norm), rho_mass, sigma_mass
 
 
 @dataclass(frozen=True)
 class DefinettiResult:
-    rho_reduced: BlockDiagonalState
-    sigma_classical: BlockDiagonalState
+    """The classical approximation's distance and bound.  ``rho_reduced`` and
+    ``sigma_classical`` are built densely, and validated, on first access."""
+
     distance: float
     bound: float
     truncation_mass: float
     satisfied: bool
+    _directions: list = field(repr=False, compare=False)
+    _binomial: np.ndarray = field(repr=False, compare=False)
+    _poisson: np.ndarray = field(repr=False, compare=False)
+    _modes: int = field(repr=False, compare=False)
+    _caps: DeskCaps = field(repr=False, compare=False)
+
+    @cached_property
+    def rho_reduced(self) -> BlockDiagonalState:
+        """The l-mode reduction of the exchangeable state."""
+        return _direction_mixture_state(self._directions, self._binomial,
+                                        self._modes, self._caps)
+
+    @cached_property
+    def sigma_classical(self) -> BlockDiagonalState:
+        """The classical state that replaces binomial by Poisson statistics."""
+        return _direction_mixture_state(self._directions, self._poisson,
+                                        self._modes, self._caps)
 
 
 def definetti_classical_approx(spec: ExchangeableSeparableSpec, l: int,
@@ -163,43 +286,37 @@ def definetti_classical_approx(spec: ExchangeableSeparableSpec, l: int,
     The reduction of each coherent-spin direction carries binomial number
     statistics with success probability equal to the direction's weight on
     the retained modes; the approximation replaces them with Poisson
-    statistics of the same mean."""
+    statistics of the same mean.  The distance comes from the Gram data of
+    the distinct directions, without building either state."""
     if not 1 <= l <= spec.m:
         raise ValidationError(f"need 1 <= l <= m, got l={l}, m={spec.m}")
-    terms = []
+    weights, directions, p_rets = [], [], []
     for w, c in spec.symmetrized_terms():
         p_ret = min(float(np.sum(np.abs(c[:l]) ** 2)), 1.0)
-        if p_ret > 1e-15:
-            direction = c[:l] / math.sqrt(p_ret)
-        else:
-            direction = None
-        terms.append((w, direction, p_ret))
+        weights.append(w)
+        directions.append(c[:l] / math.sqrt(p_ret) if p_ret > 1e-15 else None)
+        p_rets.append(p_ret)
     if n_max is None:
-        n_max = max(spec.N,
-                    max(default_poisson_truncation(spec.N * p) for _, _, p in terms))
+        n_max = max(spec.N, max(default_poisson_truncation(spec.N * p) for p in p_rets))
     caps = _desk_caps_at_least(n_max, spec.m)
 
-    dir_terms = [(w, d) for w, d, _ in terms]
-    binom_w = [np.concatenate([stats.binom.pmf(np.arange(spec.N + 1), spec.N, p),
-                               np.zeros(n_max - spec.N)]) if n_max > spec.N
-               else stats.binom.pmf(np.arange(n_max + 1), spec.N, p)
-               for _, _, p in terms]
-    pois_w = [poisson_weights(spec.N * p, n_max) for _, _, p in terms]
+    w = np.array(weights)[:, None]
+    binom_w = w * stats.binom.pmf(np.arange(n_max + 1), spec.N, np.array(p_rets)[:, None])
+    pois_w = w * np.array([poisson_weights(spec.N * p, n_max) for p in p_rets])
 
-    rho, rho_mass = _direction_mixture_state(dir_terms, l, lambda t: binom_w[t],
-                                             n_max, caps)
-    sigma, sigma_mass = _direction_mixture_state(dir_terms, l, lambda t: pois_w[t],
-                                                 n_max, caps)
-    truncation = (1.0 - rho_mass) + (1.0 - sigma_mass)
-    distance = block_trace_distance(rho, sigma)
+    distance, rho_mass, sigma_mass = _css_trace_distance(directions, binom_w, pois_w, caps)
+    truncation = max((1.0 - rho_mass) + (1.0 - sigma_mass), 0.0)
     bound = l / spec.m
     return DefinettiResult(
-        rho_reduced=rho,
-        sigma_classical=sigma,
         distance=distance,
         bound=bound,
-        truncation_mass=max(truncation, 0.0),
-        satisfied=distance - max(truncation, 0.0) <= bound + 1e-12,
+        truncation_mass=truncation,
+        satisfied=distance - truncation <= bound + 1e-12,
+        _directions=directions,
+        _binomial=binom_w,
+        _poisson=pois_w,
+        _modes=l,
+        _caps=caps,
     )
 
 
@@ -280,21 +397,27 @@ def many_copy_nc_bound_check(classical_or_state, k: int,
     mus = [float(np.vdot(a, a).real) for _, a in terms]
     if n_max is None:
         n_max = max(default_poisson_truncation(mu) for mu in mus)
-    rho = classical_nd_state(terms, n_max)
     rho_tail = classical_truncation_mass(terms, n_max)
-    caps = _desk_caps_at_least(n_max, rho.modes)
+    caps = _desk_caps_at_least(n_max, terms[0][1].size)
+    directions = [a / math.sqrt(mu) if mu > 0 else None for (_, a), mu in zip(terms, mus)]
+    zeros = np.zeros(n_max + 1)
+
+    # rho = classical_nd_state(terms, n_max): per term, the Poisson weights
+    # of at least 1e-15 over the truncated mass
+    rows, rho_w, sigma_w = [], [], []
+    for (w, _), mu, direction in zip(terms, mus, directions):
+        weights, mass = _truncated_poisson_weights(mu, n_max)
+        rows.append(direction)
+        rho_w.append(w * np.where(weights < 1e-15, 0.0, weights) / mass)
+        sigma_w.append(zeros)
 
     # sigma = sum over direction tuples of (product weight) x
     #         sum_L Poisson_M(L) Poisson_{L * mu_1 / M}(n) |css(dir_1, n)>
-    dir_terms = []
-    weight_fns = []
     joint_cap = max(default_poisson_truncation(k * max(mus)), n_max)
     for combo in product(range(len(terms)), repeat=k):
         w = math.prod(terms[j][0] for j in combo)
         big_m = sum(mus[j] for j in combo)
         mu1 = mus[combo[0]]
-        a1 = terms[combo[0]][1]
-        direction = a1 / math.sqrt(mu1) if mu1 > 0 else None
         if big_m <= 0:
             weights = np.zeros(n_max + 1)
             weights[0] = 1.0
@@ -306,11 +429,11 @@ def many_copy_nc_bound_check(classical_or_state, k: int,
                 if wl < 1e-18:
                     continue
                 weights += wl * poisson_weights(L * p_ret, n_max)
-        dir_terms.append((w, direction))
-        weight_fns.append(weights)
-    sigma, sigma_mass = _direction_mixture_state(
-        dir_terms, rho.modes, lambda t: weight_fns[t], n_max, caps)
-    construction = block_trace_distance(rho, sigma)
+        rows.append(directions[combo[0]])
+        rho_w.append(zeros)
+        sigma_w.append(w * weights)
+    construction, _, sigma_mass = _css_trace_distance(rows, np.array(rho_w),
+                                                      np.array(sigma_w), caps)
     truncation = rho_tail + (1.0 - sigma_mass)
     # the truncated input is itself within the tail mass of an exactly
     # classical state, so the tail is also an upper bound on nonclassicality

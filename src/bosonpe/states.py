@@ -209,6 +209,19 @@ def default_poisson_truncation(mu: float) -> int:
     return n_max
 
 
+def _truncated_poisson_weights(mu: float, n_max: int) -> tuple[np.ndarray, float]:
+    """Poisson(mu) weights over 0..n_max and their sum; raises ValidationError
+    when the truncation keeps less than 1 - 1e-6 of the mass."""
+    weights = poisson_weights(mu, n_max)
+    mass = weights.sum()
+    if mass < 1.0 - POISSON_TAIL_TOL:
+        raise ValidationError(
+            f"truncation at n_max={n_max} keeps only {mass:.8f} of the "
+            f"Poisson mass for mean {mu:.4f}; raise n_max"
+        )
+    return weights, mass
+
+
 def _classical_terms(alpha) -> list[tuple[float, np.ndarray]]:
     """One amplitude vector, or a list of (weight, vector) pairs, as a checked
     list of (weight, vector) terms; a parsed list parses to itself."""
@@ -248,13 +261,7 @@ def classical_nd_state(alpha, n_max: int | None = None,
         caps = _desk_caps_at_least(n_max, m)
     parts = []
     for (w, a), mu in zip(terms, mus):
-        weights = poisson_weights(mu, n_max)
-        mass = weights.sum()
-        if mass < 1.0 - POISSON_TAIL_TOL:
-            raise ValidationError(
-                f"truncation at n_max={n_max} keeps only {mass:.8f} of the "
-                f"Poisson mass for mean {mu:.4f}; raise n_max"
-            )
+        weights, mass = _truncated_poisson_weights(mu, n_max)
         direction = a / math.sqrt(mu) if mu > 0 else None
         blocks = {}
         for n, pw in enumerate(weights):

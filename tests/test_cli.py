@@ -120,6 +120,10 @@ def test_definetti_subcommand(capsys):
     doc = json.loads(out)
     assert doc["satisfied"] is True
     assert doc["bound"] == pytest.approx(0.25)
+    # the uniform default has one distinct mode permutation at any m
+    code, out, _ = run_cli(capsys, "definetti", "--N", "2", "--m", "12", "--l", "12")
+    assert code == 0
+    assert json.loads(out)["satisfied"] is True
 
 
 def test_binpoisson_subcommand(capsys):
@@ -138,14 +142,25 @@ BAD_INPUTS = (
     ("activate", "--state", "fock:1,1,1,1,1"),
     ("qfi", "--state", "noon:2", "--observable", "bloch:1,x,0"),
     ("definetti", "--N", "2", "--m", "2", "--l", "1", "--mixture", "{no_terms}"),
+    # 9! distinct mode permutations exceed the 8! at the desk mode cap
+    ("definetti", "--N", "2", "--m", "9", "--l", "1", "--mixture", "{generic}"),
+    ("definetti", "--N", "2", "--m", "2", "--l", "1", "--mixture", "{nan_entry}"),
 )
 
 
 def test_validation_error_exit_code(capsys, tmp_path):
-    no_terms = tmp_path / "mixture.json"
-    no_terms.write_text("{}")
+    c = np.arange(1.0, 10.0) / np.linalg.norm(np.arange(1.0, 10.0))
+    mixtures = {
+        "no_terms": {},
+        "generic": {"terms": [{"q": 1.0, "c": [[x, 0.0] for x in c]}]},
+        "nan_entry": {"terms": [{"q": 1.0, "c": [[math.nan, 0.0], [0.0, 0.0]]}]},
+    }
+    paths = {}
+    for name, doc in mixtures.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
     for argv in BAD_INPUTS:
-        code, _, err = run_cli(capsys, *(a.format(no_terms=no_terms) for a in argv))
+        code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
         assert code == 2, argv
         assert "error" in err, argv
 
