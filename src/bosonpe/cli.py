@@ -212,7 +212,9 @@ def cmd_qfi(args) -> int:
 def cmd_mpef(args) -> int:
     state = parse_state(args.state)
     res = m_pe_f(state, search=args.search, seed=args.seed, n_restarts=args.restarts)
-    doc = {"value": res.value, "search_metadata": dict(res.metadata, search=res.search)}
+    doc = {"value": res.value, "lower": res.lower, "upper": res.upper,
+           "gap": res.upper - res.lower,
+           "search_metadata": dict(res.metadata, search=res.search)}
     if res.bloch is not None:
         nx, ny, nz = res.bloch
         doc["argmax_h"] = {

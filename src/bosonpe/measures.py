@@ -6,9 +6,10 @@ The metrological quantity is the excess of the QFI over the free-state limit,
     max over unit-norm single-particle h of  [ F(rho, H) - 4 V(rho, h) ]+
 
 with H acting per sector as the sum of h over particles divided by sqrt(N).
-On two modes the maximization reduces exactly to a 3x3 eigenvalue problem on
-the Bloch sphere; for more modes a seeded random-restart ascent is used and
-the result is reported as a lower bound.
+The objective is one quadratic form x^T M x in the real parameters x of h,
+built once per state.  On two modes its maximization is exactly a 3x3
+eigenvalue problem on the Bloch sphere; for more modes projected ascent over
+||h||_op <= 1 gives the lower end of a certified [lower, upper] bracket.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fock import (
     UNCAPPED,
@@ -200,11 +200,19 @@ def qfi_minus_variance(state: BlockDiagonalState, h: SingleParticleObservable) -
 
 @dataclass(frozen=True)
 class MpefResult:
-    value: float
+    """The monotone bracketed as lower <= max_h [F - 4V]+ <= upper; ``h``
+    attains ``lower``, and the two coincide for ``two_mode_exact``."""
+
+    lower: float
+    upper: float
     h: np.ndarray
     bloch: tuple[float, float, float] | None
     search: str
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def value(self) -> float:
+        return self.lower
 
 
 def _pad_observable(h: np.ndarray, modes: int) -> np.ndarray:
@@ -214,53 +222,6 @@ def _pad_observable(h: np.ndarray, modes: int) -> np.ndarray:
     out = np.zeros((modes, modes), dtype=complex)
     out[: h.shape[0], : h.shape[0]] = h
     return out
-
-
-def _two_mode_quadratic_form(state: BlockDiagonalState) -> tuple[np.ndarray, float]:
-    """Reduce the two-mode objective to n^T Q n - c on the unit Bloch sphere.
-
-    With h = n . sigma of unit norm on the two leading modes, h^2 is the
-    projector onto them, so 4V = const - 4 (n.v)^2 with v the Pauli
-    expectations, while the QFI is an exact quadratic form in n.
-    """
-    m = state.modes
-    axes = [_pad_observable(PAULI[a], m) for a in ("x", "y", "z")]
-    support = _pad_observable(np.eye(2, dtype=complex), m)
-    qform = np.zeros((3, 3))
-    v = np.zeros(3)
-    const = 0.0
-    for N, (p, mat) in state.blocks.items():
-        if N == 0:
-            continue
-        const += 4.0 * p * np.trace(mat @ second_quantized(support, m, N)).real / N
-        evecs, w = _qfi_weights(mat, p)
-        As = []
-        for sig in axes:
-            H = second_quantized(sig, m, N) / math.sqrt(N)
-            As.append(evecs.conj().T @ H @ evecs)
-        for a in range(3):
-            v[a] += np.trace(mat @ second_quantized(axes[a], m, N)).real * p / N
-            for b in range(3):
-                qform[a, b] += np.sum(w * (As[a] * As[b].conj())).real
-    qform = (qform + qform.T) / 2 + 4.0 * np.outer(v, v)
-    return qform, const
-
-
-def _mpef_two_mode_exact(state: BlockDiagonalState) -> MpefResult:
-    qform, const = _two_mode_quadratic_form(state)
-    evals, evecs = np.linalg.eigh(qform)
-    best = float(evals[-1] - const)
-    n = evecs[:, -1]
-    h = bloch_observable(n)
-    theta = math.acos(max(-1.0, min(1.0, n[2])))
-    phi = math.atan2(n[1], n[0])
-    return MpefResult(
-        value=max(best, 0.0),
-        h=_pad_observable(h.h, state.modes),
-        bloch=(float(n[0]), float(n[1]), float(n[2])),
-        search="two_mode_exact",
-        metadata={"objective": best, "theta": theta, "phi": phi},
-    )
 
 
 def _hermitian_from_params(x: np.ndarray, m: int) -> np.ndarray:
@@ -289,74 +250,180 @@ def _params_from_hermitian(h: np.ndarray) -> np.ndarray:
     return np.array(x)
 
 
+def _hermitian_basis(m: int) -> np.ndarray:
+    """The m^2 Hermitians g_a with h(x) = sum_a x_a g_a, as (m^2, m, m)."""
+    return np.stack([_hermitian_from_params(e, m) for e in np.eye(m * m)])
+
+
+def _mpef_form(state: BlockDiagonalState, h_support: int) -> np.ndarray:
+    """M with F(rho, H_h) - 4 V(rho, h) = x^T M x for h = h(x) on the leading
+    ``h_support`` modes.
+
+    The QFI part sums w_kl Re(B_a,kl conj(B_b,kl)) over the eigenbasis of
+    each block, with B_a the block's sector matrix of g_a divided by
+    sqrt(N); the variance part is -4 (S - mu mu^T) with S_ab = <{g_a, g_b}/2>
+    and mu_a = <g_a> single-particle averages over the blocks.
+    """
+    g = _hermitian_basis(h_support)
+    qfi_part = np.zeros((len(g), len(g)))
+    one_body = np.zeros((h_support, h_support), dtype=complex)
+    for N, (p, mat) in state.blocks.items():
+        if N == 0:
+            continue
+        t = _transfer_tensor(state.modes, N)[:h_support, :h_support]
+        one_body += p * np.einsum("ijkl,lk->ij", t, mat) / N
+        evecs, w = _qfi_weights(mat, p)
+        b = evecs.conj().T @ np.tensordot(g, t, 2) @ evecs / math.sqrt(N)
+        b = b.reshape(len(g), -1)
+        qfi_part += ((b * w.ravel()) @ b.conj().T).real
+    mu = np.einsum("aij,ij->a", g, one_body).real
+    second = np.einsum("aij,bjk,ik->ab", g, g, one_body).real
+    form = qfi_part - 4.0 * ((second + second.T) / 2 - np.outer(mu, mu))
+    return (form + form.T) / 2
+
+
+def _mpef_two_mode_exact(state: BlockDiagonalState) -> MpefResult:
+    """Top eigenpair of the form on the Pauli directions: h = n . sigma has
+    operator norm |n|, so the unit Bloch sphere is exactly the feasible set
+    of traceless h."""
+    paulis = np.stack([_params_from_hermitian(PAULI[a]) for a in ("x", "y", "z")], axis=1)
+    evals, evecs = np.linalg.eigh(paulis.T @ _mpef_form(state, 2) @ paulis)
+    best = float(evals[-1])
+    n = evecs[:, -1]
+    h = bloch_observable(n)
+    theta = math.acos(max(-1.0, min(1.0, n[2])))
+    phi = math.atan2(n[1], n[0])
+    return MpefResult(
+        lower=max(best, 0.0),
+        upper=max(best, 0.0),
+        h=_pad_observable(h.h, state.modes),
+        bloch=(float(n[0]), float(n[1]), float(n[2])),
+        search="two_mode_exact",
+        metadata={"objective": best, "theta": theta, "phi": phi},
+    )
+
+
+MPEF_ASCENT_TOL = 1e-14
+MPEF_ASCENT_MAX_ITER = 2000
+
+
 def _mpef_restarts(state: BlockDiagonalState, seed, n_restarts: int,
                    warm_starts, h_support: int) -> MpefResult:
-    m = state.modes
+    """Projected gradient ascent of y^T Mf y over ||h||_op <= 1 from every start.
 
-    def padded(x):
-        return _pad_observable(_hermitian_from_params(x, h_support), m)
+    y are the coordinates of h in the Frobenius-orthonormal basis g_a/|g_a|
+    (Mf is M in those coordinates), so clipping the eigenvalues of h to
+    [-1, 1] is the Euclidean projection P onto the feasible set, and the step
+    y <- P(y + 2 Mf y / L) with L = 2 ||Mf||_2 never lowers the objective.
+    Each step is taken from a Nesterov extrapolation of y instead; when that
+    would lower the objective, the momentum restarts and the plain step is
+    taken, so the ascent stays monotone.  A start ends when a step gains at
+    most MPEF_ASCENT_TOL.  Since ||h||_F^2 <= h_support on the feasible set,
+    h_support * max(lambda_max(Mf), 0) bounds the monotone from above.
+    """
+    s = h_support
+    g = _hermitian_basis(s)
+    scale = np.sqrt(np.einsum("aij,aij->a", g, g.conj()).real)
+    unit = (g / scale[:, None, None]).reshape(len(g), -1)
+    form = _mpef_form(state, s) / np.outer(scale, scale)
+    evals, evecs = np.linalg.eigh(form)
+    rate = 1.0 / max(-evals[0], evals[-1], 1e-300)
 
-    def objective(x):
-        h = padded(x)
-        norm = np.max(np.abs(np.linalg.eigvalsh(h)))
-        if norm < 1e-9:
-            return 0.0
-        return qfi_minus_variance(state, SingleParticleObservable(h / norm))
+    def observable(y):
+        return (y @ unit).reshape(s, s)
 
-    best_val = 0.0
-    best_h = _pad_observable(np.eye(h_support, dtype=complex), m)
-    starts = []
-    for w in warm_starts or []:
-        w = np.asarray(w, dtype=complex)[:h_support, :h_support]
-        starts.append(_params_from_hermitian(w))
+    def project(y):
+        """P(y) and its objective."""
+        lam, vecs = np.linalg.eigh(observable(y))
+        y = (unit.conj() @ ((vecs * np.clip(lam, -1.0, 1.0)) @ vecs.conj().T).ravel()).real
+        return y, y @ form @ y
+
+    starts = [_params_from_hermitian(w) * scale for w in warm_starts]
+    starts.append(evecs[:, -1])
     rng = np.random.default_rng(seed)
     for _ in range(n_restarts):
-        starts.append(rng.normal(size=h_support * h_support))
-    evals_used = 0
-    for x0 in starts:
-        val0 = objective(x0)
-        if val0 > best_val:
-            best_val = val0
-            best_h = padded(x0)
-        res = minimize(lambda x: -objective(x), x0, method="Nelder-Mead",
-                       options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 2000})
-        evals_used += res.nfev
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_h = padded(res.x)
-    norm = np.max(np.abs(np.linalg.eigvalsh(best_h)))
-    if norm > 1e-9:
-        best_h = best_h / norm
+        starts.append(rng.normal(size=s * s) * scale)
+
+    top = observable(evecs[:, -1])
+    top_norm = np.max(np.abs(np.linalg.eigvalsh(top)))
+    best_val, best_h, iterations = evals[-1] / top_norm**2, top / top_norm, 0
+    for y in starts:
+        y, val = project(y)
+        prev, k = y, 0
+        for _ in range(MPEF_ASCENT_MAX_ITER):
+            iterations += 1
+            z = y + k / (k + 3) * (y - prev)
+            y_next, val_next = project(z + rate * (form @ z))
+            if k and val_next < val:
+                k = 0
+                y_next, val_next = project(y + rate * (form @ y))
+            else:
+                k += 1
+            prev, y, gain, val = y, y_next, val_next - val, val_next
+            if gain <= MPEF_ASCENT_TOL:
+                break
+        h = observable(y)
+        norm = np.max(np.abs(np.linalg.eigvalsh(h)))
+        if norm > 1e-9 and val / norm**2 > best_val:
+            best_val, best_h = val / norm**2, h / norm
+    lower = max(float(best_val), 0.0)
+    # h_support * lambda_max bounds the true maximum, which lower attains up
+    # to rounding
+    upper = max(s * max(float(evals[-1]), 0.0), lower)
     return MpefResult(
-        value=max(best_val, 0.0),
-        h=best_h,
+        lower=lower,
+        upper=upper,
+        h=_pad_observable(best_h, state.modes),
         bloch=None,
         search="general_restarts",
-        metadata={"lower_bound": True, "restarts": len(starts), "nfev": evals_used},
+        metadata={"restarts": len(starts), "nfev": iterations},
     )
+
+
+def _check_warm_start(w, h_support: int) -> np.ndarray:
+    w = np.asarray(w, dtype=complex)
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < h_support:
+        raise ValidationError(f"a warm start must be a square matrix of at least "
+                              f"{h_support}x{h_support}")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("a warm start must be finite")
+    if np.max(np.abs(w - w.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(w))):
+        raise ValidationError("a warm start must be Hermitian within 1e-12")
+    return w[:h_support, :h_support]
 
 
 def m_pe_f(state: BlockDiagonalState, search: str = "auto", seed=0,
            n_restarts: int = 8, warm_starts=None,
            h_support: int | None = None) -> MpefResult:
-    """Metrological particle-entanglement monotone.
+    """Metrological particle-entanglement monotone as a certified bracket.
 
-    ``two_mode_exact`` (two supported modes) solves the Bloch-sphere
-    maximization exactly; ``general_restarts`` runs a seeded Nelder-Mead
-    ascent over unit-norm Hermitians and reports a lower bound.
-    ``warm_starts`` seeds the ascent with specific observables (padded optima
-    survive vacuum appends).
+    The objective F(rho, H_h) - 4 V(rho, h) is one quadratic form x^T M x in
+    the real parameters x of h, built once per state.  ``two_mode_exact``
+    (two supported modes) maximizes it exactly over traceless h as the top
+    eigenpair on the Bloch sphere, so ``lower == upper``.
+    ``general_restarts`` runs projected gradient ascent over ||h||_op <= 1
+    from the ``warm_starts``, the top eigenvector of M and ``n_restarts``
+    seeded random starts, in that order; ``lower`` is the best value found
+    (attained by ``h``) and ``upper`` = h_support * max(lambda_max, 0) of M
+    in Frobenius-orthonormal coordinates.  Padded two-mode optima make good
+    warm starts after vacuum appends.
 
     ``h_support`` restricts the observable to the leading modes; trailing
     modes then act as classical number registers that still count toward the
     per-sector 1/sqrt(N) normalization.  This realizes the measure for
     quantum-classical states with a memory: store each measurement record as
     a flag mode holding the measured particle count.
+
+    Raises ValidationError for a negative ``n_restarts`` and for a warm start
+    that is not a finite Hermitian of at least h_support x h_support.
     """
     if h_support is None:
         h_support = state.modes
     if not 1 <= h_support <= state.modes:
         raise ValidationError("h_support must select a leading subset of modes")
+    if n_restarts < 0:
+        raise ValidationError("n_restarts must be nonnegative")
+    warm_starts = [_check_warm_start(w, h_support) for w in warm_starts or []]
     if search == "auto":
         search = "two_mode_exact" if h_support == 2 else "general_restarts"
     if search == "two_mode_exact":

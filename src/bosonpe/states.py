@@ -234,6 +234,8 @@ def _classical_terms(alpha) -> list[tuple[float, np.ndarray]]:
         raise ValidationError("a classical mixture needs at least one term and one mode")
     if any(a.size != m for _, a in terms):
         raise ValidationError("all coherent vectors must share the mode count")
+    if not all(np.all(np.isfinite(a)) for _, a in terms):
+        raise ValidationError("coherent amplitudes must be finite")
     if not all(w >= 0 for w, _ in terms):
         raise ValidationError("classical mixture weights must be nonnegative")
     if not abs(sum(w for w, _ in terms) - 1.0) <= 1e-12:
@@ -250,7 +252,7 @@ def classical_nd_state(alpha, n_max: int | None = None,
     spin states along alpha/|alpha|, truncated at n_max and renormalized; the
     truncated tail must weigh less than 1e-6.  Raises ValidationError for an
     empty list or vector, a negative weight, weights not summing to 1 within
-    1e-12, or vectors with different mode counts.
+    1e-12, vectors with different mode counts, or non-finite amplitudes.
     """
     terms = _classical_terms(alpha)
     m = terms[0][1].size

@@ -71,6 +71,9 @@ def test_mpef_subcommand(capsys):
     doc = json.loads(out)
     assert doc["value"] == pytest.approx(4.0, abs=1e-9)
     assert abs(doc["argmax_h"]["bloch"][2]) == pytest.approx(1.0)
+    assert doc["lower"] == doc["value"]
+    assert doc["upper"] - doc["lower"] == doc["gap"]
+    assert 0.0 <= doc["gap"] <= 1e-12
 
 
 def test_witness_pipeline_files(tmp_path, capsys):
@@ -140,7 +143,9 @@ BAD_INPUTS = (
     ("activate", "--state", "fock:1,1", "--va", "random:x"),
     # 10 output modes exceed the desk mode cap
     ("activate", "--state", "fock:1,1,1,1,1"),
+    ("activate", "--state", "classical:nan"),
     ("qfi", "--state", "noon:2", "--observable", "bloch:1,x,0"),
+    ("mpef", "--state", "noon:2", "--restarts", "-1"),
     ("definetti", "--N", "2", "--m", "2", "--l", "1", "--mixture", "{no_terms}"),
     # 9! distinct mode permutations exceed the 8! at the desk mode cap
     ("definetti", "--N", "2", "--m", "9", "--l", "1", "--mixture", "{generic}"),

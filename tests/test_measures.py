@@ -443,3 +443,26 @@ def test_mpef_single_mode_is_zero():
                         (0.6, fock_state((1,)).to_block_state())])
     res = m_pe_f(state, search="general_restarts", seed=1, n_restarts=2)
     assert res.value < 1e-9
+
+
+def test_mpef_rejects_bad_search_inputs():
+    state = append_vacuum(noon_state(2).to_block_state(), 1)
+    with pytest.raises(ValidationError):
+        m_pe_f(noon_state(2).to_block_state(), n_restarts=-1)
+    with pytest.raises(ValidationError):
+        m_pe_f(state, search="general_restarts", n_restarts=-1)
+    bad_warm_starts = [
+        np.eye(2),                                   # smaller than the 3-mode support
+        np.full((3, 3), np.nan),                     # not finite
+        np.diag([np.inf, 0.0, 0.0]),                 # not finite
+        np.triu(np.ones((3, 3))),                    # not Hermitian
+        np.ones((3, 4)),                             # not square
+        np.ones(3),                                  # not a matrix
+    ]
+    for w in bad_warm_starts:
+        with pytest.raises(ValidationError):
+            m_pe_f(state, search="general_restarts", n_restarts=0, warm_starts=[w])
+    # a larger warm start is cut to the support
+    res = m_pe_f(state, search="general_restarts", n_restarts=0, h_support=2,
+                 warm_starts=[np.diag([1.0, -1.0, 0.5])])
+    assert res.value == pytest.approx(4.0, abs=1e-8)

@@ -129,6 +129,8 @@ def test_bad_classical_mixtures_rejected():
         [(float("nan"), a), (1.0, b)],            # weight is not a number
         [],                                       # no term
         [(0.5, a), (0.5, np.array([0.3, 0.4]))],  # mismatched mode counts
+        [(0.5, a), (0.5, np.array([np.nan]))],    # amplitude is not a number
+        [(1.0, np.array([np.inf, 0.5]))],         # amplitude is infinite
     ]
     entry_points = [
         lambda alpha: classical_nd_state(alpha, n_max=7),
