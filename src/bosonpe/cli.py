@@ -87,7 +87,8 @@ def parse_state(text: str) -> BlockDiagonalState:
             raise ValidationError("css preset needs amplitudes and N: css:a0,a1,...,N")
         n = _parse_number(parts[-1], int, "particle number")
         psi = np.array(_parse_numbers(",".join(parts[:-1]), complex, "amplitudes"))
-        psi = psi / np.linalg.norm(psi)
+        with np.errstate(invalid="ignore"):  # a zero vector turns NaN; the spec rejects it
+            psi = psi / np.linalg.norm(psi)
         return coherent_spin_state(CoherentSpinSpec(psi, n)).to_block_state()
     if name == "noon":
         return noon_state(_parse_number(args, int, "particle number")).to_block_state()

@@ -19,7 +19,6 @@ from itertools import product
 
 import numpy as np
 from scipy import stats
-from scipy.special import gammaln
 
 from .fock import (
     BLOCK_DROP_TOL,
@@ -29,20 +28,20 @@ from .fock import (
     DeskScaleError,
     ValidationError,
     _desk_caps_at_least,
-    _normalized_blocks,
-    enumerate_basis,
     tensor_compose,
     vacuum_state,
 )
 from .activation import ActivationReport, ActivationSpec, activate
 from .states import (
     _classical_terms,
+    _css_block,
+    _direction_mixture_state,
+    _poisson_rows,
+    _unit_rows,
     classical_truncation_mass,
-    css_density,
     default_poisson_truncation,
     is_particle_separable_two_qubit,
     poisson_weights,
-    _truncated_poisson_weights,
 )
 
 
@@ -151,28 +150,9 @@ def exchangeable_state(spec: ExchangeableSeparableSpec,
         caps = _desk_caps_at_least(spec.N, spec.m)
     if spec.N == 0:
         return vacuum_state(spec.m)
-    mat = None
-    for w, c in spec.symmetrized_terms():
-        d = css_density(c, spec.N, caps)
-        mat = w * d if mat is None else mat + w * d
+    weights, vectors = zip(*spec.symmetrized_terms())
+    mat = _css_block(_unit_rows(vectors), np.array(weights), spec.N, caps)
     return BlockDiagonalState(spec.m, {spec.N: (1.0, mat)}, caps=caps)
-
-
-def _direction_mixture_state(directions, weights: np.ndarray, l: int,
-                             caps: DeskCaps) -> BlockDiagonalState:
-    """The dense state sum_t sum_n weights[t, n] |css(directions[t], n)><..|
-    on l modes, normalized by its total trace; entries below 1e-16 are
-    skipped."""
-    acc: dict[int, np.ndarray] = {}
-    for direction, row in zip(directions, weights):
-        for n, pw in enumerate(row):
-            if pw < 1e-16:
-                continue
-            d = css_density(direction, n, caps) if n else np.ones((1, 1), dtype=complex)
-            blk = acc.setdefault(n, np.zeros_like(d))
-            blk += pw * d
-    blocks, _ = _normalized_blocks(acc)
-    return BlockDiagonalState(l, blocks, caps=caps)
 
 
 def _block_coefficients(weights: np.ndarray) -> tuple[np.ndarray, float]:
@@ -189,13 +169,6 @@ def _block_coefficients(weights: np.ndarray) -> tuple[np.ndarray, float]:
 
 # largest dense block at the desk caps: C(8 + 6 - 1, 6) = 1716
 _MAX_BLOCK_DIM = math.comb(DESK.max_modes + DESK.max_particles - 1, DESK.max_particles)
-
-
-def _css_amplitudes(dirs: np.ndarray, n: int, caps: DeskCaps) -> np.ndarray:
-    """Rows: the Fock amplitudes of |css(d, n)> for each row d of ``dirs``."""
-    occ = np.array(enumerate_basis(dirs.shape[1], n, caps).states)
-    log_multinom = math.lgamma(n + 1) - np.sum(gammaln(occ + 1), axis=1)
-    return np.exp(0.5 * log_multinom) * np.prod(dirs[:, None, :] ** occ, axis=2)
 
 
 def _css_trace_distance(directions, rho_weights: np.ndarray, sigma_weights: np.ndarray,
@@ -240,12 +213,7 @@ def _css_trace_distance(directions, rho_weights: np.ndarray, sigma_weights: np.n
             root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
             mat = root @ (c[:, None] * root)
         else:
-            mat = np.zeros((dims[n], dims[n]), dtype=complex)
-            # rows per chunk keep the (rows, dim, l) power temporary at 2**20 entries
-            chunk = max(1, 2**20 // (dims[n] * l))
-            for s in range(0, c.size, chunk):
-                amps = _css_amplitudes(d[s:s + chunk], n, caps)
-                mat += amps.T @ (c[s:s + chunk, None] * amps.conj())
+            mat = _css_block(d, c, n, caps)
         norm += np.sum(np.abs(np.linalg.eigvalsh(mat)))
     return 0.5 * float(norm), rho_mass, sigma_mass
 
@@ -399,17 +367,10 @@ def many_copy_nc_bound_check(classical_or_state, k: int,
         n_max = max(default_poisson_truncation(mu) for mu in mus)
     rho_tail = classical_truncation_mass(terms, n_max)
     caps = _desk_caps_at_least(n_max, terms[0][1].size)
-    directions = [a / math.sqrt(mu) if mu > 0 else None for (_, a), mu in zip(terms, mus)]
+    # rho = classical_nd_state(terms, n_max), from the same rows
+    directions, rho_rows = _poisson_rows(terms, n_max)
     zeros = np.zeros(n_max + 1)
-
-    # rho = classical_nd_state(terms, n_max): per term, the Poisson weights
-    # of at least 1e-15 over the truncated mass
-    rows, rho_w, sigma_w = [], [], []
-    for (w, _), mu, direction in zip(terms, mus, directions):
-        weights, mass = _truncated_poisson_weights(mu, n_max)
-        rows.append(direction)
-        rho_w.append(w * np.where(weights < 1e-15, 0.0, weights) / mass)
-        sigma_w.append(zeros)
+    rows, rho_w, sigma_w = list(directions), list(rho_rows), [zeros] * len(terms)
 
     # sigma = sum over direction tuples of (product weight) x
     #         sum_L Poisson_M(L) Poisson_{L * mu_1 / M}(n) |css(dir_1, n)>

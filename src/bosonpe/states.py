@@ -1,9 +1,14 @@
 """Constructors for free (particle-separable), classical, and benchmark states.
 
 A pure free state puts all N particles in one single-particle mode psi; mixed
-free states are convex mixtures of those.  Mixed-state separability is decided
-exactly only on the two-mode two-particle sector, via the positive partial
-transpose criterion on the first-quantized two-qubit embedding.
+free states are convex mixtures of those.  Every such state, and every number
+block of a classical (Poisson) or exchangeable mixture, comes from one
+vectorised kernel: ``_css_amplitudes`` gives the Fock amplitudes of
+|css(d, n)> as the rows of a matrix A, one row per direction d, and
+``_css_block`` forms sum_t c_t |css_t><css_t| = A^T diag(c) A*.  Mixed-state
+separability is decided exactly only on the two-mode two-particle sector, via
+the positive partial transpose criterion on the first-quantized two-qubit
+embedding.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .fock import (
     DESK,
@@ -20,6 +26,7 @@ from .fock import (
     PureSectorState,
     ValidationError,
     _desk_caps_at_least,
+    _normalized_blocks,
     canonical_phase,
     enumerate_basis,
     mix_states,
@@ -41,8 +48,8 @@ class CoherentSpinSpec:
         psi = np.asarray(self.psi, dtype=complex)
         if psi.ndim != 1 or psi.size < 1:
             raise ValidationError("psi must be a nonempty vector")
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
-            raise ValidationError("psi must be a unit vector")
+        if not abs(np.linalg.norm(psi) - 1.0) <= 1e-12:
+            raise ValidationError("psi must be a finite unit vector")
         if self.N < 0:
             raise ValidationError("N must be nonnegative")
         psi.flags.writeable = False
@@ -60,13 +67,8 @@ class SeparableMixtureSpec:
     terms: tuple
 
     def __post_init__(self):
-        terms = tuple((float(w), spec) for w, spec in self.terms)
-        if not terms:
-            raise ValidationError("mixture needs at least one term")
-        if any(w < 0 for w, _ in terms):
-            raise ValidationError("mixture weights must be nonnegative")
-        if abs(sum(w for w, _ in terms) - 1.0) > 1e-12:
-            raise ValidationError("mixture weights must sum to 1")
+        parsed = _classical_terms([(w, spec.psi) for w, spec in self.terms])
+        terms = tuple((w, spec) for (w, _), (_, spec) in zip(parsed, self.terms))
         n0 = terms[0][1].N
         m0 = terms[0][1].modes
         if any(spec.N != n0 or spec.modes != m0 for _, spec in terms):
@@ -74,26 +76,61 @@ class SeparableMixtureSpec:
         object.__setattr__(self, "terms", terms)
 
 
+def _css_amplitudes(dirs: np.ndarray, n: int, caps: DeskCaps) -> np.ndarray:
+    """Rows: the Fock amplitudes sqrt(n! / prod n_i!) prod d_i^{n_i} of
+    |css(d, n)> for each row d of ``dirs``; a zero row is the vacuum at n = 0
+    and vanishes above it."""
+    occ = np.array(enumerate_basis(dirs.shape[1], n, caps).states)
+    log_multinom = math.lgamma(n + 1) - np.sum(gammaln(occ + 1), axis=1)
+    return np.exp(0.5 * log_multinom) * np.prod(dirs[:, None, :] ** occ, axis=2)
+
+
+def _css_block(dirs: np.ndarray, coef: np.ndarray, n: int, caps: DeskCaps) -> np.ndarray:
+    """sum_t coef[t] |css(dirs[t], n)><css(dirs[t], n)| = A^T diag(coef) A*
+    with A = ``_css_amplitudes``; the 1 x 1 block [[sum coef]] at n = 0.
+    Rows of zero coefficient are skipped, and A is built a chunk of rows at
+    a time so that its (rows, dim, modes) power temporary stays at 2**20
+    entries."""
+    keep = coef != 0
+    dirs, coef = dirs[keep], coef[keep]
+    dim = enumerate_basis(dirs.shape[1], n, caps).dim
+    mat = np.zeros((dim, dim), dtype=complex)
+    chunk = max(1, 2**20 // (dim * dirs.shape[1]))
+    for s in range(0, coef.size, chunk):
+        amps = _css_amplitudes(dirs[s:s + chunk], n, caps)
+        mat += amps.T @ (coef[s:s + chunk, None] * amps.conj())
+    return mat
+
+
 def coherent_spin_state(spec: CoherentSpinSpec, caps: DeskCaps = DESK) -> PureSectorState:
     """Amplitudes of (sum_i psi_i a_i†)^N |0> / sqrt(N!) in the canonical basis."""
-    basis = enumerate_basis(spec.modes, spec.N, caps)
-    amps = np.empty(basis.dim, dtype=complex)
-    logfacts = [math.lgamma(k + 1) for k in range(spec.N + 1)]
-    for i, occ in enumerate(basis.states):
-        # sqrt(N! / prod n_i!) * prod psi_i^{n_i}
-        log_multinom = logfacts[spec.N] - sum(logfacts[n] for n in occ)
-        coef = math.exp(0.5 * log_multinom)
-        for p, n in zip(spec.psi, occ):
-            coef = coef * p**n
-        amps[i] = coef
-    amps = amps / np.linalg.norm(amps)
-    return PureSectorState(basis, amps)
+    amps = _css_amplitudes(spec.psi[None, :], spec.N, caps)[0]
+    return PureSectorState(enumerate_basis(spec.modes, spec.N, caps), amps / np.linalg.norm(amps))
 
 
 def css_density(psi, N: int, caps: DeskCaps = DESK) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    spec = CoherentSpinSpec(psi / np.linalg.norm(psi), N)
-    return coherent_spin_state(spec, caps).density()
+    """|css(psi / |psi|, N)><css(psi / |psi|, N)| as a dense sector block."""
+    spec = CoherentSpinSpec(_unit_rows([psi])[0], N)
+    return _css_block(spec.psi[None, :], np.ones(1), N, caps)
+
+
+def _unit_rows(vectors) -> np.ndarray:
+    """The vectors, each scaled to unit norm, as the rows of a complex array."""
+    rows = np.array(vectors, dtype=complex)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _direction_mixture_state(directions, weights: np.ndarray, l: int,
+                             caps: DeskCaps) -> BlockDiagonalState:
+    """The dense state sum_t sum_n weights[t, n] |css(directions[t], n)><..|
+    on l modes, normalized by its total trace; entries below 1e-16 are
+    skipped.  A direction may be None (nothing on the l modes) where its
+    weights vanish above n = 0."""
+    dirs = np.array([np.zeros(l) if d is None else d for d in directions], dtype=complex)
+    kept = np.where(weights < 1e-16, 0.0, weights)
+    acc = {n: _css_block(dirs, c, n, caps) for n, c in enumerate(kept.T) if c.any()}
+    blocks, _ = _normalized_blocks(acc)
+    return BlockDiagonalState(l, blocks, caps=caps)
 
 
 def particle_separable_mixture(spec: SeparableMixtureSpec,
@@ -103,10 +140,8 @@ def particle_separable_mixture(spec: SeparableMixtureSpec,
     m = spec.terms[0][1].modes
     if n == 0:
         return vacuum_state(m)
-    basis = enumerate_basis(m, n, caps)
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for w, cs in spec.terms:
-        mat += w * coherent_spin_state(cs, caps).density()
+    mat = _css_block(_unit_rows([cs.psi for _, cs in spec.terms]),
+                     np.array([w for w, _ in spec.terms]), n, caps)
     return BlockDiagonalState(m, {n: (1.0, mat)}, caps=caps)
 
 
@@ -243,6 +278,19 @@ def _classical_terms(alpha) -> list[tuple[float, np.ndarray]]:
     return terms
 
 
+def _poisson_rows(terms, n_max: int) -> tuple[list, np.ndarray]:
+    """A parsed classical mixture as its directions a / |a| (None for a zero
+    vector) and its per-term rows over n = 0..n_max: the term's weight times
+    its Poisson(|a|^2) weights of at least 1e-15, over the truncated mass."""
+    directions, rows = [], []
+    for w, a in terms:
+        mu = float(np.vdot(a, a).real)
+        weights, mass = _truncated_poisson_weights(mu, n_max)
+        directions.append(a / math.sqrt(mu) if mu > 0 else None)
+        rows.append(w * np.where(weights < 1e-15, 0.0, weights) / mass)
+    return directions, np.array(rows)
+
+
 def classical_nd_state(alpha, n_max: int | None = None,
                        caps: DeskCaps | None = None) -> BlockDiagonalState:
     """Number-dephased (mixture of) multimode coherent state(s).
@@ -256,23 +304,11 @@ def classical_nd_state(alpha, n_max: int | None = None,
     """
     terms = _classical_terms(alpha)
     m = terms[0][1].size
-    mus = [float(np.vdot(a, a).real) for _, a in terms]
     if n_max is None:
-        n_max = max(default_poisson_truncation(mu) for mu in mus)
+        n_max = max(default_poisson_truncation(float(np.vdot(a, a).real)) for _, a in terms)
     if caps is None:
         caps = _desk_caps_at_least(n_max, m)
-    parts = []
-    for (w, a), mu in zip(terms, mus):
-        weights, mass = _truncated_poisson_weights(mu, n_max)
-        direction = a / math.sqrt(mu) if mu > 0 else None
-        blocks = {}
-        for n, pw in enumerate(weights):
-            if pw < 1e-15:
-                continue
-            block = css_density(direction, n, caps) if n else np.ones((1, 1), dtype=complex)
-            blocks[n] = (pw / mass, block)
-        parts.append((w, BlockDiagonalState(m, blocks, caps=caps)))
-    return mix_states(parts) if len(parts) > 1 else parts[0][1]
+    return _direction_mixture_state(*_poisson_rows(terms, n_max), m, caps)
 
 
 def classical_truncation_mass(alpha, n_max: int) -> float:

@@ -45,6 +45,19 @@ def lift_oracle(u: np.ndarray, m: int, N: int) -> np.ndarray:
     return out
 
 
+def coherent_spin_amplitudes(psi, N: int) -> np.ndarray:
+    """Fock amplitudes of |psi>^{⊗N} one basis state at a time:
+    sqrt(N! / prod n_i!) prod psi_i^{n_i}, with exact factorials."""
+    basis = enumerate_basis(len(psi), N, UNCAPPED)
+    amps = np.empty(basis.dim, dtype=complex)
+    for i, occ in enumerate(basis.states):
+        coef = math.sqrt(math.factorial(N) / math.prod(math.factorial(n) for n in occ))
+        for p, n in zip(psi, occ):
+            coef = coef * p**n
+        amps[i] = coef
+    return amps
+
+
 def symmetric_embedding(m: int, N: int) -> np.ndarray:
     """Isometry from the (m, N) sector basis into (C^m)^{⊗N}."""
     basis = enumerate_basis(m, N, UNCAPPED)

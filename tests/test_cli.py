@@ -144,6 +144,9 @@ BAD_INPUTS = (
     # 10 output modes exceed the desk mode cap
     ("activate", "--state", "fock:1,1,1,1,1"),
     ("activate", "--state", "classical:nan"),
+    # a non-finite coherent-spin direction, and a zero one (0/0 on normalising)
+    ("activate", "--state", "css:nan,1,2"),
+    ("activate", "--state", "css:0,0,2"),
     ("qfi", "--state", "noon:2", "--observable", "bloch:1,x,0"),
     ("mpef", "--state", "noon:2", "--restarts", "-1"),
     ("definetti", "--N", "2", "--m", "2", "--l", "1", "--mixture", "{no_terms}"),

@@ -1,9 +1,12 @@
-"""Property tests for the column lift and the unchecked internal constructor.
+"""Property tests for the column lift, the unchecked internal constructor
+and the coherent-spin kernel.
 
 ``apply_mode_unitary`` lifts only the columns a block occupies, and it and
 ``append_vacuum`` build their results without the eigenvalue check.  These
 properties pin both against the permanent oracle and against the full block
-validation, which user input still goes through.
+validation, which user input still goes through.  The vectorised
+coherent-spin amplitudes, and the mixture states built from them, are pinned
+against the per-basis-state formula.
 """
 
 import json
@@ -23,8 +26,9 @@ from bosonpe.fock import (
     trace_out,
 )
 from bosonpe.optics import ModeUnitary, append_vacuum, apply_mode_unitary, lift_unitary
+from bosonpe.states import _css_amplitudes, _direction_mixture_state
 
-from helpers import haar_unitary, lift_oracle, random_density
+from helpers import coherent_spin_amplitudes, haar_unitary, lift_oracle, random_density
 
 FEW = settings(max_examples=20, deadline=None)
 
@@ -130,3 +134,36 @@ def test_invalid_user_blocks_still_rejected(data):
         BlockDiagonalState(m, {N: (1.0, bad)})
     with pytest.raises(ValidationError):
         state_from_json(_block_json(m, N, bad))
+
+
+@FEW
+@given(st.data())
+def test_css_kernel_and_mixture_blocks_match_oracle(data):
+    m = data.draw(st.integers(1, 4))
+    n_hi = data.draw(st.integers(0, 5))
+    t = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dirs = rng.normal(size=(t, m)) + 1j * rng.normal(size=(t, m))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for n in range(n_hi + 1):
+        oracle = np.array([coherent_spin_amplitudes(d, n) for d in dirs])
+        assert np.max(np.abs(_css_amplitudes(dirs, n, UNCAPPED) - oracle)) <= 1e-13
+
+    # one term with nothing on the modes, and entries the builder skips
+    directions = list(dirs) + [None]
+    weights = rng.uniform(size=(t + 1, n_hi + 1))
+    weights[t, 1:] = 0.0
+    weights[rng.uniform(size=weights.shape) < 0.3] = 1e-17
+    weights[0, 0] = 1.0
+    state = _direction_mixture_state(directions, weights, m, UNCAPPED)
+    acc = {}
+    for d, row in zip(directions, weights):
+        for n, w in enumerate(row):
+            if w < 1e-16:
+                continue
+            amps = np.ones(1) if d is None else coherent_spin_amplitudes(d, n)
+            acc[n] = acc.get(n, 0) + w * np.outer(amps, amps.conj())
+    total = sum(np.trace(b).real for b in acc.values())
+    assert state.sectors() == sorted(acc)
+    for n, block in acc.items():
+        assert np.max(np.abs(state.weight(n) * state.block(n) - block / total)) <= 1e-12

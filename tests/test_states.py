@@ -120,6 +120,18 @@ def test_classical_vacuum():
     assert state.sectors() == [0]
 
 
+def test_non_finite_coherent_spin_inputs_rejected():
+    for psi in ([np.nan, 1.0], [np.inf, 0.0], [0.0, 0.0]):
+        with pytest.raises(ValidationError):
+            CoherentSpinSpec(np.array(psi), 2)
+    a = CoherentSpinSpec(np.array([1.0, 0.0]), 2)
+    b = CoherentSpinSpec(np.array([0.6, 0.8j]), 2)
+    for w in (float("nan"), float("inf")):
+        for terms in [((w, a),), ((w, a), (0.5, b)), ((0.5, a), (w, b))]:
+            with pytest.raises(ValidationError):
+                SeparableMixtureSpec(terms)
+
+
 def test_bad_classical_mixtures_rejected():
     a, b = np.array([0.5]), np.array([0.3 + 0.4j])
     bad_mixtures = [
