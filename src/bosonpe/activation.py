@@ -77,6 +77,7 @@ class ActivationReport:
     e_ssr_negativity: float
     e_ssr_entropy: float | None
     ssr_entangled: bool
+    sector_negativities: dict
     postselected: tuple | None = None
 
 
@@ -106,7 +107,8 @@ def activate(spec: ActivationSpec, postselect=None,
         for key, (p, s) in dec.entries.items():
             schmidt[key] = schmidt_spectrum(s)
             entropy += p * _shannon_entropy_bits(schmidt[key])
-    neg = float(sum(p * sector_negativity(s) for p, s in dec.entries.values()))
+    negativities = {key: sector_negativity(s) for key, (_, s) in dec.entries.items()}
+    neg = float(sum(p * negativities[key] for key, (p, _) in dec.entries.items()))
 
     selected = None
     if postselect is not None:
@@ -123,6 +125,7 @@ def activate(spec: ActivationSpec, postselect=None,
         e_ssr_negativity=neg,
         e_ssr_entropy=entropy,
         ssr_entangled=neg > SSR_ENTANGLED_TOL,
+        sector_negativities=negativities,
         postselected=selected,
     )
 
@@ -254,9 +257,8 @@ def e_ssr_trace_lower_bound(report: ActivationReport) -> float:
     negativity divided by the A-side dimension (the partial transpose blows
     up the trace norm by at most that factor)."""
     total = 0.0
-    for p, s in report.sectors.entries.values():
-        da = s.dims[0]
-        total += p * sector_negativity(s) / da
+    for key, (p, s) in report.sectors.entries.items():
+        total += p * report.sector_negativities[key] / s.dims[0]
     return float(total)
 
 

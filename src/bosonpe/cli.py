@@ -142,6 +142,15 @@ def emit(doc: dict):
     print(json.dumps(_jsonable(doc), indent=2))
 
 
+def _postselected_support(sector) -> list:
+    """[A occupation, B occupation] of each product-basis state whose
+    diagonal weight, the squared row norm of the sector factor, exceeds 1e-12."""
+    weights = np.sum(np.abs(sector.factor()) ** 2, axis=1)
+    db = sector.basis_b.dim
+    return [[list(sector.basis_a.states[k // db]), list(sector.basis_b.states[k % db])]
+            for k in np.flatnonzero(weights > 1e-12)]
+
+
 def cmd_activate(args) -> int:
     state = parse_state(args.state)
     m = state.modes
@@ -185,13 +194,7 @@ def cmd_activate(args) -> int:
         doc["postselected"] = {
             "sector": list(key),
             "probability": p,
-            "support": [
-                [list(sector.basis_a.states[i]), list(sector.basis_b.states[j])]
-                for i in range(sector.basis_a.dim)
-                for j in range(sector.basis_b.dim)
-                if abs(sector.matrix[i * sector.basis_b.dim + j,
-                                     i * sector.basis_b.dim + j]) > 1e-12
-            ],
+            "support": _postselected_support(sector),
         }
     emit(doc)
     return 0
@@ -300,18 +303,11 @@ def cmd_demo(args) -> int:
         state = fock_state((2, 2)).to_block_state()
         report = activate(ActivationSpec(state), postselect=(2, 2))
         key, p, sector = report.postselected
-        support = [
-            (sector.basis_a.states[i], sector.basis_b.states[j])
-            for i in range(sector.basis_a.dim)
-            for j in range(sector.basis_b.dim)
-            if abs(sector.matrix[i * sector.basis_b.dim + j,
-                                 i * sector.basis_b.dim + j]) > 1e-12
-        ]
         emit({
             "demo": "fig1",
             "input": "|2,2> through balanced splitters, post-selected on N_A=N_B=2",
             "probability": p,
-            "support": [[list(a), list(b)] for a, b in support],
+            "support": _postselected_support(sector),
             "e_ssr_negativity": report.e_ssr_negativity,
         })
         return 0

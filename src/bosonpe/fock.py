@@ -3,9 +3,14 @@
 States are stored as direct sums over total-particle-number sectors, which
 enforces the number superselection rule by construction.  The basis within
 each sector is the set of occupation vectors in lexicographically descending
-order, fixed once and for all so that serialized states are portable.
+order, fixed once and for all so that serialized states are portable.  A
+block is held as a dense matrix or as factors (V, lam) with
+rho_N = V diag(lam) V†; pure and low-rank states stay factored through the
+optics and the local-number projection, and the dense matrix is built only
+when asked for.
 
-Everything here is immutable after construction and every operation is a
+Everything here is immutable after construction (a lazily built form is
+cached, and rebuilding it gives the same value) and every operation is a
 pure function, so values can be shared freely between threads.
 """
 
@@ -149,7 +154,14 @@ class PureSectorState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def to_block_state(self) -> "BlockDiagonalState":
-        return BlockDiagonalState(self.modes, {self.particles: (1.0, self.density())})
+        """The one-block state, born factored: V is the amplitude column."""
+        enumerate_basis(self.modes, self.particles)  # the desk caps still apply
+        amps = self.amplitudes
+        nrm2 = np.vdot(amps, amps).real
+        if abs(nrm2 - 1.0) > RENORM_TOL:
+            amps = amps / math.sqrt(nrm2)
+        return BlockDiagonalState._factored(
+            self.modes, {self.particles: (1.0, amps[:, None], np.ones(1))})
 
 
 def _validate_block(mat: np.ndarray, dim: int, N: int) -> np.ndarray:
@@ -173,14 +185,39 @@ def _unit_trace(mat: np.ndarray) -> np.ndarray:
     return mat / tr if abs(tr - 1.0) > RENORM_TOL else mat
 
 
+def _factor_block(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, lam) with mat ~ V diag(lam) V†, from one eigh on the support rows.
+
+    Eigenvalues at or below the numerical-rank cutoff (support size times
+    machine epsilon times the largest eigenvalue) are dropped, and with them
+    the small negative eigenvalues that PSD_TOL admits."""
+    support = np.flatnonzero(np.any(mat != 0, axis=1))
+    evals, evecs = np.linalg.eigh(mat[np.ix_(support, support)])
+    keep = evals > len(support) * np.finfo(float).eps * evals.max(initial=0.0)
+    vecs = np.zeros((mat.shape[0], int(keep.sum())), dtype=complex)
+    vecs[support] = evecs[:, keep]
+    return vecs, evals[keep]
+
+
 class BlockDiagonalState:
     """Mixed bosonic state {N -> (weight p_N, density matrix on sector N)}.
 
     Block-diagonal in total particle number by construction, i.e. the state
     commutes with the number operator.
+
+    A block is held either as a dense matrix or as factors (V, lam) with
+    rho_N = V diag(lam) V†, V an orthonormal d x r matrix and lam > 0.
+    ``BlockDiagonalState(...)`` validates dense blocks; pure states from
+    ``PureSectorState.to_block_state`` and the results of ``append_vacuum``
+    and ``apply_mode_unitary`` are born factored, which is valid by
+    construction.  Each form is built from the other on first use and
+    cached: ``factor(N)`` runs one eigh on a dense-born block's support rows,
+    and ``block(N)``, ``blocks`` and ``state_to_json`` build an exactly
+    Hermitian dense block from factors.  A racing second build computes the
+    same value, so states can still be shared between threads.
     """
 
-    __slots__ = ("modes", "blocks")
+    __slots__ = ("modes", "_weights", "_dense", "_factors")
 
     def __init__(self, modes: int, blocks: dict, caps: DeskCaps = DESK):
         if modes < 1:
@@ -204,52 +241,68 @@ class BlockDiagonalState:
         if abs(kept - 1.0) > RENORM_TOL:
             cleaned = {N: (p / kept, mat) for N, (p, mat) in cleaned.items()}
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "blocks", {N: (p, _freeze(mat)) for N, (p, mat) in cleaned.items()})
+        object.__setattr__(self, "_weights", {N: p for N, (p, _) in cleaned.items()})
+        object.__setattr__(self, "_dense", {N: _freeze(mat) for N, (_, mat) in cleaned.items()})
+        object.__setattr__(self, "_factors", {})
 
     @classmethod
-    def _trusted(cls, modes: int, blocks: dict) -> "BlockDiagonalState":
-        """Build from blocks that are valid by construction, skipping the checks.
-
-        Only for results of operations that map a validated state to a valid
-        one (vacuum re-indexing, isometric conjugation): the weights are kept
-        as given, and each block is only symmetrised and renormalised exactly
-        as ``_validate_block`` would, so a valid block comes out unchanged.
-        """
+    def _factored(cls, modes: int, factors: dict) -> "BlockDiagonalState":
+        """From {N: (p, V, lam)} that are valid by construction (orthonormal
+        V, lam > 0 summing to 1, weights summing to 1); nothing is checked."""
         state = object.__new__(cls)
         object.__setattr__(state, "modes", modes)
-        object.__setattr__(state, "blocks", {
-            N: (p, _freeze(_unit_trace((mat + mat.conj().T) / 2)))
-            for N, (p, mat) in sorted(blocks.items())
-        })
+        object.__setattr__(state, "_weights", {N: p for N, (p, _, _) in sorted(factors.items())})
+        object.__setattr__(state, "_dense", {})
+        object.__setattr__(state, "_factors", {
+            N: (_freeze(V), _freeze(lam)) for N, (_, V, lam) in factors.items()})
         return state
 
     def __setattr__(self, *_):
         raise AttributeError("BlockDiagonalState is immutable")
 
     def sectors(self) -> list[int]:
-        return sorted(self.blocks)
+        return list(self._weights)
 
     @property
     def max_particles(self) -> int:
-        return max(self.blocks)
+        return max(self._weights)
 
     def weight(self, N: int) -> float:
-        return self.blocks.get(N, (0.0, None))[0]
+        return self._weights.get(N, 0.0)
 
     def block(self, N: int) -> np.ndarray:
-        return self.blocks[N][1]
+        """Dense density matrix of sector N, built from the factors on first use."""
+        if N not in self._dense:
+            V, lam = self._factors[N]
+            # symmetrised in place: at most two d x d arrays are alive at once
+            mat = (V * lam) @ V.conj().T
+            mat += mat.conj().T
+            mat /= 2
+            self._dense[N] = _freeze(_unit_trace(mat))
+        return self._dense[N]
+
+    @property
+    def blocks(self) -> dict:
+        """{N: (p_N, dense block)}, every block built on first use."""
+        return {N: (p, self.block(N)) for N, p in self._weights.items()}
+
+    def factor(self, N: int) -> tuple[np.ndarray, np.ndarray]:
+        """(V, lam) with block N = V diag(lam) V†, V orthonormal, lam > 0."""
+        if N not in self._factors:
+            V, lam = _factor_block(self._dense[N])
+            self._factors[N] = (_freeze(V), _freeze(lam))
+        return self._factors[N]
 
     def mean_particle_number(self) -> float:
-        return sum(p * N for N, (p, _) in self.blocks.items())
+        return sum(p * N for N, p in self._weights.items())
 
     def purity(self) -> float:
-        # Tr rho^2 = sum_ij |rho_ij|^2 for Hermitian rho
-        return sum(p**2 * np.vdot(mat, mat).real for p, mat in self.blocks.values())
+        return sum(p**2 * np.sum(self.factor(N)[1] ** 2) for N, p in self._weights.items())
 
     def allclose(self, other: "BlockDiagonalState", tol: float = 1e-10) -> bool:
         if self.modes != other.modes:
             return False
-        keys = set(self.blocks) | set(other.blocks)
+        keys = set(self._weights) | set(other._weights)
         for N in keys:
             pa, pb = self.weight(N), other.weight(N)
             if abs(pa - pb) > tol:
@@ -358,35 +411,66 @@ def split_occupation(occ, partition: ModePartition):
             tuple(occ[i] for i in partition.b_modes))
 
 
-@dataclass(frozen=True)
 class SectorState:
     """Normalized state on one (N_A, N_B) local-number sector.
 
-    The matrix is indexed by the product basis |n_A> ⊗ |n_B| with row index
-    ia * dim_b + ib; ``basis_a`` / ``basis_b`` give the factor bases.
+    The matrix is indexed by the product basis |n_A> ⊗ |n_B> with row index
+    ia * dim_b + ib; ``basis_a`` / ``basis_b`` give the factor bases.  A
+    sector made by ``project_local_number`` is born as a factor F with
+    matrix = F F† and unit Frobenius norm, and builds its matrix on first
+    use; one made from a matrix is factored on first use of ``factor``.
     """
 
-    basis_a: FockBasis
-    basis_b: FockBasis
-    matrix: np.ndarray
+    __slots__ = ("basis_a", "basis_b", "_matrix", "_factor")
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.basis_a.dim * self.basis_b.dim
+    def __init__(self, basis_a: FockBasis, basis_b: FockBasis, matrix: np.ndarray):
+        mat = np.asarray(matrix, dtype=complex)
+        d = basis_a.dim * basis_b.dim
         if mat.shape != (d, d):
             raise ValidationError(f"sector matrix shape {mat.shape}, expected ({d}, {d})")
-        object.__setattr__(self, "matrix", _freeze(mat))
+        object.__setattr__(self, "basis_a", basis_a)
+        object.__setattr__(self, "basis_b", basis_b)
+        object.__setattr__(self, "_matrix", _freeze(mat))
+        object.__setattr__(self, "_factor", None)
+
+    @classmethod
+    def _factored(cls, basis_a: FockBasis, basis_b: FockBasis,
+                  factor: np.ndarray) -> "SectorState":
+        """From F of shape (dim_a * dim_b, r) with unit Frobenius norm."""
+        sector = object.__new__(cls)
+        object.__setattr__(sector, "basis_a", basis_a)
+        object.__setattr__(sector, "basis_b", basis_b)
+        object.__setattr__(sector, "_matrix", None)
+        object.__setattr__(sector, "_factor", _freeze(factor))
+        return sector
+
+    def __setattr__(self, *_):
+        raise AttributeError("SectorState is immutable")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            f = self._factor
+            mat = f @ f.conj().T
+            object.__setattr__(self, "_matrix", _freeze((mat + mat.conj().T) / 2))
+        return self._matrix
+
+    def factor(self) -> np.ndarray:
+        """F with matrix = F F†; from one eigh on the support rows when the
+        sector was made from a matrix."""
+        if self._factor is None:
+            V, lam = _factor_block(self._matrix)
+            object.__setattr__(self, "_factor", _freeze(V * np.sqrt(lam)))
+        return self._factor
 
     @property
     def dims(self) -> tuple[int, int]:
         return (self.basis_a.dim, self.basis_b.dim)
 
     def is_pure(self, tol: float = 1e-8) -> bool:
-        return np.vdot(self.matrix, self.matrix).real >= 1.0 - tol
-
-    def pure_vector(self) -> np.ndarray:
-        evals, evecs = np.linalg.eigh(self.matrix)
-        return evecs[:, -1]
+        f = self.factor()
+        gram = f.conj().T @ f
+        return np.vdot(gram, gram).real >= 1.0 - tol
 
 
 @dataclass(frozen=True)
@@ -426,28 +510,36 @@ def _sector_layout(state: BlockDiagonalState, partition: ModePartition):
 
 def project_local_number(state: BlockDiagonalState,
                          partition: ModePartition) -> SectorDecomposition:
-    """Local-number projection (P_{N_A} ⊗ P_{N_B}) ρ (P_{N_A} ⊗ P_{N_B})."""
-    layout = _sector_layout(state, partition)
+    """Local-number projection (P_{N_A} ⊗ P_{N_B}) ρ (P_{N_A} ⊗ P_{N_B}).
+
+    Each (N_A, N_B) sector takes the rows of V sqrt(lam) of its block that
+    carry those local numbers; the squared norm of those rows is the
+    sector's trace."""
+    partition.check_covers(state.modes)
     ma, mb = len(partition.a_modes), len(partition.b_modes)
     entries = {}
-    for N, (p, mat) in state.blocks.items():
-        for (na, nb), members in layout[N].items():
-            ba = enumerate_basis(max(ma, 1), na, UNCAPPED)
-            bb = enumerate_basis(max(mb, 1), nb, UNCAPPED)
-            # empty partition side behaves as a single vacuum mode
-            dim_b = bb.dim
-            idx = [t[0] for t in members]
-            sub = mat[np.ix_(idx, idx)]
-            tr = np.trace(sub).real
-            prob = p * tr
+    for N in state.sectors():
+        V, lam = state.factor(N)
+        rows = V * np.sqrt(lam)
+        states = enumerate_basis(state.modes, N, UNCAPPED).states
+        groups: dict[tuple[int, int], list] = {}
+        for i in np.flatnonzero(np.any(rows != 0, axis=1)):
+            na, nb = split_occupation(states[i], partition)
+            groups.setdefault((sum(na), sum(nb)), []).append((i, na, nb))
+        for (na, nb), members in groups.items():
+            sub = rows[[t[0] for t in members]]
+            tr = np.vdot(sub, sub).real
+            prob = state.weight(N) * tr
             if prob < BLOCK_DROP_TOL:
                 continue
-            d = ba.dim * bb.dim
-            big = np.zeros((d, d), dtype=complex)
-            pos = [ba.index(t[1] if ma else (0,)) * dim_b + bb.index(t[2] if mb else (0,))
+            # empty partition side behaves as a single vacuum mode
+            ba = enumerate_basis(max(ma, 1), na, UNCAPPED)
+            bb = enumerate_basis(max(mb, 1), nb, UNCAPPED)
+            pos = [ba.index(t[1] if ma else (0,)) * bb.dim + bb.index(t[2] if mb else (0,))
                    for t in members]
-            big[np.ix_(pos, pos)] = sub / tr
-            entries[(na, nb)] = (prob, SectorState(ba, bb, big))
+            f = np.zeros((ba.dim * bb.dim, rows.shape[1]), dtype=complex)
+            f[pos] = sub / math.sqrt(tr)
+            entries[(na, nb)] = (prob, SectorState._factored(ba, bb, f))
     return SectorDecomposition(entries)
 
 
@@ -526,8 +618,7 @@ def state_to_json(state: BlockDiagonalState) -> str:
     """Serialize to JSON; exact double-precision round trip."""
     blocks = []
     for N in state.sectors():
-        p, mat = state.blocks[N]
-        blocks.append({"N": N, "p": p, "matrix": _complex_to_json(mat)})
+        blocks.append({"N": N, "p": state.weight(N), "matrix": _complex_to_json(state.block(N))})
     return json.dumps({"modes": state.modes, "blocks": blocks})
 
 

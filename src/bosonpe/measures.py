@@ -473,7 +473,15 @@ def negativity(state: BlockDiagonalState, partition: ModePartition) -> float:
 
 
 def sector_negativity(sector: SectorState) -> float:
+    """Negativity of one (N_A, N_B) sector.  A pure sector (one-column
+    factor) gives ((sum_i s_i)^2 - 1) / 2 over the singular values s_i of its
+    d_A x d_B amplitude matrix (Vidal & Werner, PRA 65, 032314 (2002)); a
+    mixed one is eigendecomposed as a dense partial transpose."""
     da, db = sector.dims
+    f = sector.factor()
+    if f.shape[1] == 1:
+        svals = np.linalg.svd(f.reshape(da, db), compute_uv=False)
+        return float(max((np.sum(svals) ** 2 - 1.0) / 2.0, 0.0))
     return _partial_transpose_negativity(sector.matrix.reshape(da, db, da, db))
 
 
@@ -486,12 +494,15 @@ def _partial_transpose_negativity(rho: np.ndarray) -> float:
 
 
 def schmidt_spectrum(sector: SectorState, tol: float = 1e-8) -> np.ndarray:
-    """Schmidt coefficients (squared) of a pure sector state."""
+    """Schmidt coefficients (squared) of a pure sector state: the leading
+    left singular vector of its factor, reshaped to d_A x d_B, and that
+    matrix's singular values."""
     if not sector.is_pure(tol):
         raise ValidationError("sector state is not pure")
     da, db = sector.dims
-    vec = sector.pure_vector().reshape(da, db)
-    svals = np.linalg.svd(vec, compute_uv=False)
+    f = sector.factor()
+    vec = f[:, 0] if f.shape[1] == 1 else np.linalg.svd(f, full_matrices=False)[0][:, 0]
+    svals = np.linalg.svd(vec.reshape(da, db), compute_uv=False)
     probs = svals**2
     return probs / probs.sum()
 

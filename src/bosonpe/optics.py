@@ -185,18 +185,19 @@ def apply_mode_unitary(state: BlockDiagonalState, u: ModeUnitary,
                        caps: DeskCaps = DESK) -> BlockDiagonalState:
     """Apply the sector lift of u to every block; weights are unchanged.
 
-    Only the lift's columns on a block's support S (its rows with a nonzero
-    entry) are needed: a Hermitian block vanishes outside S x S, so
-    U rho U† = W rho[S, S] W† with W = U[:, S].
+    A block V diag(lam) V† maps to W V[S] diag(lam) (W V[S])†, where S is the
+    support of V (its rows with a nonzero entry) and W = U[:, S] the lift's
+    columns on it.
     """
     if u.modes != state.modes:
         raise ValidationError(f"unitary on {u.modes} modes, state on {state.modes}")
-    blocks = {}
-    for N, (p, mat) in state.blocks.items():
-        support = np.flatnonzero(np.any(mat != 0, axis=1))
+    factors = {}
+    for N in state.sectors():
+        V, lam = state.factor(N)
+        support = np.flatnonzero(np.any(V != 0, axis=1))
         W = lift_unitary(u, N, caps=UNCAPPED, columns=support)
-        blocks[N] = (p, W @ mat[np.ix_(support, support)] @ W.conj().T)
-    return BlockDiagonalState._trusted(state.modes, blocks)
+        factors[N] = (state.weight(N), W @ V[support], lam)
+    return BlockDiagonalState._factored(state.modes, factors)
 
 
 def apply_to_pure(s: PureSectorState, u: ModeUnitary) -> PureSectorState:
@@ -210,20 +211,20 @@ def apply_to_pure(s: PureSectorState, u: ModeUnitary) -> PureSectorState:
 
 def append_vacuum(state: BlockDiagonalState, k: int,
                   caps: DeskCaps = DESK) -> BlockDiagonalState:
-    """Append k modes in the vacuum; blocks change only by re-indexing."""
+    """Append k modes in the vacuum; the rows of each block's V are re-indexed."""
     if k < 1:
         raise ValidationError("must append at least one mode")
     m = state.modes
     pad = (0,) * k
-    blocks = {}
-    for N, (p, mat) in state.blocks.items():
+    factors = {}
+    for N in state.sectors():
+        V, lam = state.factor(N)
         old = enumerate_basis(m, N, UNCAPPED)
         new = enumerate_basis(m + k, N, caps)
-        idx = [new.index(occ + pad) for occ in old.states]
-        big = np.zeros((new.dim, new.dim), dtype=complex)
-        big[np.ix_(idx, idx)] = mat
-        blocks[N] = (p, big)
-    return BlockDiagonalState._trusted(m + k, blocks)
+        big = np.zeros((new.dim, V.shape[1]), dtype=complex)
+        big[[new.index(occ + pad) for occ in old.states]] = V
+        factors[N] = (state.weight(N), big, lam)
+    return BlockDiagonalState._factored(m + k, factors)
 
 
 def measure_total_number(state: BlockDiagonalState) -> dict:

@@ -45,6 +45,75 @@ def lift_oracle(u: np.ndarray, m: int, N: int) -> np.ndarray:
     return out
 
 
+def splitter_unitary(reflectivities, va=None) -> np.ndarray:
+    """The 2m-mode activation unitary: the beam splitters (r_i, t_i) coupling
+    mode i with mode m + i, after va on the first m modes."""
+    r = np.asarray(reflectivities, dtype=float)
+    t = np.sqrt(1.0 - r**2)
+    m = len(r)
+    u = np.zeros((2 * m, 2 * m), dtype=complex)
+    u[:m, :m] = u[m:, m:] = np.diag(r)
+    u[:m, m:] = np.diag(t)
+    u[m:, :m] = -np.diag(t)
+    if va is not None:
+        u[:, :m] = u[:, :m] @ va
+    return u
+
+
+def dense_activation(blocks: dict, m: int, u: np.ndarray) -> dict:
+    """Dense reference for the activation output on {N: (p, dense block)}:
+    each block re-indexed into 2m modes with modes m..2m-1 empty and
+    conjugated by the permanent lift of u."""
+    out = {}
+    for N, (p, mat) in blocks.items():
+        old = enumerate_basis(m, N, UNCAPPED)
+        new = enumerate_basis(2 * m, N, UNCAPPED)
+        idx = [new.index(occ + (0,) * m) for occ in old.states]
+        big = np.zeros((new.dim, new.dim), dtype=complex)
+        big[np.ix_(idx, idx)] = mat
+        lift = lift_oracle(u, 2 * m, N)
+        out[N] = (p, lift @ big @ lift.conj().T)
+    return out
+
+
+def dense_local_sectors(blocks: dict, modes: int, a_modes, b_modes) -> dict:
+    """(N_A, N_B) -> (probability, normalized sector matrix on the product
+    basis |n_A> ⊗ |n_B>), sliced from dense blocks; an empty side is one
+    vacuum mode."""
+    out = {}
+    for N, (p, mat) in blocks.items():
+        groups = {}
+        for i, occ in enumerate(enumerate_basis(modes, N, UNCAPPED).states):
+            na = tuple(occ[k] for k in a_modes) or (0,)
+            nb = tuple(occ[k] for k in b_modes) or (0,)
+            groups.setdefault((sum(na), sum(nb)), []).append((i, na, nb))
+        for (na, nb), members in groups.items():
+            ba = enumerate_basis(max(len(a_modes), 1), na, UNCAPPED)
+            bb = enumerate_basis(max(len(b_modes), 1), nb, UNCAPPED)
+            idx = [i for i, _, _ in members]
+            pos = [ba.index(a) * bb.dim + bb.index(b) for _, a, b in members]
+            sub = mat[np.ix_(idx, idx)]
+            tr = np.trace(sub).real
+            sector = np.zeros((ba.dim * bb.dim,) * 2, dtype=complex)
+            if tr > 0:
+                sector[np.ix_(pos, pos)] = sub / tr
+            out[(na, nb)] = (p * tr, sector, ba.dim, bb.dim)
+    return out
+
+
+def dense_negativity(sector: np.ndarray, da: int, db: int) -> float:
+    """(||rho^{T_A}||_1 - 1) / 2 from eigvalsh of the partial transpose."""
+    pt = sector.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, da * db)
+    return max((np.sum(np.abs(np.linalg.eigvalsh(pt))) - 1.0) / 2.0, 0.0)
+
+
+def dense_schmidt(sector: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Squared Schmidt coefficients of a pure sector, descending, as the
+    spectrum of its A-side reduced state, min(da, db) of them."""
+    reduced = np.einsum("ibjb->ij", sector.reshape(da, db, da, db))
+    return np.clip(np.linalg.eigvalsh(reduced)[::-1][:min(da, db)], 0.0, None)
+
+
 def coherent_spin_amplitudes(psi, N: int) -> np.ndarray:
     """Fock amplitudes of |psi>^{⊗N} one basis state at a time:
     sqrt(N! / prod n_i!) prod psi_i^{n_i}, with exact factorials."""

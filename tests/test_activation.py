@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bosonpe.cli import main
 from bosonpe.fock import (
     ValidationError,
     fock_state,
@@ -231,3 +233,23 @@ def test_dephasing_commutes_with_activation_for_number_superpositions():
     ])
     dephased_mixed = dephase_local(activate(ActivationSpec(mixture)).output, part)
     assert dephased_raw.allclose(dephased_mixed, tol=1e-10)
+
+
+def test_cap_corner_activation_stays_factored(capsys):
+    # |2,1,2,1> at the default cap corner (8 output modes, 6 particles): the
+    # rank-1 output is carried as a factor, never as a 1716 x 1716 block
+    spec = ActivationSpec(fock_state((2, 1, 2, 1)).to_block_state())
+    report = activate(spec)  # warm-up: the basis tables of the (8, 6) sector
+    assert report.e_ssr_negativity == pytest.approx(3.111516952966367, abs=1e-12)
+    tracemalloc.start()
+    try:
+        activate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+    assert main(["activate", "--state", "fock:2,1,2,1", "--table"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert {(int(na), int(nb)): p for na, nb, p, _ in rows} == {
+        key: f"{report.sectors.probability(key):.12g}" for key in report.sectors.keys()}

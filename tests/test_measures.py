@@ -5,6 +5,7 @@ import pytest
 
 from bosonpe.fock import (
     ModePartition,
+    SectorState,
     ValidationError,
     dephase_local,
     enumerate_basis,
@@ -26,6 +27,7 @@ from bosonpe.measures import (
     qfi,
     qfi_matrix,
     qfi_minus_variance,
+    schmidt_spectrum,
     sector_negativity,
     single_particle_variance,
     variance_matrix,
@@ -466,3 +468,23 @@ def test_mpef_rejects_bad_search_inputs():
     res = m_pe_f(state, search="general_restarts", n_restarts=0, h_support=2,
                  warm_starts=[np.diag([1.0, -1.0, 0.5])])
     assert res.value == pytest.approx(4.0, abs=1e-8)
+
+
+def test_schmidt_spectrum_of_nearly_pure_sector_uses_leading_vector():
+    # a rank-2 sector within the purity tolerance: the spectrum is that of
+    # its leading eigenvector, here psi, whatever order the factor has
+    rng = np.random.default_rng(31)
+    ba, bb = enumerate_basis(2, 2), enumerate_basis(2, 1)
+    psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+    psi /= np.linalg.norm(psi)
+    phi = rng.normal(size=6) + 1j * rng.normal(size=6)
+    phi -= np.vdot(psi, phi) * psi
+    phi /= np.linalg.norm(phi)
+    eps = 1e-9
+    sector = SectorState(ba, bb, (1 - eps) * np.outer(psi, psi.conj())
+                         + eps * np.outer(phi, phi.conj()))
+    assert sector.factor().shape[1] == 2
+    want = np.linalg.svd(psi.reshape(3, 2), compute_uv=False) ** 2
+    assert np.max(np.abs(schmidt_spectrum(sector) - want)) <= 1e-12
+    with pytest.raises(ValidationError):
+        schmidt_spectrum(sector, tol=1e-10)

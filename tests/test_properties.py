@@ -1,12 +1,15 @@
-"""Property tests for the column lift, the unchecked internal constructor
-and the coherent-spin kernel.
+"""Property tests for the column lift, factored blocks and the
+coherent-spin kernel.
 
-``apply_mode_unitary`` lifts only the columns a block occupies, and it and
-``append_vacuum`` build their results without the eigenvalue check.  These
-properties pin both against the permanent oracle and against the full block
-validation, which user input still goes through.  The vectorised
-coherent-spin amplitudes, and the mixture states built from them, are pinned
-against the per-basis-state formula.
+``apply_mode_unitary`` lifts only the columns a block's factor occupies, and
+it and ``append_vacuum`` return factored blocks that skip the eigenvalue
+check.  These properties pin them against the permanent oracle and against
+the full block validation, which user input still goes through; the dense
+blocks built from factors must pass that validation unchanged.  The whole
+factored activation pipeline (local-number projection, Schmidt spectra,
+sector negativities) is pinned against a plain dense reference.  The
+vectorised coherent-spin amplitudes, and the mixture states built from them,
+are pinned against the per-basis-state formula.
 """
 
 import json
@@ -15,20 +18,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bosonpe.activation import ActivationSpec, activate
 from bosonpe.fock import (
     UNCAPPED,
     BlockDiagonalState,
     ModePartition,
+    PureSectorState,
     ValidationError,
     _validate_block,
     enumerate_basis,
+    project_local_number,
     state_from_json,
     trace_out,
 )
-from bosonpe.optics import ModeUnitary, append_vacuum, apply_mode_unitary, lift_unitary
+from bosonpe.measures import schmidt_spectrum, sector_negativity
+from bosonpe.optics import (
+    BeamSplitterArray,
+    ModeUnitary,
+    append_vacuum,
+    apply_mode_unitary,
+    lift_unitary,
+)
 from bosonpe.states import _css_amplitudes, _direction_mixture_state
 
-from helpers import coherent_spin_amplitudes, haar_unitary, lift_oracle, random_density
+from helpers import (
+    coherent_spin_amplitudes,
+    dense_activation,
+    dense_local_sectors,
+    dense_negativity,
+    dense_schmidt,
+    haar_unitary,
+    lift_oracle,
+    random_density,
+    splitter_unitary,
+)
 
 FEW = settings(max_examples=20, deadline=None)
 
@@ -167,3 +190,96 @@ def test_css_kernel_and_mixture_blocks_match_oracle(data):
     assert state.sectors() == sorted(acc)
     for n, block in acc.items():
         assert np.max(np.abs(state.weight(n) * state.block(n) - block / total)) <= 1e-12
+
+
+@st.composite
+def low_rank_states(draw, max_modes=3, max_particles=3):
+    """(state, its dense blocks, pure?): a pure vector born factored, the same
+    given as a dense matrix, or a dense mixture with blocks of rank <= 3
+    (pure when it has one block of rank one)."""
+    m = draw(st.integers(1, max_modes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["pure_vector", "pure_matrix", "mixed"]))
+    if kind == "mixed":
+        sectors = sorted(draw(st.sets(st.integers(0, max_particles), min_size=1, max_size=3)))
+        blocks = {}
+        for p, N in zip(rng.dirichlet(np.ones(len(sectors))), sectors):
+            dim = enumerate_basis(m, N, UNCAPPED).dim
+            blocks[N] = (p, random_density(dim, rng, min(draw(st.integers(1, 3)), dim)))
+        purity = sum(p**2 * np.vdot(mat, mat).real for p, mat in blocks.values())
+        return BlockDiagonalState(m, blocks), blocks, purity >= 1.0 - 1e-10
+    basis = enumerate_basis(m, draw(st.integers(0, max_particles)), UNCAPPED)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    pure = PureSectorState(basis, amps / np.linalg.norm(amps))
+    blocks = {pure.particles: (1.0, pure.density())}
+    state = pure.to_block_state() if kind == "pure_vector" else BlockDiagonalState(m, blocks)
+    return state, blocks, True
+
+
+def _padded(spectrum, n):
+    return np.concatenate([np.sort(spectrum)[::-1], np.zeros(n - len(spectrum))])
+
+
+def assert_sectors_match_dense(dec, oracle, pure):
+    """Probabilities, and probability-weighted sector matrices, negativities
+    and Schmidt spectra, agree with the dense slices to 1e-12."""
+    for key in set(dec.keys()) | set(oracle):
+        p, sector, da, db = oracle.get(key, (0.0, None, 1, 1))
+        assert abs(dec.probability(key) - p) <= 1e-12
+        if key not in dec.entries:
+            continue
+        s = dec.state(key)
+        assert s.dims == (da, db)
+        assert np.max(np.abs(p * (s.matrix - sector))) <= 1e-12
+        assert abs(p * (sector_negativity(s) - dense_negativity(sector, da, db))) <= 1e-12
+        if pure:
+            want = dense_schmidt(sector, da, db)
+            got = _padded(schmidt_spectrum(s), len(want))
+            assert np.max(np.abs(p * (got - want))) <= 1e-12
+
+
+def _entropy_bits(probs):
+    probs = probs[probs > 0]
+    return -np.sum(probs * np.log2(probs))
+
+
+@FEW
+@given(st.data())
+def test_factored_activation_matches_dense_oracle(data):
+    state, blocks, pure = data.draw(low_rank_states())
+    m = state.modes
+    r = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    va = haar_unitary(m, rng) if data.draw(st.booleans()) else None
+    report = activate(ActivationSpec(
+        state, pre_rotation=None if va is None else ModeUnitary(va),
+        array=BeamSplitterArray(tuple(r))))
+    out = dense_activation(blocks, m, splitter_unitary(r, va))
+    oracle = dense_local_sectors(out, 2 * m, range(m), range(m, 2 * m))
+
+    assert_sectors_match_dense(report.sectors, oracle, pure)
+    want = sum(p * dense_negativity(s, da, db) for p, s, da, db in oracle.values())
+    assert abs(report.e_ssr_negativity - want) <= 1e-12
+    for key, (p, _) in report.sectors.entries.items():
+        _, sector, da, db = oracle[key]
+        assert abs(p * (report.sector_negativities[key] - dense_negativity(sector, da, db))) \
+            <= 1e-12
+    assert (report.schmidt is not None) == pure
+    if pure:
+        want = sum(p * _entropy_bits(dense_schmidt(s, da, db))
+                   for p, s, da, db in oracle.values() if p > 0)
+        assert abs(report.e_ssr_entropy - want) <= 1e-12
+    for N, (p, mat) in out.items():
+        assert abs(report.output.weight(N) - p) <= 1e-12
+        assert np.max(np.abs(report.output.block(N) - mat)) <= 1e-12
+
+
+@FEW
+@given(st.data())
+def test_factored_projection_matches_dense_oracle(data):
+    state, blocks, pure = data.draw(low_rank_states())
+    m = state.modes
+    a_modes = sorted(data.draw(st.sets(st.integers(0, m - 1))))
+    b_modes = [k for k in range(m) if k not in a_modes]
+    dec = project_local_number(state, ModePartition(tuple(a_modes), tuple(b_modes)))
+    assert_sectors_match_dense(dec, dense_local_sectors(blocks, m, a_modes, b_modes), pure)
