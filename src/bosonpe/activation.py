@@ -40,6 +40,9 @@ from .optics import (
     lift_unitary,
 )
 from .measures import (
+    _pure_negativity,
+    _schmidt_probabilities,
+    _schmidt_values,
     _shannon_entropy_bits,
     distance_to_candidate_set,
     sector_negativity,
@@ -99,15 +102,22 @@ def activate(spec: ActivationSpec, postselect=None,
     dec = project_local_number(out, partition)
 
     global_pure = out.purity() >= 1.0 - 1e-10
-    schmidt = None
+    schmidt = {} if global_pure else None
+    negativities = {}
+    for key, (_, s) in dec.entries.items():
+        if global_pure and s.factor().shape[1] == 1:
+            # one SVD gives both the Schmidt spectrum and the negativity
+            svals = _schmidt_values(s)
+            schmidt[key] = _schmidt_probabilities(svals)
+            negativities[key] = _pure_negativity(svals)
+            continue
+        if global_pure:
+            schmidt[key] = schmidt_spectrum(s)
+        negativities[key] = sector_negativity(s)
     entropy = None
     if global_pure:
-        schmidt = {}
-        entropy = 0.0
-        for key, (p, s) in dec.entries.items():
-            schmidt[key] = schmidt_spectrum(s)
-            entropy += p * _shannon_entropy_bits(schmidt[key])
-    negativities = {key: sector_negativity(s) for key, (_, s) in dec.entries.items()}
+        entropy = sum(p * _shannon_entropy_bits(schmidt[key])
+                      for key, (p, _) in dec.entries.items())
     neg = float(sum(p * negativities[key] for key, (p, _) in dec.entries.items()))
 
     selected = None

@@ -494,17 +494,26 @@ class SectorDecomposition:
         return sorted(self.entries)
 
 
-def _sector_layout(state: BlockDiagonalState, partition: ModePartition):
-    """For each block N, group basis indices by local numbers (N_A, N_B)."""
-    partition.check_covers(state.modes)
+@lru_cache(maxsize=1024)
+def _local_number_layout(modes: int, N: int, partition: ModePartition) -> dict:
+    """{(N_A, N_B): (rows, pos, basis_a, basis_b)} for the (modes, N) sector:
+    the basis indices carrying those local numbers and their positions
+    ia * dim_b + ib in the product basis of the two sides.  An empty side
+    behaves as a single vacuum mode."""
+    ma, mb = len(partition.a_modes), len(partition.b_modes)
+    groups: dict[tuple[int, int], tuple[list, list]] = {}
+    for i, occ in enumerate(enumerate_basis(modes, N, UNCAPPED).states):
+        na, nb = split_occupation(occ, partition)
+        na, nb = na if ma else (0,), nb if mb else (0,)
+        rows, members = groups.setdefault((sum(na), sum(nb)), ([], []))
+        rows.append(i)
+        members.append((na, nb))
     layout = {}
-    for N in state.sectors():
-        basis = enumerate_basis(state.modes, N, UNCAPPED)
-        groups: dict[tuple[int, int], list] = {}
-        for i, occ in enumerate(basis.states):
-            na, nb = split_occupation(occ, partition)
-            groups.setdefault((sum(na), sum(nb)), []).append((i, na, nb))
-        layout[N] = groups
+    for (na, nb), (rows, members) in groups.items():
+        ba = enumerate_basis(max(ma, 1), na, UNCAPPED)
+        bb = enumerate_basis(max(mb, 1), nb, UNCAPPED)
+        pos = [ba.index(a) * bb.dim + bb.index(b) for a, b in members]
+        layout[(na, nb)] = (_freeze(np.array(rows)), _freeze(np.array(pos)), ba, bb)
     return layout
 
 
@@ -516,30 +525,19 @@ def project_local_number(state: BlockDiagonalState,
     carry those local numbers; the squared norm of those rows is the
     sector's trace."""
     partition.check_covers(state.modes)
-    ma, mb = len(partition.a_modes), len(partition.b_modes)
     entries = {}
     for N in state.sectors():
         V, lam = state.factor(N)
-        rows = V * np.sqrt(lam)
-        states = enumerate_basis(state.modes, N, UNCAPPED).states
-        groups: dict[tuple[int, int], list] = {}
-        for i in np.flatnonzero(np.any(rows != 0, axis=1)):
-            na, nb = split_occupation(states[i], partition)
-            groups.setdefault((sum(na), sum(nb)), []).append((i, na, nb))
-        for (na, nb), members in groups.items():
-            sub = rows[[t[0] for t in members]]
+        factor = V * np.sqrt(lam)
+        for key, (rows, pos, ba, bb) in _local_number_layout(state.modes, N, partition).items():
+            sub = factor[rows]
             tr = np.vdot(sub, sub).real
             prob = state.weight(N) * tr
             if prob < BLOCK_DROP_TOL:
                 continue
-            # empty partition side behaves as a single vacuum mode
-            ba = enumerate_basis(max(ma, 1), na, UNCAPPED)
-            bb = enumerate_basis(max(mb, 1), nb, UNCAPPED)
-            pos = [ba.index(t[1] if ma else (0,)) * bb.dim + bb.index(t[2] if mb else (0,))
-                   for t in members]
-            f = np.zeros((ba.dim * bb.dim, rows.shape[1]), dtype=complex)
+            f = np.zeros((ba.dim * bb.dim, factor.shape[1]), dtype=complex)
             f[pos] = sub / math.sqrt(tr)
-            entries[(na, nb)] = (prob, SectorState._factored(ba, bb, f))
+            entries[key] = (prob, SectorState._factored(ba, bb, f))
     return SectorDecomposition(entries)
 
 
@@ -549,39 +547,71 @@ def dephase_local(state: BlockDiagonalState, partition: ModePartition,
 
     Output is sum over (N_A, N_B) of the two-sided projections; idempotent.
     """
-    layout = _sector_layout(state, partition)
+    partition.check_covers(state.modes)
     blocks = {}
     for N, (p, mat) in state.blocks.items():
         out = np.zeros_like(mat)
-        for members in layout[N].values():
-            idx = [t[0] for t in members]
-            out[np.ix_(idx, idx)] = mat[np.ix_(idx, idx)]
+        for rows, _, _, _ in _local_number_layout(state.modes, N, partition).values():
+            out[np.ix_(rows, rows)] = mat[np.ix_(rows, rows)]
         blocks[N] = (p, out)
     return BlockDiagonalState(state.modes, blocks, caps=UNCAPPED)
 
 
 def trace_out(state: BlockDiagonalState, partition: ModePartition) -> BlockDiagonalState:
     """Partial trace over the B side of the partition."""
-    layout = _sector_layout(state, partition)
+    partition.check_covers(state.modes)
     ma = len(partition.a_modes)
     if ma == 0:
         raise ValidationError("cannot trace out every mode")
     acc: dict[int, np.ndarray] = {}
     for N, (p, mat) in state.blocks.items():
-        groups = layout[N]
-        for (na, _nb), members in groups.items():
-            ba = enumerate_basis(ma, na, UNCAPPED)
-            out = acc.setdefault(na, np.zeros((ba.dim, ba.dim), dtype=complex))
-            # only terms diagonal in n_B survive the trace
-            by_nb: dict[tuple, list] = {}
-            for i, a_occ, b_occ in members:
-                by_nb.setdefault(b_occ, []).append((i, a_occ))
-            for terms in by_nb.values():
-                for i, a_occ in terms:
-                    for j, a_occ2 in terms:
-                        out[ba.index(a_occ), ba.index(a_occ2)] += p * mat[i, j]
+        layout = _local_number_layout(state.modes, N, partition)
+        for (na, _nb), (rows, pos, ba, bb) in layout.items():
+            # the (N_A, N_B) sector on the product basis, traced over B
+            sector = np.zeros((ba.dim * bb.dim,) * 2, dtype=complex)
+            sector[np.ix_(pos, pos)] = mat[np.ix_(rows, rows)]
+            reduced = np.einsum("ibjb->ij", sector.reshape(ba.dim, bb.dim, ba.dim, bb.dim))
+            acc[na] = acc.get(na, 0) + p * reduced
     blocks, _ = _normalized_blocks(acc)
     return BlockDiagonalState(ma, blocks, caps=UNCAPPED)
+
+
+@lru_cache(maxsize=None)
+def _annihilation_maps(m: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The annihilators a_i from the (m, N) sector to the (m, N - 1) sector,
+    N >= 1, as (src, amp) of shape (m, d_{N-1}): a_i maps basis state
+    src[i, t] = t + e_i to amp[i, t] = sqrt(t_i + 1) times basis state t,
+    and every other basis state of sector N with n_i = 0 to zero."""
+    index = _basis_index(m, N)
+    lowered = _basis_states(m, N - 1)
+    src = np.empty((m, len(lowered)), dtype=np.intp)
+    amp = np.empty((m, len(lowered)))
+    for t, occ in enumerate(lowered):
+        for i in range(m):
+            raised = list(occ)
+            raised[i] += 1
+            src[i, t] = index[tuple(raised)]
+            amp[i, t] = math.sqrt(raised[i])
+    return _freeze(src), _freeze(amp)
+
+
+def _annihilate(V: np.ndarray, m: int, N: int, modes: int | None = None) -> np.ndarray:
+    """L[i] = a_i V for i < modes (default all m), from the columns of V
+    (d_N x r) on the (m, N) sector: shape (modes, d_{N-1}, r)."""
+    src, amp = _annihilation_maps(m, N)
+    src, amp = src[:modes], amp[:modes]
+    return amp[:, :, None] * V[src]
+
+
+def _create(W: np.ndarray, m: int, N: int) -> np.ndarray:
+    """sum_i a_i† W[..., i, :, :] on the (m, N) sector, for W of shape
+    (..., k, d_{N-1}, r) with k <= m: shape (..., d_N, r)."""
+    src, amp = _annihilation_maps(m, N)
+    out = np.zeros(W.shape[:-3] + (len(_basis_states(m, N)), W.shape[-1]), dtype=complex)
+    for i in range(W.shape[-3]):
+        # src[i] has no repeated index, so the fancy-indexed add is exact
+        out[..., src[i], :] += amp[i, :, None] * W[..., i, :, :]
+    return out
 
 
 def single_particle_rdm(s: PureSectorState) -> np.ndarray:
@@ -589,17 +619,7 @@ def single_particle_rdm(s: PureSectorState) -> np.ndarray:
     N = s.particles
     if N < 1:
         raise ValidationError("single-particle RDM needs at least one particle")
-    m = s.modes
-    lowered_basis = enumerate_basis(m, N - 1, UNCAPPED)
-    lowered = np.zeros((m, lowered_basis.dim), dtype=complex)
-    for i, occ in enumerate(s.basis.states):
-        for mode in range(m):
-            if occ[mode] == 0:
-                continue
-            target = list(occ)
-            target[mode] -= 1
-            j = lowered_basis.index(tuple(target))
-            lowered[mode, j] += math.sqrt(occ[mode]) * s.amplitudes[i]
+    lowered = _annihilate(s.amplitudes[:, None], s.modes, N)[:, :, 0]
     rdm = (lowered @ lowered.conj().T) / N
     return (rdm + rdm.conj().T) / 2
 

@@ -10,13 +10,20 @@ The objective is one quadratic form x^T M x in the real parameters x of h,
 built once per state.  On two modes its maximization is exactly a 3x3
 eigenvalue problem on the Bloch sphere; for more modes projected ascent over
 ||h||_op <= 1 gives the lower end of a certified [lower, upper] bracket.
+
+One-body operators sum_ij f_ij a_i† a_j are never held as dense tensors.
+Each is applied to a block's factors (V, lam) as sum_i a_i† (sum_j f_ij
+a_j V) through the cached annihilation maps of ``fock``, so the QFI, the
+single-particle variance and the form M cost O(m^2 d r) per block of
+dimension d and rank r, with no d x d eigensolve.  ``second_quantized`` and
+``CollectiveGenerator.sector`` still build a dense sector matrix for
+callers that ask for one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +33,9 @@ from .fock import (
     ModePartition,
     SectorState,
     ValidationError,
+    _annihilate,
+    _annihilation_maps,
+    _create,
     enumerate_basis,
     project_local_number,
     split_occupation,
@@ -69,32 +79,41 @@ def bloch_observable(n) -> SingleParticleObservable:
     return SingleParticleObservable(n[0] * PAULI["x"] + n[1] * PAULI["y"] + n[2] * PAULI["z"])
 
 
-@lru_cache(maxsize=None)
-def _transfer_tensor(m: int, N: int) -> np.ndarray:
-    """T[i, j] = matrix of a_i† a_j on the (m, N) sector."""
-    basis = enumerate_basis(m, N, UNCAPPED)
-    t = np.zeros((m, m, basis.dim, basis.dim))
-    for col, occ in enumerate(basis.states):
-        for j in range(m):
-            if occ[j] == 0:
-                continue
-            for i in range(m):
-                target = list(occ)
-                target[j] -= 1
-                amp = math.sqrt(occ[j]) * math.sqrt(target[i] + 1)
-                target[i] += 1
-                t[i, j, basis.index(tuple(target)), col] += amp
-    t.flags.writeable = False
-    return t
-
-
 def second_quantized(f: np.ndarray, m: int, N: int) -> np.ndarray:
-    """Matrix of sum_ij f_ij a_i† a_j on the (m, N) sector."""
-    return np.einsum("ij,ijkl->kl", np.asarray(f, dtype=complex), _transfer_tensor(m, N))
+    """Matrix of sum_ij f_ij a_i† a_j on the (m, N) sector, as a dense matrix.
+
+    Each pair (i, j) moves the amplitude of basis state t + e_j of sector
+    N - 1 onto t + e_i with sqrt((t_i + 1)(t_j + 1)), read off the
+    annihilation maps; the largest intermediate is d_{N-1} x m."""
+    f = np.asarray(f, dtype=complex)
+    dim = enumerate_basis(m, N, UNCAPPED).dim
+    out = np.zeros((dim, dim), dtype=complex)
+    if N == 0:
+        return out
+    src, amp = _annihilation_maps(m, N)
+    for i in range(m):
+        # for each t the columns src[:, t] are distinct, as are the rows
+        # src[i, t] over t, so no entry is hit twice
+        out[src[i][:, None], src.T] += f[i] * (amp[i][:, None] * amp.T)
+    return out
+
+
+def _apply_one_body(f: np.ndarray, V: np.ndarray, m: int, N: int) -> np.ndarray:
+    """sum_ij f_ij a_i† (a_j V) on the (m, N) sector, N >= 1, for a stack f
+    of shape (..., k, k) on the leading k <= m modes and V of shape (d_N, r):
+    shape (..., d_N, r).  Built from L_j = a_j V through the annihilation
+    maps, never from a sector matrix."""
+    lowered = _annihilate(V, m, N, f.shape[-1])
+    return _create(np.einsum("...ij,jtr->...itr", f, lowered), m, N)
 
 
 class CollectiveGenerator:
-    """Per-sector matrices realizing (sum over particles of h) / sqrt(N)."""
+    """(sum over particles of h) / sqrt(N) on each sector N.
+
+    ``qfi`` applies h to each block's factors through the annihilation maps
+    and never forms a sector matrix.  ``sector(N)`` builds the dense matrix
+    of sector N on its first call and keeps it; ``n_max`` is accepted for
+    compatibility, and no sector is built in advance."""
 
     __slots__ = ("h", "modes", "_sectors")
 
@@ -105,17 +124,11 @@ class CollectiveGenerator:
         self.h = h
         self.modes = modes
         self._sectors = {}
-        for N in range(n_max + 1):
-            self._sectors[N] = self._build(N)
-
-    def _build(self, N: int) -> np.ndarray:
-        if N == 0:
-            return np.zeros((1, 1), dtype=complex)
-        return second_quantized(self.h, self.modes, N) / math.sqrt(N)
 
     def sector(self, N: int) -> np.ndarray:
         if N not in self._sectors:
-            self._sectors[N] = self._build(N)
+            mat = second_quantized(self.h, self.modes, N)
+            self._sectors[N] = mat / math.sqrt(N) if N else mat
         return self._sectors[N]
 
 
@@ -125,28 +138,44 @@ def collective_generator(h: SingleParticleObservable, m: int, n_max: int) -> Col
     return CollectiveGenerator(h.h, m, n_max)
 
 
-def _qfi_weights(mat: np.ndarray, p: float,
-                 cutoff: float = QFI_EIGENVALUE_CUTOFF) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of the block and w_ij = 2 (l_i - l_j)^2 / (l_i + l_j) over
-    its eigenvalues times p (0 where l_i + l_j <= cutoff): the block's QFI
-    for H is sum_ij w_ij |<i|H|j>|^2 in that eigenbasis."""
-    evals, evecs = np.linalg.eigh(mat)
-    lam = np.clip(evals, 0.0, None) * p
-    s = lam[:, None] + lam[None, :]
-    d = lam[:, None] - lam[None, :]
+def _qfi_weights(mu: np.ndarray, cutoff: float = QFI_EIGENVALUE_CUTOFF) -> np.ndarray:
+    """w_kl = 2 (mu_k - mu_l)^2 / (mu_k + mu_l) over eigenvalues mu (0 where
+    mu_k + mu_l <= cutoff): a state's QFI for H is sum_kl w_kl |<k|H|l>|^2
+    in its eigenbasis."""
+    s = mu[:, None] + mu[None, :]
+    d = mu[:, None] - mu[None, :]
     w = np.zeros_like(s)
     mask = s > cutoff
     w[mask] = 2.0 * d[mask] ** 2 / s[mask]
-    return evecs, w
+    return w
+
+
+def _factor_qfi_form(BV: np.ndarray, V: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Q_ab = sum_kl w_kl Re(<k|B_a|l> conj <k|B_b|l>) over a full eigenbasis
+    of rho = V diag(mu) V†, for Hermitian B_a given only BV[a] = B_a V.
+
+    Pairs inside the support S (the columns of V) take the weights of mu;
+    a pair of v_k with a vector outside S has weight 2 mu_k, and summing
+    |<l|B|v_k>|^2 over those l gives ||(1 - V V†) B v_k||^2.  Pairs outside
+    S have weight 0, so no eigenvector outside S is ever formed:
+    Q_aa = sum_{k,l in S} w_kl |B_kl|^2 + 4 sum_k mu_k (||B v_k||^2 -
+    sum_{l in S} |B_lk|^2).
+    """
+    inner = V.conj().T @ BV
+    outside = (BV - V @ inner) * np.sqrt(4.0 * np.where(mu > QFI_EIGENVALUE_CUTOFF, mu, 0.0))
+    inner = inner.reshape(len(BV), -1)
+    outside = outside.reshape(len(BV), -1)
+    form = (inner * _qfi_weights(mu).ravel()) @ inner.conj().T + outside @ outside.conj().T
+    return form.real
 
 
 def qfi_matrix(rho: np.ndarray, H: np.ndarray,
                cutoff: float = QFI_EIGENVALUE_CUTOFF) -> float:
     """Spectral-form QFI 2 sum (l_i - l_j)^2 / (l_i + l_j) |<i|H|j>|^2."""
     rho = np.asarray(rho, dtype=complex)
-    evecs, w = _qfi_weights((rho + rho.conj().T) / 2, 1.0, cutoff)
+    evals, evecs = np.linalg.eigh((rho + rho.conj().T) / 2)
     Hm = evecs.conj().T @ H @ evecs
-    return float(np.sum(w * np.abs(Hm) ** 2).real)
+    return float(np.sum(_qfi_weights(np.clip(evals, 0.0, None), cutoff) * np.abs(Hm) ** 2))
 
 
 def variance_matrix(rho: np.ndarray, H: np.ndarray) -> float:
@@ -157,29 +186,41 @@ def variance_matrix(rho: np.ndarray, H: np.ndarray) -> float:
 
 
 def qfi(state: BlockDiagonalState, G: CollectiveGenerator) -> float:
-    """QFI of the number-block state for a block-diagonal generator.
+    """QFI of the number-block state for a Hermitian block-diagonal generator.
 
-    Additive over blocks with global eigenvalues p_N * lambda, so the
-    eigenvalue cutoff acts on the weighted spectrum.
+    Additive over blocks.  Each block is read as factors (V, lam) with global
+    eigenvalues mu = p_N lam, so the eigenvalue cutoff acts on the weighted
+    spectrum; the generator acts on V through the annihilation maps, and no
+    dense block, sector matrix or d x d eigensolve is formed.
     """
     if G.modes != state.modes:
         raise ValidationError("generator mode count mismatch")
     total = 0.0
-    for N, (p, mat) in state.blocks.items():
-        evecs, w = _qfi_weights(mat, p)
-        Hm = evecs.conj().T @ G.sector(N) @ evecs
-        total += np.sum(w * np.abs(Hm) ** 2).real
+    for N in state.sectors():
+        if N == 0:
+            continue
+        V, lam = state.factor(N)
+        hv = _apply_one_body(G.h, V, G.modes, N) / math.sqrt(N)
+        total += _factor_qfi_form(hv[None], V, state.weight(N) * lam)[0, 0]
     return float(total)
+
+
+def _one_body(state: BlockDiagonalState, modes: int) -> np.ndarray:
+    """<a_i† a_j> / N averaged over the blocks, for i, j < modes: sum over N
+    of (p_N / N) sum_k lam_k <a_i v_k, a_j v_k>; the vacuum contributes 0."""
+    out = np.zeros((modes, modes), dtype=complex)
+    for N in state.sectors():
+        if N == 0:
+            continue
+        V, lam = state.factor(N)
+        lowered = _annihilate(V * np.sqrt(lam), state.modes, N, modes)
+        out += state.weight(N) / N * np.einsum("itr,jtr->ij", lowered.conj(), lowered)
+    return out
 
 
 def expectation_single_particle(state: BlockDiagonalState, f: np.ndarray) -> float:
     """<f> = sum_N p_N Tr[rho^(N) SQ(f)] / N; the vacuum block contributes 0."""
-    val = 0.0
-    for N, (p, mat) in state.blocks.items():
-        if N == 0:
-            continue
-        val += p * np.trace(mat @ second_quantized(f, state.modes, N)).real / N
-    return float(val)
+    return float(np.sum(np.asarray(f) * _one_body(state, state.modes)).real)
 
 
 def single_particle_variance(state: BlockDiagonalState,
@@ -259,23 +300,21 @@ def _mpef_form(state: BlockDiagonalState, h_support: int) -> np.ndarray:
     """M with F(rho, H_h) - 4 V(rho, h) = x^T M x for h = h(x) on the leading
     ``h_support`` modes.
 
-    The QFI part sums w_kl Re(B_a,kl conj(B_b,kl)) over the eigenbasis of
-    each block, with B_a the block's sector matrix of g_a divided by
-    sqrt(N); the variance part is -4 (S - mu mu^T) with S_ab = <{g_a, g_b}/2>
-    and mu_a = <g_a> single-particle averages over the blocks.
+    The QFI part is ``_factor_qfi_form`` over each block's factors (V, lam),
+    with B_a the sector matrix of g_a divided by sqrt(N) applied to V through
+    the annihilation maps, shape (h_support^2, d, r); the variance part is
+    -4 (S - mu mu^T) with S_ab = <{g_a, g_b}/2> and mu_a = <g_a>
+    single-particle averages over the blocks.
     """
     g = _hermitian_basis(h_support)
     qfi_part = np.zeros((len(g), len(g)))
-    one_body = np.zeros((h_support, h_support), dtype=complex)
-    for N, (p, mat) in state.blocks.items():
+    for N in state.sectors():
         if N == 0:
             continue
-        t = _transfer_tensor(state.modes, N)[:h_support, :h_support]
-        one_body += p * np.einsum("ijkl,lk->ij", t, mat) / N
-        evecs, w = _qfi_weights(mat, p)
-        b = evecs.conj().T @ np.tensordot(g, t, 2) @ evecs / math.sqrt(N)
-        b = b.reshape(len(g), -1)
-        qfi_part += ((b * w.ravel()) @ b.conj().T).real
+        V, lam = state.factor(N)
+        bv = _apply_one_body(g, V, state.modes, N) / math.sqrt(N)
+        qfi_part += _factor_qfi_form(bv, V, state.weight(N) * lam)
+    one_body = _one_body(state, h_support)
     mu = np.einsum("aij,ij->a", g, one_body).real
     second = np.einsum("aij,bjk,ik->ab", g, g, one_body).real
     form = qfi_part - 4.0 * ((second + second.T) / 2 - np.outer(mu, mu))
@@ -472,16 +511,35 @@ def negativity(state: BlockDiagonalState, partition: ModePartition) -> float:
     return _partial_transpose_negativity(rho)
 
 
+def _schmidt_values(sector: SectorState) -> np.ndarray:
+    """Singular values of the d_A x d_B amplitude matrix of the sector's
+    leading vector: its one-column factor, or the leading left singular
+    vector of a wider factor."""
+    da, db = sector.dims
+    f = sector.factor()
+    vec = f[:, 0] if f.shape[1] == 1 else np.linalg.svd(f, full_matrices=False)[0][:, 0]
+    return np.linalg.svd(vec.reshape(da, db), compute_uv=False)
+
+
+def _pure_negativity(svals: np.ndarray) -> float:
+    """((sum_i s_i)^2 - 1) / 2 over the Schmidt values of a unit vector
+    (Vidal & Werner, PRA 65, 032314 (2002)), clipped at 0."""
+    return float(max((np.sum(svals) ** 2 - 1.0) / 2.0, 0.0))
+
+
+def _schmidt_probabilities(svals: np.ndarray) -> np.ndarray:
+    probs = svals**2
+    return probs / probs.sum()
+
+
 def sector_negativity(sector: SectorState) -> float:
     """Negativity of one (N_A, N_B) sector.  A pure sector (one-column
     factor) gives ((sum_i s_i)^2 - 1) / 2 over the singular values s_i of its
-    d_A x d_B amplitude matrix (Vidal & Werner, PRA 65, 032314 (2002)); a
-    mixed one is eigendecomposed as a dense partial transpose."""
+    d_A x d_B amplitude matrix; a mixed one is eigendecomposed as a dense
+    partial transpose."""
+    if sector.factor().shape[1] == 1:
+        return _pure_negativity(_schmidt_values(sector))
     da, db = sector.dims
-    f = sector.factor()
-    if f.shape[1] == 1:
-        svals = np.linalg.svd(f.reshape(da, db), compute_uv=False)
-        return float(max((np.sum(svals) ** 2 - 1.0) / 2.0, 0.0))
     return _partial_transpose_negativity(sector.matrix.reshape(da, db, da, db))
 
 
@@ -499,12 +557,7 @@ def schmidt_spectrum(sector: SectorState, tol: float = 1e-8) -> np.ndarray:
     matrix's singular values."""
     if not sector.is_pure(tol):
         raise ValidationError("sector state is not pure")
-    da, db = sector.dims
-    f = sector.factor()
-    vec = f[:, 0] if f.shape[1] == 1 else np.linalg.svd(f, full_matrices=False)[0][:, 0]
-    svals = np.linalg.svd(vec.reshape(da, db), compute_uv=False)
-    probs = svals**2
-    return probs / probs.sum()
+    return _schmidt_probabilities(_schmidt_values(sector))
 
 
 def _shannon_entropy_bits(probs: np.ndarray) -> float:

@@ -2,8 +2,8 @@
 
 These deliberately avoid the package's own computational paths: permanents
 for lifted unitaries, an explicit first-quantized symmetric embedding for
-reduced density matrices and collective generators, and scipy distributions
-for classical distances.
+reduced density matrices and collective generators, a dense a_i† a_j tensor
+for one-body operators, and scipy distributions for classical distances.
 """
 
 import math
@@ -112,6 +112,24 @@ def dense_schmidt(sector: np.ndarray, da: int, db: int) -> np.ndarray:
     spectrum of its A-side reduced state, min(da, db) of them."""
     reduced = np.einsum("ibjb->ij", sector.reshape(da, db, da, db))
     return np.clip(np.linalg.eigvalsh(reduced)[::-1][:min(da, db)], 0.0, None)
+
+
+def dense_transfer_tensor(m: int, N: int) -> np.ndarray:
+    """T[i, j] = matrix of a_i† a_j on the (m, N) sector, one basis state and
+    one mode pair at a time: m^2 d^2 entries, for small sectors only."""
+    basis = enumerate_basis(m, N, UNCAPPED)
+    t = np.zeros((m, m, basis.dim, basis.dim))
+    for col, occ in enumerate(basis.states):
+        for j in range(m):
+            if occ[j] == 0:
+                continue
+            for i in range(m):
+                target = list(occ)
+                target[j] -= 1
+                amp = math.sqrt(occ[j]) * math.sqrt(target[i] + 1)
+                target[i] += 1
+                t[i, j, basis.index(tuple(target)), col] += amp
+    return t
 
 
 def coherent_spin_amplitudes(psi, N: int) -> np.ndarray:
