@@ -50,6 +50,8 @@ class DeskCaps:
 
 DESK = DeskCaps()
 UNCAPPED = DeskCaps(max_particles=10**9, max_modes=10**9)
+# largest dense block at the desk caps: C(8 + 6 - 1, 6) = 1716
+_MAX_BLOCK_DIM = math.comb(DESK.max_modes + DESK.max_particles - 1, DESK.max_particles)
 
 
 def _desk_caps_at_least(particles: int, modes: int) -> DeskCaps:

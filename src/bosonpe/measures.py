@@ -30,9 +30,11 @@ import numpy as np
 from .fock import (
     UNCAPPED,
     BlockDiagonalState,
+    DeskScaleError,
     ModePartition,
     SectorState,
     ValidationError,
+    _MAX_BLOCK_DIM,
     _annihilate,
     _annihilation_maps,
     _create,
@@ -499,15 +501,21 @@ def _joint_layout(state: BlockDiagonalState, partition: ModePartition):
 
 
 def negativity(state: BlockDiagonalState, partition: ModePartition) -> float:
-    """(||rho^{T_A}||_1 - 1) / 2 on the truncated joint space."""
+    """(||rho^{T_A}||_1 - 1) / 2 on the truncated joint space of every local
+    occupation.  Raises DeskScaleError when that space, d_A d_B, is larger
+    than the largest desk block (1716), before building the dense matrix."""
     a_occs, b_occs, placements = _joint_layout(state, partition)
     da, db = len(a_occs), len(b_occs)
+    if da * db > _MAX_BLOCK_DIM:
+        raise DeskScaleError(
+            f"joint space d_A x d_B = {da} x {db} exceeds the desk block size "
+            f"{_MAX_BLOCK_DIM}; use the sector measures")
     rho = np.zeros((da, db, da, db), dtype=complex)
+    # each basis state has its own (ia, ib), and blocks of different N share
+    # none, so every block fills its entries in one assignment
     for N, (p, mat) in state.blocks.items():
-        rows = placements[N]
-        for i, (ia, ib) in enumerate(rows):
-            for j, (ja, jb) in enumerate(rows):
-                rho[ia, ib, ja, jb] += p * mat[i, j]
+        ia, ib = np.array(placements[N]).T
+        rho[ia[:, None], ib[:, None], ia, ib] = p * mat
     return _partial_transpose_negativity(rho)
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, pdtrc, xlog1py, xlogy
 
 from .fock import (
     BLOCK_DROP_TOL,
@@ -27,6 +27,7 @@ from .fock import (
     DeskCaps,
     DeskScaleError,
     ValidationError,
+    _MAX_BLOCK_DIM,
     _desk_caps_at_least,
     tensor_compose,
     vacuum_state,
@@ -53,25 +54,48 @@ class BinomialPoissonResult:
     mean: float
 
 
+# Largest N whose binomial support binomial_poisson_distance evaluates densely
+# (criterion 06 reaches N = 1e4); one float per k up to N.
+_MAX_BINOMIAL_N = 10**6
+
+
+def _binomial_logpmf(k, N: int, p):
+    """log Binomial(N, p) pmf at integers k >= 0 in closed form,
+    gammaln(N+1) - (gammaln(k+1) + gammaln(N-k+1)) + xlogy(k, p)
+    + xlog1py(N-k, -p).  The form is evaluated at k <= N only; above N the
+    result is -inf (the form itself gives NaN there at p = 1)."""
+    k = np.asarray(k)
+    j = np.minimum(k, N)
+    logs = (gammaln(N + 1) - (gammaln(j + 1) + gammaln(N - j + 1))
+            + xlogy(j, p) + xlog1py(N - j, -p))
+    return np.where(k <= N, logs, -np.inf)
+
+
 def binomial_poisson_distance(N: int, p: float) -> BinomialPoissonResult:
     """Total variation distance between Binomial(N, p) and Poisson(Np).
 
-    Log-space pmfs keep the computation stable for N up to 1e4; the Poisson
-    tail beyond the evaluated support is added exactly.  The distance never
-    exceeds p."""
+    Both pmfs are evaluated in log space over k = 0..hi, with hi at least N
+    and 20 standard deviations above the mean: the binomial as
+    exp(gammaln(N+1) - gammaln(k+1) - gammaln(N-k+1) + k log p
+    + (N-k) log(1-p)), zero above N, and the Poisson as
+    exp(k log(Np) - gammaln(k+1) - Np) (``poisson_weights``).  The Poisson
+    tail beyond hi is added exactly as pdtrc(hi, Np).  The distance never
+    exceeds p.  Raises DeskScaleError for N above 1e6, before allocating the
+    support."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
     if N < 0:
         raise ValidationError("N must be nonnegative")
+    if N > _MAX_BINOMIAL_N:
+        raise DeskScaleError(
+            f"N={N} exceeds the dense binomial support cap {_MAX_BINOMIAL_N}")
     mu = N * p
     if p == 0.0 or N == 0:
         return BinomialPoissonResult(0.0, p, True, mu)
     hi = max(N, int(math.ceil(mu + 20.0 * math.sqrt(mu + 1.0) + 25.0)))
-    k = np.arange(hi + 1)
-    with np.errstate(divide="ignore"):
-        b = np.exp(stats.binom.logpmf(k, N, p))
-        q = np.exp(stats.poisson.logpmf(k, mu))
-    tail = float(stats.poisson.sf(hi, mu))
+    b = np.exp(_binomial_logpmf(np.arange(hi + 1), N, p))
+    q = poisson_weights(mu, hi)
+    tail = float(pdtrc(hi, mu))
     dist = 0.5 * float(np.sum(np.abs(b - q))) + 0.5 * tail
     return BinomialPoissonResult(dist, p, dist <= p + 1e-12, mu)
 
@@ -165,10 +189,6 @@ def _block_coefficients(weights: np.ndarray) -> tuple[np.ndarray, float]:
     traces = kept.sum(axis=0)
     total = float(traces.sum())
     return np.where(traces > BLOCK_DROP_TOL, kept, 0.0) / total, total
-
-
-# largest dense block at the desk caps: C(8 + 6 - 1, 6) = 1716
-_MAX_BLOCK_DIM = math.comb(DESK.max_modes + DESK.max_particles - 1, DESK.max_particles)
 
 
 def _css_trace_distance(directions, rho_weights: np.ndarray, sigma_weights: np.ndarray,
@@ -269,7 +289,8 @@ def definetti_classical_approx(spec: ExchangeableSeparableSpec, l: int,
     caps = _desk_caps_at_least(n_max, spec.m)
 
     w = np.array(weights)[:, None]
-    binom_w = w * stats.binom.pmf(np.arange(n_max + 1), spec.N, np.array(p_rets)[:, None])
+    k = np.arange(n_max + 1)
+    binom_w = w * np.exp(_binomial_logpmf(k, spec.N, np.array(p_rets)[:, None]))
     pois_w = w * np.array([poisson_weights(spec.N * p, n_max) for p in p_rets])
 
     distance, rho_mass, sigma_mass = _css_trace_distance(directions, binom_w, pois_w, caps)

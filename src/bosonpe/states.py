@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from .fock import (
     DESK,
@@ -223,13 +223,11 @@ def is_particle_separable_two_qubit(block: np.ndarray, tol: float = 1e-10) -> bo
 
 
 def poisson_weights(mu: float, n_max: int) -> np.ndarray:
+    """Poisson(mu) pmf over n = 0..n_max in closed form,
+    exp(xlogy(n, mu) - gammaln(n + 1) - mu); xlogy(0, 0) = 0 makes mu = 0 the
+    point mass at n = 0."""
     n = np.arange(n_max + 1)
-    if mu == 0.0:
-        w = np.zeros(n_max + 1)
-        w[0] = 1.0
-        return w
-    logs = n * math.log(mu) - mu - np.array([math.lgamma(k + 1) for k in n])
-    return np.exp(logs)
+    return np.exp(xlogy(n, mu) - gammaln(n + 1) - mu)
 
 
 def default_poisson_truncation(mu: float) -> int:

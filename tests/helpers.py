@@ -3,7 +3,9 @@
 These deliberately avoid the package's own computational paths: permanents
 for lifted unitaries, an explicit first-quantized symmetric embedding for
 reduced density matrices and collective generators, a dense a_i† a_j tensor
-for one-body operators, and scipy distributions for classical distances.
+for one-body operators, scipy distributions for classical distances, and
+pure-Python ``math.lgamma`` pmfs summed with ``math.fsum`` for the
+binomial and Poisson kernels.
 """
 
 import math
@@ -216,3 +218,31 @@ def qfi_finite_difference(rho: np.ndarray, h: np.ndarray, eps: float = 1e-4) -> 
     fp = fid_at(eps)
     fm = fid_at(-eps)
     return -4.0 * (fp - 2.0 * f0 + fm) / eps**2
+
+
+def binomial_pmf_oracle(k: int, N: int, p: float) -> float:
+    """Binomial(N, p) pmf at k from math.lgamma, with 0 log 0 = 0."""
+    if not 0 <= k <= N:
+        return 0.0
+    if p in (0.0, 1.0):
+        return float(k == (N if p == 1.0 else 0))
+    return math.exp(math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
+                    + k * math.log(p) + (N - k) * math.log1p(-p))
+
+
+def poisson_pmf_oracle(k: int, mu: float) -> float:
+    """Poisson(mu) pmf at k from math.lgamma, with 0 log 0 = 0."""
+    if mu == 0.0:
+        return float(k == 0)
+    return math.exp(k * math.log(mu) - math.lgamma(k + 1) - mu)
+
+
+def binomial_poisson_oracle(N: int, p: float) -> float:
+    """Total variation distance between Binomial(N, p) and Poisson(Np):
+    math.fsum of |b_k - q_k| over k <= 2N + 60, plus the Poisson mass above
+    that as 1 - fsum(q_k)."""
+    mu = N * p
+    ks = range(2 * N + 61)
+    q = [poisson_pmf_oracle(k, mu) for k in ks]
+    diff = math.fsum(abs(binomial_pmf_oracle(k, N, p) - qk) for k, qk in zip(ks, q))
+    return 0.5 * diff + 0.5 * max(1.0 - math.fsum(q), 0.0)

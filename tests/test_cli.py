@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,19 @@ def test_binpoisson_subcommand(capsys):
     code, out, _ = run_cli(capsys, "binpoisson", "--N", "20", "--p", "0.1")
     assert code == 0
     assert json.loads(out)["satisfied"] is True
+
+
+def test_binpoisson_huge_n_exits_2(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "binpoisson", "--N", "1000000000000", "--p", "0.5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "exceeds" in err
+    assert peak < 2**20
 
 
 BAD_INPUTS = (

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from bosonpe.fock import (
+    DeskScaleError,
     ModePartition,
     SectorState,
     ValidationError,
@@ -321,6 +323,17 @@ def test_negativity_dephased_single_particle():
     assert negativity(dephase_local(split, part), part) < 1e-12
     # before dephasing the single particle is mode-entangled
     assert negativity(split, part) == pytest.approx(0.5, abs=1e-10)
+
+
+def test_negativity_refuses_joint_space_above_desk_block():
+    # activated |2,1,2,1> at the cap corner: d_A = d_B = 210, so the dense
+    # (d_A, d_B, d_A, d_B) array would be 31 GB
+    from bosonpe.activation import ActivationSpec, activate
+    report = activate(ActivationSpec(fock_state((2, 1, 2, 1)).to_block_state()))
+    t0 = time.perf_counter()
+    with pytest.raises(DeskScaleError):
+        negativity(report.output, report.partition)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_two_copy_bell_block_negativity():

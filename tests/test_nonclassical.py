@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from collections import Counter
 from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
+from scipy.special import pdtrc
 
+import bosonpe
 from bosonpe.fock import (
     BlockDiagonalState,
     DeskCaps,
@@ -21,6 +27,7 @@ from bosonpe.fock import fock_state
 from bosonpe.measures import block_trace_distance
 from bosonpe.nonclassical import (
     ExchangeableSeparableSpec,
+    _binomial_logpmf,
     binomial_poisson_distance,
     definetti_classical_approx,
     exchangeable_state,
@@ -32,7 +39,10 @@ from bosonpe.states import (
     css_density,
     default_poisson_truncation,
     is_particle_separable_two_qubit,
+    poisson_weights,
 )
+
+from helpers import binomial_pmf_oracle, binomial_poisson_oracle, poisson_pmf_oracle
 
 FEW = settings(max_examples=15, deadline=None)
 
@@ -68,6 +78,81 @@ def test_binpois_large_n_stability():
     res = binomial_poisson_distance(10000, 0.003)
     assert math.isfinite(res.distance)
     assert res.distance <= 0.003 + 1e-12
+
+
+# N up to 200 keeps the lgamma rounding of package and oracle below 1e-13
+ORACLE_N = st.integers(0, 200)
+UNIT_P = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+MEANS = st.one_of(st.just(0.0), st.floats(0.0, 200.0))
+
+
+@FEW
+@given(ORACLE_N, UNIT_P)
+@example(0, 0.3)
+@example(7, 0.0)
+@example(7, 1.0)
+def test_binomial_kernel_matches_oracle(N, p):
+    k = np.arange(N + 4)  # three points above the support, where the pmf is 0
+    pmf = np.exp(_binomial_logpmf(k, N, p))
+    want = [binomial_pmf_oracle(int(j), N, p) for j in k]
+    assert np.max(np.abs(pmf - want)) <= 1e-12
+
+
+@FEW
+@given(MEANS, st.integers(0, 400))
+@example(0.0, 5)
+def test_poisson_kernel_matches_oracle(mu, n_max):
+    want = [poisson_pmf_oracle(k, mu) for k in range(n_max + 1)]
+    assert np.max(np.abs(poisson_weights(mu, n_max) - want)) <= 1e-12
+
+
+@FEW
+@given(MEANS, st.integers(0, 400))
+@example(0.0, 0)
+def test_truncated_poisson_mass_plus_tail_is_one(mu, n_max):
+    assert abs(math.fsum(poisson_weights(mu, n_max)) + pdtrc(n_max, mu) - 1.0) <= 1e-12
+
+
+@FEW
+@given(ORACLE_N, UNIT_P)
+@example(0, 0.5)
+@example(30, 0.0)
+@example(30, 1.0)
+def test_binpois_matches_oracle(N, p):
+    assert binomial_poisson_distance(N, p).distance == pytest.approx(
+        binomial_poisson_oracle(N, p), abs=1e-12)
+
+
+@FEW
+@given(st.integers(0, 10**4), UNIT_P)
+@example(10**4, 1.0)
+def test_binpois_barbour_hall_bound(N, p):
+    # d_TV(Bin(N, p), Poi(Np)) <= (1 - e^{-Np}) p (Barbour & Hall 1984)
+    d = binomial_poisson_distance(N, p).distance
+    assert 0.0 <= d <= (1.0 - math.exp(-N * p)) * p + 1e-12
+
+
+def test_binpois_huge_n_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DeskScaleError):
+            binomial_poisson_distance(10**12, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert binomial_poisson_distance(10**6, 1e-6).satisfied  # the cap itself runs
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(bosonpe.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, bosonpe; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_exchangeable_spec_validation():
