@@ -34,6 +34,7 @@ from .fock import (
 )
 from .activation import ActivationReport, ActivationSpec, activate
 from .states import (
+    _MAX_DENSE_SUPPORT,
     _classical_terms,
     _css_block,
     _direction_mixture_state,
@@ -52,11 +53,6 @@ class BinomialPoissonResult:
     bound: float
     satisfied: bool
     mean: float
-
-
-# Largest N whose binomial support binomial_poisson_distance evaluates densely
-# (criterion 06 reaches N = 1e4); one float per k up to N.
-_MAX_BINOMIAL_N = 10**6
 
 
 def _binomial_logpmf(k, N: int, p):
@@ -86,9 +82,9 @@ def binomial_poisson_distance(N: int, p: float) -> BinomialPoissonResult:
         raise ValidationError("p must lie in [0, 1]")
     if N < 0:
         raise ValidationError("N must be nonnegative")
-    if N > _MAX_BINOMIAL_N:
+    if N > _MAX_DENSE_SUPPORT:
         raise DeskScaleError(
-            f"N={N} exceeds the dense binomial support cap {_MAX_BINOMIAL_N}")
+            f"N={N} exceeds the dense binomial support cap {_MAX_DENSE_SUPPORT}")
     mu = N * p
     if p == 0.0 or N == 0:
         return BinomialPoissonResult(0.0, p, True, mu)
@@ -275,7 +271,8 @@ def definetti_classical_approx(spec: ExchangeableSeparableSpec, l: int,
     statistics with success probability equal to the direction's weight on
     the retained modes; the approximation replaces them with Poisson
     statistics of the same mean.  The distance comes from the Gram data of
-    the distinct directions, without building either state."""
+    the distinct directions, without building either state.  Raises
+    DeskScaleError, before allocating, for a cutoff n_max above 1e6."""
     if not 1 <= l <= spec.m:
         raise ValidationError(f"need 1 <= l <= m, got l={l}, m={spec.m}")
     weights, directions, p_rets = [], [], []
@@ -286,6 +283,9 @@ def definetti_classical_approx(spec: ExchangeableSeparableSpec, l: int,
         p_rets.append(p_ret)
     if n_max is None:
         n_max = max(spec.N, max(default_poisson_truncation(spec.N * p) for p in p_rets))
+    if n_max > _MAX_DENSE_SUPPORT:
+        raise DeskScaleError(
+            f"n_max={n_max} exceeds the dense support cap {_MAX_DENSE_SUPPORT}")
     caps = _desk_caps_at_least(n_max, spec.m)
 
     w = np.array(weights)[:, None]

@@ -26,6 +26,7 @@ from .fock import (
     ModePartition,
     PureSectorState,
     ValidationError,
+    _annihilation_maps,
     _complex_from_json,
     _complex_to_json,
     _normalized_blocks,
@@ -138,47 +139,44 @@ def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
                  columns=None) -> np.ndarray:
     """Unitary on the (m, N) sector induced by the mode substitution.
 
-    Column for input occupation n is the expansion of
-    prod_i (sum_j u_ji a_j†)^{n_i} |0> / sqrt(prod_i n_i!).
-    ``columns``, a sequence of sector basis indices, restricts the result to
-    those columns (shape dim x len(columns)); by default all are lifted.
+    Column n is prod_i (sum_j u_ji a_j†)^{n_i} |0> / sqrt(prod_i n_i!).  As
+    |n> = a_k† |n - e_k> / sqrt(n_k) and u a_k† u† = sum_j u_jk a_j†, it is
+    built one particle at a time, in mode order, by applying sum_j u_jk a_j†
+    (the scatter of the cached annihilation maps) to the column one sector
+    below; columns go in batches whose stacked creation terms are no larger
+    than the result.  ``columns``, a sequence of basis indices in [0, dim),
+    restricts the result to those columns (shape dim x len(columns)).
     """
     if N < 0:
         raise ValidationError("sector index must be nonnegative")
     m = u.modes
     basis = enumerate_basis(m, N, caps)
-    index = basis.index
-    if columns is None:
-        columns = range(basis.dim)
-    out = np.zeros((basis.dim, len(columns)), dtype=complex)
-    mat = u.matrix
-    sqrt_fact = [math.sqrt(math.factorial(k)) for k in range(N + 1)]
-    for col, src in enumerate(columns):
-        occ = basis.states[src]
-        # polynomial in the a_j†, keyed by occupation vector
-        poly = {(0,) * m: 1.0 + 0j}
-        for i, n_i in enumerate(occ):
-            for _ in range(n_i):
-                nxt: dict[tuple, complex] = {}
-                for key, c in poly.items():
-                    for j in range(m):
-                        cj = mat[j, i]
-                        if cj == 0:
-                            continue
-                        k2 = list(key)
-                        k2[j] += 1
-                        k2 = tuple(k2)
-                        nxt[k2] = nxt.get(k2, 0.0) + c * cj
-                poly = nxt
-        norm_in = 1.0
-        for n_i in occ:
-            norm_in *= sqrt_fact[n_i]
-        for key, c in poly.items():
-            w = c / norm_in
-            for q in key:
-                w *= sqrt_fact[q]
-            out[index(key), col] = w
-    return out
+    chains, norms = [], []
+    for c in range(basis.dim) if columns is None else columns:
+        if not (isinstance(c, (int, np.integer)) and 0 <= c < basis.dim):
+            raise ValidationError(f"column {c!r} is not a basis index in [0, {basis.dim})")
+        occ = basis.states[c]
+        chains.append([i for i, n_i in enumerate(occ) for _ in range(n_i)])
+        norms.append(math.prod(math.factorial(n_i) for n_i in occ))
+    if N == 0:
+        return np.ones((1, len(chains)), dtype=complex)
+    # coef[c, l] is column k of u, for the l-th particle of column c in mode k
+    coef = u.matrix.T[chains]
+    out = np.empty((basis.dim, len(chains)), dtype=complex)
+    batch = max(1, -(-len(chains) * basis.dim // (m * math.comb(m + N - 2, N - 1))))
+    for at in range(0, len(chains), batch):
+        cf = coef[at:at + batch]
+        X = cf[:, 0]  # one particle: basis state i is e_i
+        for n in range(2, N + 1):
+            src, amp = _annihilation_maps(m, n)
+            # u_jk a_j† on X: amp[j, t] u_jk X[c, t] lands on basis state src[j, t]
+            terms = X[:, None, :] * cf[:, n - 1, :, None]
+            terms *= amp
+            X = np.zeros((len(cf), math.comb(m + n - 1, n)), dtype=complex)
+            flat = src + X.shape[1] * np.arange(len(cf))[:, None, None]
+            np.add.at(X.reshape(-1), flat.ravel(), terms.ravel())
+        out[:, at:at + batch] = X.T
+    return out / np.sqrt(norms)
 
 
 def apply_mode_unitary(state: BlockDiagonalState, u: ModeUnitary,

@@ -23,6 +23,7 @@ from .fock import (
     DESK,
     BlockDiagonalState,
     DeskCaps,
+    DeskScaleError,
     PureSectorState,
     ValidationError,
     _desk_caps_at_least,
@@ -35,6 +36,9 @@ from .fock import (
 )
 
 POISSON_TAIL_TOL = 1e-6
+# Largest Poisson cutoff or particle number whose support (one float per n)
+# is evaluated densely; criterion 06 reaches N = 1e4.
+_MAX_DENSE_SUPPORT = 10**6
 
 
 @dataclass(frozen=True)
@@ -233,10 +237,14 @@ def poisson_weights(mu: float, n_max: int) -> np.ndarray:
 def default_poisson_truncation(mu: float) -> int:
     """Smallest cutoff of the form ceil(mu + 6 sqrt(mu)) or above whose
     Poisson tail satisfies the 1e-6 truncation guard (the bare 6-sigma rule
-    undershoots for small means)."""
+    undershoots for small means).  Raises DeskScaleError, before allocating,
+    for a cutoff above 1e6."""
     if mu <= 0:
         return 0
     n_max = int(math.ceil(mu + 6.0 * math.sqrt(mu)))
+    if n_max > _MAX_DENSE_SUPPORT:
+        raise DeskScaleError(f"Poisson mean {mu:.6g} needs a cutoff n_max={n_max}, which "
+                             f"exceeds the dense support cap {_MAX_DENSE_SUPPORT}")
     while poisson_weights(mu, n_max).sum() < 1.0 - POISSON_TAIL_TOL:
         n_max += 1
     return n_max

@@ -158,6 +158,8 @@ BAD_INPUTS = (
     # 10 output modes exceed the desk mode cap
     ("activate", "--state", "fock:1,1,1,1,1"),
     ("activate", "--state", "classical:nan"),
+    # a Poisson cutoff above 1e6, refused before its support is allocated
+    ("activate", "--state", "classical:1000000"),
     # a non-finite coherent-spin direction, and a zero one (0/0 on normalising)
     ("activate", "--state", "css:nan,1,2"),
     ("activate", "--state", "css:0,0,2"),
@@ -167,6 +169,8 @@ BAD_INPUTS = (
     # 9! distinct mode permutations exceed the 8! at the desk mode cap
     ("definetti", "--N", "2", "--m", "9", "--l", "1", "--mixture", "{generic}"),
     ("definetti", "--N", "2", "--m", "2", "--l", "1", "--mixture", "{nan_entry}"),
+    # and a de Finetti one
+    ("definetti", "--N", "1000000000000", "--m", "2", "--l", "1"),
 )
 
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bosonpe.fock import (
+    BlockDiagonalState,
     ModePartition,
     ValidationError,
     enumerate_basis,
@@ -63,14 +65,29 @@ def test_lift_matches_permanent_oracle(m, n):
     assert np.allclose(lifted.conj().T @ lifted, np.eye(lifted.shape[0]), atol=1e-10)
 
 
-def test_lift_group_homomorphism():
-    rng = np.random.default_rng(8)
-    u = haar_unitary(3, rng)
-    v = haar_unitary(3, rng)
-    for n in (1, 2, 3):
-        lhs = lift_unitary(ModeUnitary(u @ v), n)
-        rhs = lift_unitary(ModeUnitary(u), n) @ lift_unitary(ModeUnitary(v), n)
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
+def test_lift_at_the_cap_corner():
+    """The full (8, 6) lift of a Haar unitary is unitary and stays under
+    200 MB; applied to a rank-3, full-support block it gives
+    W V diag(lam) (W V)† with W that lift."""
+    rng = np.random.default_rng(86)
+    u = ModeUnitary(haar_unitary(8, rng))
+    tracemalloc.start()
+    try:
+        lifted = lift_unitary(u, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
+    gram = lifted.conj().T @ lifted
+    gram[np.diag_indices_from(gram)] -= 1.0
+    assert np.max(np.abs(gram)) < 1e-12
+    d = lifted.shape[0]
+    V, _ = np.linalg.qr(rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3)))
+    lam = np.array([0.5, 0.3, 0.2])
+    state = BlockDiagonalState._factored(8, {6: (1.0, V, lam)})
+    WV = lifted @ V
+    out = apply_mode_unitary(state, u).block(6)
+    assert np.max(np.abs(out - (WV * lam) @ WV.conj().T)) < 1e-12
 
 
 def test_lift_preserves_coherent_spin_states():
@@ -104,6 +121,9 @@ def test_beam_splitter_presets():
     assert np.allclose(ident.matrix, np.eye(4))
     swap = beam_splitter_unitary(BeamSplitterArray((0.0,)))
     assert np.allclose(np.abs(swap.matrix), np.array([[0, 1], [1, 0]]))
+    for bad in ([-1], [3], [1.5], [np.float64(1.0)]):
+        with pytest.raises(ValidationError):
+            lift_unitary(swap, 2, columns=bad)
     bal = beam_splitter_unitary(balanced_array(1))
     out = lift_unitary(bal, 1) @ np.array([1.0, 0.0])
     assert np.allclose(out, np.array([1.0, -1.0]) / math.sqrt(2))

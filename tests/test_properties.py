@@ -1,5 +1,5 @@
-"""Property tests for the column lift, factored blocks and the
-coherent-spin kernel.
+"""Property tests for the column lift and its group law, factored blocks
+and the coherent-spin kernel.
 
 ``apply_mode_unitary`` lifts only the columns a block's factor occupies, and
 it and ``append_vacuum`` return factored blocks that skip the eigenvalue
@@ -97,6 +97,18 @@ def test_column_lift_matches_full_lift_and_oracle(data):
     part = lift_unitary(u, N, caps=UNCAPPED, columns=columns)
     assert np.array_equal(part, lift_unitary(u, N, caps=UNCAPPED)[:, columns])
     assert np.allclose(part, lift_oracle(u.matrix, u.modes, N)[:, columns], atol=1e-12)
+
+
+@FEW
+@given(st.data())
+def test_lift_group_homomorphism(data):
+    u = data.draw(mode_unitaries())
+    v = ModeUnitary(haar_unitary(u.modes, np.random.default_rng(
+        data.draw(st.integers(0, 2**32 - 1)))))
+    N = data.draw(st.integers(0, 4))
+    lhs = lift_unitary(u @ v, N, caps=UNCAPPED)
+    rhs = lift_unitary(u, N, caps=UNCAPPED) @ lift_unitary(v, N, caps=UNCAPPED)
+    assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 @FEW
