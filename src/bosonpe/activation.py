@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fock import (
     DESK,
@@ -327,10 +326,13 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
                          caps: DeskCaps = DESK) -> float:
     """Best SSR-entanglement (negativity) found over activation unitaries.
 
-    Coordinate ascent: for each V_A (identity plus seeded Haar restarts),
-    sweep the reflectivity vector on a coarse grid, then refine with
-    Nelder-Mead.  A lower bound on the supremum; deterministic given the
-    seed, and non-decreasing in the restart budget for a fixed seed.
+    For each V_A (identity plus seeded Haar restarts), sweep the
+    reflectivity vector on a coarse grid, then refine the grid best by a
+    compass search on [1e-6, 1 - 1e-6]: each coordinate in turn tries
+    +step and -step and moves on the first improvement; a step that improves
+    nowhere is halved, from grid_step / 2 until it falls below 1e-5.  A lower
+    bound on the supremum; deterministic given the seed, and non-decreasing
+    in the restart budget for a fixed seed.
     """
     m = state.modes
     rng = np.random.default_rng(seed)
@@ -359,13 +361,22 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
         for r_vec in candidates:
             val = _e_ssr_for(state, va, r_vec, caps)
             if val > best_val:
-                best_val, best_r = val, np.array(r_vec)
+                best_val, best_r = val, list(r_vec)
 
-        def objective(x):
-            r_vec = np.clip(x, 1e-6, 1.0 - 1e-6)
-            return -_e_ssr_for(state, va, r_vec, caps)
-
-        res = minimize(objective, best_r, method="Nelder-Mead",
-                       options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 200})
-        best = max(best, best_val, float(-res.fun))
+        step = grid_step / 2.0
+        while step >= 1e-5:
+            improved = False
+            for i in range(m):
+                for sign in (1.0, -1.0):
+                    probe = list(best_r)
+                    probe[i] = min(max(best_r[i] + sign * step, 1e-6), 1.0 - 1e-6)
+                    if probe[i] == best_r[i]:
+                        continue
+                    val = _e_ssr_for(state, va, probe, caps)
+                    if val > best_val:
+                        best_val, best_r, improved = val, probe, True
+                        break
+            if not improved:
+                step /= 2.0
+        best = max(best, best_val)
     return best

@@ -229,7 +229,11 @@ def is_particle_separable_two_qubit(block: np.ndarray, tol: float = 1e-10) -> bo
 def poisson_weights(mu: float, n_max: int) -> np.ndarray:
     """Poisson(mu) pmf over n = 0..n_max in closed form,
     exp(xlogy(n, mu) - gammaln(n + 1) - mu); xlogy(0, 0) = 0 makes mu = 0 the
-    point mass at n = 0."""
+    point mass at n = 0.  Raises DeskScaleError, before allocating, for a
+    cutoff n_max above 1e6."""
+    if n_max > _MAX_DENSE_SUPPORT:
+        raise DeskScaleError(
+            f"n_max={n_max} exceeds the dense support cap {_MAX_DENSE_SUPPORT}")
     n = np.arange(n_max + 1)
     return np.exp(xlogy(n, mu) - gammaln(n + 1) - mu)
 

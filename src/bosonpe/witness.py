@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fock import ValidationError
 
@@ -215,37 +214,56 @@ def pe_lower_bound(data: SpinShotDataset, params: WitnessParams,
     return BoundResult(float(bound), float(witness), float(norm), params, se, shots_used)
 
 
-def optimize_witness_params(data: SpinShotDataset,
-                            grid=(-5.0, 5.0, 0.1)) -> WitnessParams:
-    """Minimize the separability ratio over (g_z, g_y): coarse grid, then
-    local refinement.  Deterministic."""
-    moments = estimate_moments(data)
-    lo, hi, step = grid
-    gs = np.arange(lo, hi + step / 2, step)
+def optimize_witness_params(data: SpinShotDataset) -> WitnessParams:
+    """The (g_z, g_y) of smallest separability ratio, in closed form.
 
-    def ratio(gz, gy):
-        return separability_ratio_from_moments(moments, WitnessParams(gz, gy))
+    With a = |g_z| and b = |g_y| the variances are V_z = A a^2 + B a + C and
+    V_y = D b^2 + E b + F, where B = -2|cov_z| and E = -2|cov_y|: each sign is
+    set against its covariance.  With k = |<Sx_A>| and c = |<Sx_B>| the best
+    a for a fixed b is linear-fractional, a*(b) = (2kbC - Bc) / (2Ac - Bkb),
+    and substituting it into the b-stationarity condition leaves a quadratic
+    in b.  Every interior optimum is therefore one of its non-negative roots;
+    the two axis optima and the origin cover the boundary, and the candidate
+    with the smallest ratio is returned.  When every ratio is infinite
+    (<Sx_A> = <Sx_B> = 0) the result is (0, 0).
 
-    # the ratio factorizes, so scan each parameter against the denominator
-    x = moments.axis("x")
-    best = (math.inf, 0.0, 0.0)
-    for gz in gs:
-        vz = moments.axis("z").combined_variance(gz)
-        for gy in gs:
-            den = (abs(gz * gy) * abs(x.mean_a) + abs(x.mean_b)) ** 2
-            if den <= 0:
-                continue
-            val = 4.0 * vz * moments.axis("y").combined_variance(gy) / den
-            if val < best[0]:
-                best = (val, gz, gy)
-    if not math.isfinite(best[0]):
-        return WitnessParams(0.0, 0.0)
-    res = minimize(lambda g: ratio(g[0], g[1]), np.array(best[1:]),
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000})
-    if res.fun <= best[0]:
-        return WitnessParams(float(res.x[0]), float(res.x[1]))
-    return WitnessParams(best[1], best[2])
+    Degenerate moments can put the infimum at infinite gain, where no finite
+    (g_z, g_y) attains it: zero variance of region A on z or y, both axes
+    uncorrelated, or <Sx_B> = 0 with an uncorrelated axis.  The best finite
+    candidate is returned then.
+    """
+    return _optimal_params(estimate_moments(data))
+
+
+def _optimal_params(m: SpinMoments) -> WitnessParams:
+    """``optimize_witness_params`` on given moments."""
+    z, y, x = m.axis("z"), m.axis("y"), m.axis("x")
+    # numpy scalars, so that a zero variance divides to inf or nan under the
+    # errstate below instead of raising
+    A, B, C, D, E, F, k, c = np.array([
+        z.var_a, -2.0 * abs(z.cov_ab), z.var_b,
+        y.var_a, -2.0 * abs(y.cov_ab), y.var_b, abs(x.mean_a), abs(x.mean_b)])
+    sign_z = -1.0 if z.cov_ab > 0 else 1.0
+    sign_y = -1.0 if y.cov_ab > 0 else 1.0
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.roots([-(2.0 * B * D * c * k + 2.0 * E * k * k * C),
+                          4.0 * A * D * c * c - 4.0 * k * k * F * C,
+                          2.0 * k * F * B * c + 2.0 * A * E * c * c])
+        # real parts of complex roots are extra points, never wrong ones; a
+        # double root may carry a rounding-size imaginary part
+        bs = roots.real[roots.real >= 0.0]
+        candidates = [((2.0 * k * b * C - B * c) / (2.0 * A * c - B * k * b), b) for b in bs]
+        candidates += [(-B / (2.0 * A), 0.0), (0.0, -E / (2.0 * D)), (0.0, 0.0)]
+    best, best_ratio = WitnessParams(0.0, 0.0), math.inf
+    for a, b in candidates:
+        if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
+            continue
+        params = WitnessParams(sign_z * float(a), sign_y * float(b))
+        ratio = separability_ratio_from_moments(m, params)
+        if ratio < best_ratio:
+            best, best_ratio = params, ratio
+    return best
 
 
 # ---------------------------------------------------------------------------

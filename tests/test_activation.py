@@ -209,6 +209,14 @@ def test_m_pe_from_activation_budget_monotone():
     assert bigger >= small - 1e-12
 
 
+def test_m_pe_from_activation_noon2_search_value():
+    # the value the benchmark's NOON 2 search reached with a Nelder-Mead
+    # refinement; the compass refinement must not fall below it
+    state = noon_state(2).to_block_state()
+    val = m_pe_from_activation(state, n_va_restarts=1, seed=0)
+    assert val >= 0.24999999997750694 - 1e-9
+
+
 def test_dephasing_commutes_with_activation_for_number_superpositions():
     # a pure input with coherence across total number: activate the raw
     # superposition and the number-dephased mixture; after local dephasing

@@ -36,6 +36,7 @@ from bosonpe.nonclassical import (
 )
 from bosonpe.states import (
     classical_nd_state,
+    classical_truncation_mass,
     css_density,
     default_poisson_truncation,
     is_particle_separable_two_qubit,
@@ -144,12 +145,29 @@ def test_binpois_huge_n_refused_before_allocation():
     assert binomial_poisson_distance(10**6, 1e-6).satisfied  # the cap itself runs
 
 
-def test_import_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("build", [
+    lambda: classical_nd_state([0.1, 0.1], n_max=10**12),
+    lambda: classical_truncation_mass([0.1, 0.1], 10**12),
+    lambda: many_copy_nc_bound_check([0.1, 0.1], 2, n_max=10**12),
+], ids=["classical_nd_state", "classical_truncation_mass", "many_copy_nc_bound_check"])
+def test_explicit_poisson_cutoff_refused_before_allocation(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DeskScaleError):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
     src = os.path.dirname(os.path.dirname(bosonpe.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = ("import sys, bosonpe; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.optimize'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out.strip() == "[]"

@@ -9,10 +9,13 @@ blocks built from factors must pass that validation unchanged.  The whole
 factored activation pipeline (local-number projection, Schmidt spectra,
 sector negativities) is pinned against a plain dense reference.  The
 vectorised coherent-spin amplitudes, and the mixture states built from them,
-are pinned against the per-basis-state formula.
+are pinned against the per-basis-state formula.  The closed-form witness
+optimum is checked against the grid the witness search used to scan and
+against random parameters.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +43,13 @@ from bosonpe.optics import (
     lift_unitary,
 )
 from bosonpe.states import _css_amplitudes, _direction_mixture_state
+from bosonpe.witness import (
+    AxisMoments,
+    SpinMoments,
+    WitnessParams,
+    _optimal_params,
+    separability_ratio_from_moments,
+)
 
 from helpers import (
     coherent_spin_amplitudes,
@@ -295,3 +305,67 @@ def test_factored_projection_matches_dense_oracle(data):
     b_modes = [k for k in range(m) if k not in a_modes]
     dec = project_local_number(state, ModePartition(tuple(a_modes), tuple(b_modes)))
     assert_sectors_match_dense(dec, dense_local_sectors(blocks, m, a_modes, b_modes), pure)
+
+
+@st.composite
+def spin_moments(draw):
+    """Valid moments (each axis's 2 x 2 covariance positive definite), with
+    a zero covariance and zero <Sx> drawn often; every scale lies in
+    [1e-2, 1e2].  No finite parameters attain
+    the infimum when region A has zero variance on z or y, when both axes are
+    uncorrelated, or when <Sx_B> = 0 and one axis is uncorrelated: the ratio
+    then falls towards a limit at infinite gain.  Those moments are left out."""
+    def mean():
+        return draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-2, 1e2)) \
+            * draw(st.sampled_from([-1.0, 1.0]))
+
+    sx = AxisMoments(mean(), mean(), 0.0, 0.0, 0.0, 100)
+    uncorrelated = draw(st.sampled_from(["y", "z", None])) if sx.mean_b != 0.0 else None
+
+    def axis(name):
+        var_a = draw(st.floats(1e-2, 1e2))
+        var_b = draw(st.floats(1e-2, 1e2))
+        rho = draw(st.floats(0.01, 0.99)) * draw(st.sampled_from([-1.0, 1.0]))
+        if name == uncorrelated:
+            rho = 0.0
+        return AxisMoments(0.0, 0.0, var_a, var_b, rho * math.sqrt(var_a * var_b), 100)
+
+    return SpinMoments({"x": sx, "y": axis("y"), "z": axis("z")})
+
+
+def _grid_ratios(m, gs):
+    """Separability ratio on the grid gs x gs, vectorised."""
+    z, y, x = m.axis("z"), m.axis("y"), m.axis("x")
+    gz, gy = gs[:, None], gs[None, :]
+    num = 4.0 * (gz * gz * z.var_a + 2.0 * gz * z.cov_ab + z.var_b) \
+        * (gy * gy * y.var_a + 2.0 * gy * y.cov_ab + y.var_b)
+    den = (np.abs(gz * gy) * abs(x.mean_a) + abs(x.mean_b)) ** 2
+    with np.errstate(divide="ignore"):
+        return np.where(den > 0, num / den, np.inf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spin_moments(),
+       st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), max_size=10))
+def test_witness_optimum_beats_grid_and_random_points(m, points):
+    params = _optimal_params(m)
+    best = separability_ratio_from_moments(m, params)
+    grid_min = float(_grid_ratios(m, np.arange(-5.0, 5.05, 0.1)).min())
+    if not math.isfinite(grid_min):  # <Sx_A> = <Sx_B> = 0: nothing claimable
+        assert params == WitnessParams(0.0, 0.0) and best == math.inf
+        return
+    assert best <= grid_min * (1.0 + 1e-12)
+    for gz, gy in points:
+        assert best <= separability_ratio_from_moments(m, WitnessParams(gz, gy)) \
+            * (1.0 + 1e-12)
+
+
+def test_witness_optimum_on_an_axis_when_region_a_is_silent():
+    # <Sx_A> = 0 and no z variance in region A: g_z drops out of the ratio,
+    # the roots and the g_z axis are undefined, and the g_y axis minimum,
+    # g_y = -cov_y / var_a(y), is the optimum
+    m = SpinMoments({"x": AxisMoments(0.0, 2.0, 0.0, 0.0, 0.0, 100),
+                     "y": AxisMoments(0.0, 0.0, 1.0, 1.0, 0.5, 100),
+                     "z": AxisMoments(0.0, 0.0, 0.0, 1.0, 0.0, 100)})
+    assert _optimal_params(m) == WitnessParams(0.0, -0.5)
+    assert separability_ratio_from_moments(m, WitnessParams(0.0, -0.5)) == 0.75

@@ -119,6 +119,23 @@ def test_optimizer_symmetric_data():
     assert ratio <= separability_ratio(data, WitnessParams(1.0, 1.0)) + 1e-12
 
 
+@pytest.mark.parametrize("model, seed, ratio", [
+    ("squeezed", 1, 0.24678952213903574),
+    ("squeezed", 2, 0.26008668709748567),
+    ("squeezed", 3, 0.25619988148083456),
+    ("squeezed", 7, 0.24221784302928012),
+    ("css", 1, 0.950583629835986),
+    ("css", 2, 0.9996845434922021),
+    ("css", 3, 0.9790692023513761),
+    ("css", 7, 0.9441903590800592),
+])
+def test_optimizer_matches_nelder_mead_ratio(model, seed, ratio):
+    # ratios a grid plus Nelder-Mead search reached on these datasets
+    data = synthesize_dataset(model, n_atoms=100, n_shots=10000, seed=seed, xi2=0.25)
+    assert separability_ratio(data, optimize_witness_params(data)) == \
+        pytest.approx(ratio, rel=0, abs=1e-12)
+
+
 def test_optimizer_asymmetric_split():
     data = synthesize_dataset("squeezed", n_atoms=120, split_fraction=2 / 3,
                               n_shots=4000, seed=13)
