@@ -41,8 +41,8 @@ class ShotRecord:
         if self.setting not in AXES:
             raise ValidationError(f"setting must be one of {AXES}, got {self.setting!r}")
         for v in (self.n1a, self.n2a, self.n1b, self.n2b):
-            if v < 0:
-                raise ValidationError("counts must be nonnegative")
+            if not 0 <= v < math.inf:
+                raise ValidationError(f"counts must be finite and nonnegative, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,23 @@ class SpinShotDataset:
 
     def axis_spins(self, axis: str) -> tuple[np.ndarray, np.ndarray]:
         """Per-shot spin values (S_A, S_B) for one measurement axis."""
-        sa, sb = [], []
-        for rec in self.shots:
-            if rec.setting != axis:
-                continue
-            sa.append((rec.n1a - rec.n2a) / (2.0 * self.eta_a))
-            sb.append((rec.n1b - rec.n2b) / (2.0 * self.eta_b))
-        return np.array(sa), np.array(sb)
+        if axis not in AXES:
+            raise ValidationError(f"axis must be one of {AXES}, got {axis!r}")
+        return _spins_by_axis(self)[axis]
+
+
+def _spins_by_axis(data: SpinShotDataset) -> dict:
+    """axis -> (S_A, S_B) arrays for every axis; one pass over the shots
+    groups them by axis."""
+    on_axis = {axis: [] for axis in AXES}
+    for rec in data.shots:
+        on_axis[rec.setting].append(rec)
+    spins = {}
+    for axis, recs in on_axis.items():
+        spins[axis] = (
+            np.fromiter((r.n1a - r.n2a for r in recs), float, len(recs)) / (2.0 * data.eta_a),
+            np.fromiter((r.n1b - r.n2b for r in recs), float, len(recs)) / (2.0 * data.eta_b))
+    return spins
 
 
 @dataclass(frozen=True)
@@ -97,9 +107,13 @@ class SpinMoments:
 def estimate_moments(data: SpinShotDataset,
                      required=("x", "y", "z")) -> SpinMoments:
     """Sample means and unbiased variances/covariances of the region spins."""
+    return _moments_from_spins(_spins_by_axis(data), required)
+
+
+def _moments_from_spins(spins: dict, required) -> SpinMoments:
+    """``estimate_moments`` on the arrays of ``_spins_by_axis``."""
     axes = {}
-    for axis in AXES:
-        sa, sb = data.axis_spins(axis)
+    for axis, (sa, sb) in spins.items():
         if sa.size == 0:
             continue
         if sa.size >= 2:
@@ -130,13 +144,20 @@ class WitnessParams:
 
 
 def separability_ratio_from_moments(m: SpinMoments, params: WitnessParams) -> float:
+    """``separability_ratio`` on given moments.  A ratio or denominator that
+    overflows, at huge gains or spins, raises ``ValidationError``."""
     num = 4.0 * m.axis("z").combined_variance(params.g_z) \
         * m.axis("y").combined_variance(params.g_y)
     x = m.axis("x")
-    den = (abs(params.g_z * params.g_y) * abs(x.mean_a) + abs(x.mean_b)) ** 2
+    root = abs(params.g_z * params.g_y) * abs(x.mean_a) + abs(x.mean_b)
+    den = root * root
     if den <= 0.0:
         return math.inf
-    return num / den
+    ratio = num / den
+    if not (math.isfinite(ratio) and math.isfinite(den)):
+        raise ValidationError(f"separability ratio is not finite at g_z={params.g_z!r}, "
+                              f"g_y={params.g_y!r}")
+    return ratio
 
 
 def separability_ratio(data: SpinShotDataset, params: WitnessParams) -> float:
@@ -172,14 +193,34 @@ def _bound_from_moments(m: SpinMoments, params: WitnessParams,
     return -witness / normalization, witness
 
 
-def _witness_from_arrays(spins: dict, params: WitnessParams) -> float:
-    za, zb = spins["z"]
-    ya, yb = spins["y"]
-    xa, xb = spins["x"]
-    var_z = float(np.var(params.g_z * za + zb, ddof=1))
-    var_y = float(np.var(params.g_y * ya + yb, ddof=1))
-    return var_z + var_y - (abs(params.g_z * params.g_y) * float(np.mean(xa))
-                            + float(np.mean(xb)))
+def _bootstrap_se(spins: dict, params: WitnessParams, normalization: float,
+                  n_bootstrap: int, seed) -> float:
+    """Standard deviation of the bound over shot resamples within each axis.
+
+    Each axis folds into its witness statistic once: u = g_z S_A + S_B on z,
+    g_y S_A + S_B on y and |g_z g_y| S_A + S_B on x.  Each u is centred by its
+    full-sample mean, so the one-pass variance (g.g - (sum g)^2 / n) / (n - 1)
+    of a resample g does not cancel."""
+    gains = {"x": abs(params.g_z * params.g_y), "y": params.g_y, "z": params.g_z}
+    u = {axis: gains[axis] * sa + sb for axis, (sa, sb) in spins.items()}
+    mean_x = u["x"].mean()
+    for values in u.values():
+        values -= values.mean()
+    cx, cy, cz = (u[axis] for axis in AXES)
+    nx, ny, nz = (u[axis].size for axis in AXES)
+    rng = np.random.default_rng(seed)
+    witness = np.empty(n_bootstrap)
+    # huge gains overflow to a non-finite result, which the caller rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(n_bootstrap):
+            # one draw per axis per resample, in x, y, z order
+            gx = cx[rng.integers(0, nx, size=nx)]
+            gy = cy[rng.integers(0, ny, size=ny)]
+            gz = cz[rng.integers(0, nz, size=nz)]
+            sy, sz = gy.sum(), gz.sum()
+            witness[b] = (gz @ gz - sz * sz / nz) / (nz - 1) \
+                + (gy @ gy - sy * sy / ny) / (ny - 1) - (mean_x + gx.sum() / nx)
+        return float(np.std(-witness / normalization, ddof=1))
 
 
 def pe_lower_bound(data: SpinShotDataset, params: WitnessParams,
@@ -188,28 +229,34 @@ def pe_lower_bound(data: SpinShotDataset, params: WitnessParams,
     """Witness-based lower bound on the trace-distance measure.
 
     ``counts`` may override the metadata means {"N1_A": ..., "N1_B": ...}
-    entering the normalization.  The bootstrap standard error resamples
-    shots within each axis, seeded."""
+    entering the normalization.  A normalization or bound that is not finite,
+    at huge gains or counts, raises ``ValidationError``.
+
+    The bootstrap standard error resamples shots with replacement within each
+    axis.  Each of the ``n_bootstrap`` resamples takes one
+    ``rng.integers(0, n, size=n)`` draw per axis, in x, y, z order, from
+    ``np.random.default_rng(seed)``, so a seed reproduces the standard error.
+    ``n_bootstrap=0`` skips the bootstrap (``bootstrap_se`` is None); 1 and
+    negative counts are rejected."""
+    if n_bootstrap < 0 or n_bootstrap == 1:
+        raise ValidationError(f"n_bootstrap must be 0 or at least 2, got {n_bootstrap}")
     n1_a = counts["N1_A"] if counts else data.n1_a_mean
     n1_b = counts["N1_B"] if counts else data.n1_b_mean
     norm = witness_normalization(params, n1_a, n1_b, data.eta_a, data.eta_b)
-    if norm <= 0:
-        raise ValidationError("normalization must be positive")
-    moments = estimate_moments(data)
+    if not 0.0 < norm < math.inf:
+        raise ValidationError(f"normalization must be positive and finite, got {norm!r}")
+    spins = _spins_by_axis(data)
+    moments = _moments_from_spins(spins, AXES)
     bound, witness = _bound_from_moments(moments, params, norm)
+    if not math.isfinite(bound):
+        raise ValidationError(f"witness bound is not finite at g_z={params.g_z!r}, "
+                              f"g_y={params.g_y!r}")
 
     se = None
     if n_bootstrap > 0:
-        spins = {axis: data.axis_spins(axis) for axis in AXES}
-        rng = np.random.default_rng(seed)
-        values = np.empty(n_bootstrap)
-        for b in range(n_bootstrap):
-            resampled = {}
-            for axis, (sa, sb) in spins.items():
-                idx = rng.integers(0, sa.size, size=sa.size)
-                resampled[axis] = (sa[idx], sb[idx])
-            values[b] = -_witness_from_arrays(resampled, params) / norm
-        se = float(np.std(values, ddof=1))
+        se = _bootstrap_se(spins, params, norm, n_bootstrap, seed)
+        if not math.isfinite(se):
+            raise ValidationError("bootstrap standard error is not finite")
     shots_used = {axis: moments.axes[axis].n_shots for axis in moments.axes}
     return BoundResult(float(bound), float(witness), float(norm), params, se, shots_used)
 
@@ -260,7 +307,10 @@ def _optimal_params(m: SpinMoments) -> WitnessParams:
         if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
             continue
         params = WitnessParams(sign_z * float(a), sign_y * float(b))
-        ratio = separability_ratio_from_moments(m, params)
+        try:
+            ratio = separability_ratio_from_moments(m, params)
+        except ValidationError:
+            continue  # the ratio overflows at these gains
         if ratio < best_ratio:
             best, best_ratio = params, ratio
     return best
@@ -270,13 +320,13 @@ def _optimal_params(m: SpinMoments) -> WitnessParams:
 # synthetic datasets
 
 
-def _counts_from_spin(spin: float, atoms: float, eta: float) -> tuple[float, float]:
-    """Invert S = (n1 - n2) / (2 eta) with n1 + n2 = detected atoms."""
+def _counts_from_spin(spin: np.ndarray, atoms: float, eta: float) -> tuple[list, list]:
+    """Invert S = (n1 - n2) / (2 eta) with n1 + n2 = detected atoms, per shot.
+    ``np.rint`` and ``round`` both round half to even."""
     detected = round(atoms * eta)
-    half = detected / 2.0
-    n1 = int(round(half + eta * spin))
-    n1 = min(max(n1, 0), detected)
-    return float(n1), float(detected - n1)
+    # through integers, as int(round(...)) went, so that no count is -0.0
+    n1 = np.clip(np.rint(detected / 2.0 + eta * spin).astype(np.int64), 0, detected)
+    return n1.astype(float).tolist(), (detected - n1).astype(float).tolist()
 
 
 def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0.5,
@@ -300,6 +350,10 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
         raise ValidationError(f"unknown model {model!r}")
     if not 0.0 < split_fraction < 1.0:
         raise ValidationError("split fraction must lie strictly between 0 and 1")
+    if n_shots < 0 or n_atoms < 0:
+        raise ValidationError(f"n_shots and n_atoms must be nonnegative, got {n_shots}, {n_atoms}")
+    if not 0.0 < eta <= 1.0:
+        raise ValidationError(f"detection efficiency must lie in (0, 1], got {eta!r}")
     if model == "css":
         xi_z = xi_y = 1.0
     else:
@@ -316,21 +370,21 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
     per_axis = n_shots // 3
     # the remainder goes to x, which draws no random numbers, so the z and y
     # draws do not depend on n_shots mod 3
-    counts = {"z": per_axis, "y": per_axis, "x": n_shots - 2 * per_axis}
     shots = []
-    for axis, xi in (("z", xi_z), ("y", xi_y), ("x", None)):
-        for _ in range(counts[axis]):
-            if axis == "x":
-                # polarization axis: fully stretched spins, no model noise
-                s_a, s_b = n_a / 2.0, n_b / 2.0
-            else:
-                total = rng.normal(0.0, math.sqrt(xi * base_var))
-                g = rng.normal(0.0, part_sd)
-                s_a = f * total + g
-                s_b = (1.0 - f) * total - g
-            n1a, n2a = _counts_from_spin(s_a, n_a, eta)
-            n1b, n2b = _counts_from_spin(s_b, n_b, eta)
-            shots.append(ShotRecord(axis, n1a, n2a, n1b, n2b))
+    for axis, xi, k in (("z", xi_z, per_axis), ("y", xi_y, per_axis),
+                        ("x", None, n_shots - 2 * per_axis)):
+        if xi is None:
+            # polarization axis: fully stretched spins, no model noise
+            s_a, s_b = np.full(k, n_a / 2.0), np.full(k, n_b / 2.0)
+        else:
+            # row i holds shot i's (total, g) pair, in the order that one
+            # rng.normal call per value would draw them
+            total, g = rng.normal(0.0, [math.sqrt(xi * base_var), part_sd], size=(k, 2)).T
+            s_a = f * total + g
+            s_b = (1.0 - f) * total - g
+        n1a, n2a = _counts_from_spin(s_a, n_a, eta)
+        n1b, n2b = _counts_from_spin(s_b, n_b, eta)
+        shots += [ShotRecord(axis, *c) for c in zip(n1a, n2a, n1b, n2b)]
     return SpinShotDataset(tuple(shots), eta, eta,
                            n_a * eta, n_b * eta,
                            f"{model} model, N={n_atoms}, split={f}, xi2={xi2}, eta={eta}")

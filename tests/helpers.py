@@ -3,9 +3,10 @@
 These deliberately avoid the package's own computational paths: permanents
 for lifted unitaries, an explicit first-quantized symmetric embedding for
 reduced density matrices and collective generators, a dense a_i† a_j tensor
-for one-body operators, scipy distributions for classical distances, and
+for one-body operators, scipy distributions for classical distances,
 pure-Python ``math.lgamma`` pmfs summed with ``math.fsum`` for the
-binomial and Poisson kernels.
+binomial and Poisson kernels, and per-resample and per-shot loops for the
+witness bootstrap and synthetic shot data.
 """
 
 import math
@@ -246,3 +247,62 @@ def binomial_poisson_oracle(N: int, p: float) -> float:
     q = [poisson_pmf_oracle(k, mu) for k in ks]
     diff = math.fsum(abs(binomial_pmf_oracle(k, N, p) - qk) for k, qk in zip(ks, q))
     return 0.5 * diff + 0.5 * max(1.0 - math.fsum(q), 0.0)
+
+
+def bootstrap_se_oracle(data, params, normalization: float, n_bootstrap: int,
+                        seed) -> float:
+    """Bootstrap standard error of the witness bound, one resample at a time:
+    per axis in x, y, z order, rng.integers(0, n, size=n) picks shots, and the
+    witness is rebuilt from np.var and np.mean of the picked spins."""
+    spins = {}
+    for axis in "xyz":
+        rows = [r for r in data.shots if r.setting == axis]
+        spins[axis] = (np.array([(r.n1a - r.n2a) / (2.0 * data.eta_a) for r in rows]),
+                       np.array([(r.n1b - r.n2b) / (2.0 * data.eta_b) for r in rows]))
+    rng = np.random.default_rng(seed)
+    values = np.empty(n_bootstrap)
+    for b in range(n_bootstrap):
+        picked = {}
+        for axis, (sa, sb) in spins.items():
+            idx = rng.integers(0, sa.size, size=sa.size)
+            picked[axis] = (sa[idx], sb[idx])
+        (za, zb), (ya, yb), (xa, xb) = picked["z"], picked["y"], picked["x"]
+        witness = (float(np.var(params.g_z * za + zb, ddof=1))
+                   + float(np.var(params.g_y * ya + yb, ddof=1))
+                   - (abs(params.g_z * params.g_y) * float(np.mean(xa)) + float(np.mean(xb))))
+        values[b] = -witness / normalization
+    return float(np.std(values, ddof=1))
+
+
+def synthesize_shots_oracle(model: str, n_atoms: int = 100, split_fraction: float = 0.5,
+                            eta: float = 1.0, n_shots: int = 1000, seed=0,
+                            xi2: float = 0.25) -> tuple:
+    """Shots of the ``css`` or ``squeezed`` Gaussian model one at a time: two
+    scalar rng.normal calls per z or y shot (total spin, then the split
+    fluctuation) and counts inverted with round()."""
+    from bosonpe.witness import ShotRecord
+
+    def counts(spin, atoms):
+        detected = round(atoms * eta)
+        n1 = min(max(int(round(detected / 2.0 + eta * spin)), 0), detected)
+        return float(n1), float(detected - n1)
+
+    xi_z, xi_y = (1.0, 1.0) if model == "css" else (xi2, 1.0 / xi2)
+    rng = np.random.default_rng(seed)
+    f = split_fraction
+    base_var = n_atoms / 4.0
+    part_sd = math.sqrt(f * (1.0 - f) * base_var)
+    n_a, n_b = f * n_atoms, (1.0 - f) * n_atoms
+    per_axis = n_shots // 3
+    shots = []
+    for axis, xi, k in (("z", xi_z, per_axis), ("y", xi_y, per_axis),
+                        ("x", None, n_shots - 2 * per_axis)):
+        for _ in range(k):
+            if xi is None:
+                s_a, s_b = n_a / 2.0, n_b / 2.0
+            else:
+                total = rng.normal(0.0, math.sqrt(xi * base_var))
+                g = rng.normal(0.0, part_sd)
+                s_a, s_b = f * total + g, (1.0 - f) * total - g
+            shots.append(ShotRecord(axis, *counts(s_a, n_a), *counts(s_b, n_b)))
+    return tuple(shots)

@@ -171,6 +171,15 @@ BAD_INPUTS = (
     ("definetti", "--N", "2", "--m", "2", "--l", "1", "--mixture", "{nan_entry}"),
     # and a de Finetti one
     ("definetti", "--N", "1000000000000", "--m", "2", "--l", "1"),
+    # gains whose separability ratio, then whose normalization, overflow
+    ("witness", "bound", "--data", "{shots}", "--meta", "{meta}", "--gz", "1e100", "--gy", "1e100"),
+    ("witness", "bound", "--data", "{shots}", "--meta", "{meta}", "--gz", "1e200", "--gy", "1e200"),
+    # one resample has no standard deviation; a negative count is no count
+    ("witness", "bound", "--data", "{shots}", "--meta", "{meta}", "--optimize", "--bootstrap", "1"),
+    ("witness", "bound", "--data", "{shots}", "--meta", "{meta}", "--optimize", "--bootstrap", "-5"),
+    ("witness", "synth", "--model", "css", "--shots", "-1", "--out", "{unwritten}"),
+    ("witness", "synth", "--model", "css", "--atoms", "-5", "--out", "{unwritten}"),
+    ("witness", "synth", "--model", "css", "--eta", "nan", "--out", "{unwritten}"),
 )
 
 
@@ -185,10 +194,17 @@ def test_validation_error_exit_code(capsys, tmp_path):
     for name, doc in mixtures.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
+    paths["shots"] = tmp_path / "shots.csv"
+    paths["meta"] = tmp_path / "shots_meta.json"
+    paths["unwritten"] = tmp_path / "unwritten.csv"
+    code, _, _ = run_cli(capsys, "witness", "synth", "--model", "squeezed", "--shots", "300",
+                         "--seed", "3", "--out", str(paths["shots"]))
+    assert code == 0
     for argv in BAD_INPUTS:
         code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
         assert code == 2, argv
         assert "error" in err, argv
+    assert not paths["unwritten"].exists()
 
 
 def test_missing_file_exit_code(capsys):

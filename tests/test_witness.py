@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from bosonpe.witness import (
     optimize_witness_params,
     pe_lower_bound,
     separability_ratio,
+    separability_ratio_from_moments,
     synthesize_dataset,
     witness_normalization,
 )
+from helpers import bootstrap_se_oracle, synthesize_shots_oracle
 
 
 def make_dataset(rows, eta_a=1.0, eta_b=1.0, n1a=10.0, n1b=10.0):
@@ -180,6 +184,122 @@ def test_synthesize_keeps_every_shot():
         assert (sum(s.n1a for s in on_axis), sum(s.n1b for s in on_axis)) == sums
 
 
+SYNTH_CASES = [
+    # model, n_atoms, n_shots (every residue mod 3), seed, eta, split fraction;
+    # with 8 or 12 atoms many counts clip at 0 or at the detected total
+    ("squeezed", 100, 300, 1, 1.0, 0.5),
+    ("squeezed", 100, 301, 2, 0.7, 2 / 3),
+    ("squeezed", 100, 3002, 3, 0.45, 0.5),
+    ("squeezed", 8, 601, 8, 0.6, 0.25),
+    ("css", 100, 299, 4, 1.0, 2 / 3),
+    ("css", 100, 3001, 5, 0.8, 0.5),
+    ("css", 12, 300, 6, 0.35, 0.25),
+]
+
+
+@pytest.mark.parametrize("model, n_atoms, n_shots, seed, eta, split", SYNTH_CASES)
+def test_synthesize_matches_per_shot_loop(model, n_atoms, n_shots, seed, eta, split):
+    data = synthesize_dataset(model, n_atoms=n_atoms, split_fraction=split, eta=eta,
+                              n_shots=n_shots, seed=seed, xi2=0.25)
+    oracle = synthesize_shots_oracle(model, n_atoms=n_atoms, split_fraction=split, eta=eta,
+                                     n_shots=n_shots, seed=seed, xi2=0.25)
+    assert data.shots == oracle
+    # the same text too: Python floats, and no negative zeros
+    assert dataset_to_csv(data) == dataset_to_csv(dataclasses.replace(data, shots=oracle))
+
+
+@pytest.mark.parametrize("model, n_atoms, n_shots, seed, eta, split", SYNTH_CASES)
+@pytest.mark.parametrize("gains", [(0.8, -0.8), (-1.3, -0.4), (-0.6, 1.7)])
+@pytest.mark.parametrize("n_bootstrap, boot_seed", [(2, 0), (3, 11), (200, 12)])
+def test_bootstrap_se_matches_per_resample_loop(model, n_atoms, n_shots, seed, eta, split,
+                                                gains, n_bootstrap, boot_seed):
+    data = synthesize_dataset(model, n_atoms=n_atoms, split_fraction=split, eta=eta,
+                              n_shots=n_shots, seed=seed, xi2=0.25)
+    params = WitnessParams(*gains)
+    res = pe_lower_bound(data, params, n_bootstrap=n_bootstrap, seed=boot_seed)
+    want = bootstrap_se_oracle(data, params, res.normalization, n_bootstrap, boot_seed)
+    assert res.bootstrap_se == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_bootstrap_se_matches_per_resample_loop_at_optimum():
+    data = synthesize_dataset("squeezed", n_atoms=100, n_shots=10000, seed=7, xi2=0.25)
+    params = optimize_witness_params(data)
+    res = pe_lower_bound(data, params, n_bootstrap=200, seed=301)
+    want = bootstrap_se_oracle(data, params, res.normalization, 200, 301)
+    assert res.bootstrap_se == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_bootstrap_memory_does_not_grow_with_resamples():
+    data = synthesize_dataset("squeezed", n_atoms=100, n_shots=10000, seed=7, xi2=0.25)
+    params = optimize_witness_params(data)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pe_lower_bound(data, params, n_bootstrap=1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2**20
+
+
+@pytest.mark.parametrize("n_bootstrap", [1, -1, -5])
+def test_bootstrap_count_validated(n_bootstrap):
+    data = synthesize_dataset("squeezed", n_atoms=60, n_shots=300, seed=5)
+    with pytest.raises(ValidationError):
+        pe_lower_bound(data, WitnessParams(1.0, 1.0), n_bootstrap=n_bootstrap)
+    assert pe_lower_bound(data, WitnessParams(1.0, 1.0), n_bootstrap=0).bootstrap_se is None
+    assert pe_lower_bound(data, WitnessParams(1.0, 1.0), n_bootstrap=2).bootstrap_se > 0.0
+
+
+@pytest.mark.parametrize("gains", [(1e100, 1e100), (1e200, 1e200), (1e-200, 1e200),
+                                   (-1e155, 1e155)])
+def test_overflowing_gains_rejected(gains):
+    data = synthesize_dataset("squeezed", n_atoms=100, n_shots=300, seed=3)
+    params = WitnessParams(*gains)
+    with pytest.raises(ValidationError):
+        separability_ratio_from_moments(estimate_moments(data), params)
+    with pytest.raises(ValidationError):
+        # what `bosonpe witness bound` runs: the bound, then the ratio
+        pe_lower_bound(data, params, n_bootstrap=0)
+        separability_ratio(data, params)
+
+
+def test_overflowing_bootstrap_rejected():
+    # the bound is finite at these gains, but resampled variances overflow
+    data = synthesize_dataset("squeezed", n_atoms=100, n_shots=10000, seed=7)
+    params = WitnessParams(2e152, 1e-160)
+    assert math.isfinite(pe_lower_bound(data, params, n_bootstrap=0).bound)
+    with pytest.raises(ValidationError):
+        pe_lower_bound(data, params, n_bootstrap=20)
+
+
+def test_optimizer_skips_overflowing_candidates():
+    # region-A spins of 1e-200 on z and 1e-67 on y put some candidate gains
+    # so far out that their separability ratio overflows; the optimizer steps
+    # over those candidates instead of raising
+    rows = [("z", 9e-200, 0, 7, 3), ("z", 7e-200, 0, 3, 7), ("z", 9.5e-200, 0, 3, 7),
+            ("y", 2e-67, 0, 6, 4), ("y", 1e-66, 0, 7, 3), ("y", 1.5e-67, 0, 3, 7),
+            ("x", 1e-95, 0, 1e-71, 0), ("x", 1e-95, 0, 1e-71, 0)]
+    data = make_dataset(rows)
+    ratio = separability_ratio(data, optimize_witness_params(data))
+    assert math.isfinite(ratio)
+    assert ratio <= separability_ratio(data, WitnessParams(0.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [{"n_shots": -1}, {"n_atoms": -5}, {"eta": math.nan},
+                                 {"eta": math.inf}])
+def test_synthesize_rejects_bad_sizes_and_efficiency(bad):
+    with pytest.raises(ValidationError):
+        synthesize_dataset("css", **bad)
+
+
+def test_axis_spins_rejects_unknown_axis():
+    data = synthesize_dataset("constant")
+    assert data.axis_spins("z")[0].tolist() == [0.0, 0.0]
+    with pytest.raises(ValidationError):
+        data.axis_spins("w")
+
+
 def test_population_linearization_consistency():
     # whenever the ratio is below 1 on (near-)population moments, the bound
     # numerator is positive
@@ -237,6 +357,10 @@ def test_shot_record_validation():
         ShotRecord("w", 1, 1, 1, 1)
     with pytest.raises(ValidationError):
         ShotRecord("z", -1, 1, 1, 1)
+    # a non-finite count would reach the optimizer's np.roots as nan or inf
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            ShotRecord("z", 1, 1, bad, 1)
 
 
 def test_bound_below_measure_upper_bound_matched_model():
