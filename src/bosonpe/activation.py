@@ -11,12 +11,14 @@ for non-degenerate beam splitters.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .fock import (
+    BLOCK_DROP_TOL,
     DESK,
     UNCAPPED,
     BlockDiagonalState,
@@ -24,6 +26,8 @@ from .fock import (
     ModePartition,
     SectorDecomposition,
     ValidationError,
+    _MAX_BLOCK_DIM,
+    _local_number_layout,
     enumerate_basis,
     project_local_number,
 )
@@ -39,6 +43,7 @@ from .optics import (
     lift_unitary,
 )
 from .measures import (
+    _partial_transpose_negativity,
     _pure_negativity,
     _schmidt_probabilities,
     _schmidt_values,
@@ -108,7 +113,7 @@ def activate(spec: ActivationSpec, postselect=None,
             # one SVD gives both the Schmidt spectrum and the negativity
             svals = _schmidt_values(s)
             schmidt[key] = _schmidt_probabilities(svals)
-            negativities[key] = _pure_negativity(svals)
+            negativities[key] = float(_pure_negativity(svals))
             continue
         if global_pure:
             schmidt[key] = schmidt_spectrum(s)
@@ -229,6 +234,17 @@ def splitter_alphas(array: BeamSplitterArray, pre_rotation=None) -> np.ndarray:
     return np.vstack([r, -t]).astype(complex)
 
 
+def _local_filter_weights(occupations: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """prod_i (sqrt(2) r_i)^{n_Ai} (sqrt(2) t_i)^{n_Bi} for each row of
+    ``occupations`` (the m A modes, then the m B modes), at each reflectivity
+    vector of the stack r (..., m): shape (..., len(occupations))."""
+    base = math.sqrt(2.0) * np.concatenate([r, np.sqrt(1.0 - r * r)], axis=-1)
+    w = np.ones(r.shape[:-1] + (len(occupations),))
+    for j, n_j in enumerate(occupations.T):
+        w *= base[..., j, None] ** n_j
+    return w
+
+
 def local_filter_relation_check(occupation, r_vector, tol: float = 1e-9) -> bool:
     """General-r activation equals local filters applied to the balanced one.
 
@@ -247,13 +263,7 @@ def local_filter_relation_check(occupation, r_vector, tol: float = 1e-9) -> bool
 
     basis, eta = activate_pure_vector(occupation, arr)
     _, xi = activate_pure_vector(occupation, balanced_array(m))
-    filtered = xi.copy()
-    for k, occ in enumerate(basis.states):
-        w = 1.0
-        for i in range(m):
-            w *= (math.sqrt(2.0) * r[i]) ** occ[i]
-            w *= (math.sqrt(2.0) * t[i]) ** occ[m + i]
-        filtered[k] *= w
+    filtered = xi * _local_filter_weights(np.array(basis.states), np.array(r))
     filtered /= np.linalg.norm(filtered)
     eta = eta / np.linalg.norm(eta)
     return bool(np.max(np.abs(eta - filtered)) <= tol)
@@ -316,9 +326,88 @@ def activation_inequality_check(state: BlockDiagonalState,
     )
 
 
-def _e_ssr_for(state, va, r_vec, caps) -> float:
-    spec = ActivationSpec(state, pre_rotation=va, array=BeamSplitterArray(tuple(r_vec)))
-    return activate(spec, caps=caps).e_ssr_negativity
+def _balanced_sectors(state: BlockDiagonalState, va: ModeUnitary,
+                      caps: DeskCaps) -> list:
+    """The balanced-array activation of ``state`` after V_A = ``va``, split
+    for ``_filtered_negativities``: per block N, (p_N, occupations of the
+    2m-mode basis, [(rows, F[rows], d_A, d_B)] per (N_A, N_B) sector), where
+    F = V sqrt(lam) is the block's factor and ``rows`` lists the sector's
+    basis indices in the product order i_A * d_B + i_B (every (n_A, n_B)
+    pair occurs, so the layout's positions are a permutation)."""
+    m = state.modes
+    out = apply_mode_unitary(append_vacuum(state, m, caps=caps),
+                             _activation_unitary(m, balanced_array(m), va), caps=caps)
+    partition = ModePartition(tuple(range(m)), tuple(range(m, 2 * m)))
+    blocks = []
+    for N in out.sectors():
+        V, lam = out.factor(N)
+        factor = V * np.sqrt(lam)
+        sectors = []
+        for rows, pos, ba, bb in _local_number_layout(2 * m, N, partition).values():
+            ordered = np.empty_like(rows)
+            ordered[pos] = rows
+            sectors.append((ordered, factor[ordered], ba.dim, bb.dim))
+        occupations = np.array(enumerate_basis(2 * m, N, UNCAPPED).states)
+        blocks.append((out.weight(N), occupations, sectors))
+    return blocks
+
+
+def _chunk_size(blocks: list) -> int:
+    """Reflectivity vectors per ``_filtered_negativities`` call whose stacked
+    sector arrays hold no more entries than one cap-corner dense block."""
+    per_vector = 1
+    for _, occupations, sectors in blocks:
+        per_vector = max(per_vector, len(occupations))
+        for _, f, d_a, d_b in sectors:
+            d, k = d_a * d_b, f.shape[1]
+            # the weighted factor rows, and a dense d x d matrix when k > 1
+            per_vector = max(per_vector, d * k, d * d if k > 1 else 1)
+    return max(1, _MAX_BLOCK_DIM**2 // per_vector)
+
+
+def _filtered_negativities(blocks: list, r: np.ndarray) -> np.ndarray:
+    """E_SSR negativity of the activation at each reflectivity vector of the
+    stack r (B, m), from the balanced output of ``_balanced_sectors``.
+
+    The splitter output at r is D(r) xi, with xi the balanced output and
+    D(r) the local filter of ``_local_filter_weights``.  Each sector is
+    then scored as ``activate`` scores it: dropped below BLOCK_DROP_TOL,
+    a one-column factor through its Schmidt values, a wider one through its
+    partial transpose, and the weighted negativities summed in sector order.
+    """
+    total = np.zeros(len(r))
+    for p_n, occupations, sectors in blocks:
+        w = _local_filter_weights(occupations, r)
+        for rows, f, d_a, d_b in sectors:
+            sub = w[:, rows, None] * f
+            tr = (sub.conj() * sub).real.sum(axis=(1, 2))
+            prob = p_n * tr
+            keep = np.flatnonzero(prob >= BLOCK_DROP_TOL)
+            if not keep.size:
+                continue
+            sub = sub[keep] / np.sqrt(tr[keep])[:, None, None]
+            if sub.shape[2] == 1:
+                svals = np.linalg.svd(sub.reshape(-1, d_a, d_b), compute_uv=False)
+                neg = _pure_negativity(svals)
+            else:
+                mat = sub @ np.swapaxes(sub, 1, 2).conj()
+                mat = (mat + np.swapaxes(mat, 1, 2).conj()) / 2
+                neg = _partial_transpose_negativity(mat.reshape(-1, d_a, d_b, d_a, d_b))
+            total[keep] += prob[keep] * neg
+    return total
+
+
+def _grid_points(grid: np.ndarray, m: int, start: int, stop: int) -> np.ndarray:
+    """Grid-phase candidates start..stop-1 in search order: the product
+    grid^m for m <= 2; otherwise each coordinate in turn swept over the grid
+    around the balanced point, then the balanced point itself."""
+    idx = np.arange(start, stop)
+    if m <= 2:
+        return grid[np.stack(np.unravel_index(idx, (len(grid),) * m), axis=-1)]
+    out = np.full((len(idx), m), 1.0 / math.sqrt(2.0))
+    sweep = idx < m * len(grid)
+    out[sweep, idx[sweep] // len(grid)] = grid[idx[sweep] % len(grid)]
+    return out
 
 
 def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
@@ -333,7 +422,21 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     nowhere is halved, from grid_step / 2 until it falls below 1e-5.  A lower
     bound on the supremum; deterministic given the seed, and non-decreasing
     in the restart budget for a fixed seed.
+
+    Every candidate is scored through the local-filter identity: the output
+    at reflectivities r is D(r) xi, with xi the balanced-array output,
+    lifted once per V_A, and D(r) diagonal on the 2m-mode basis with entries
+    prod_i (sqrt(2) r_i)^{n_Ai} (sqrt(2) t_i)^{n_Bi}.  The grid goes in
+    batches of reflectivity vectors, each compass step's +/- pair as one.
+    ``grid_step`` must lie in (0, 1) and ``n_va_restarts`` be a nonnegative
+    integer.
     """
+    if not (isinstance(grid_step, numbers.Real) and 0.0 < grid_step < 1.0):
+        raise ValidationError(f"grid_step must be a finite number in (0, 1), got {grid_step!r}")
+    if not (isinstance(n_va_restarts, numbers.Integral) and not isinstance(n_va_restarts, bool)
+            and n_va_restarts >= 0):
+        raise ValidationError(
+            f"n_va_restarts must be a nonnegative integer, got {n_va_restarts!r}")
     m = state.modes
     rng = np.random.default_rng(seed)
     vas = [identity_unitary(m)]
@@ -344,39 +447,35 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
 
     best = 0.0
     grid = np.arange(grid_step, 1.0, grid_step)
+    count = len(grid) ** m if m <= 2 else m * len(grid) + 1
     for va in vas:
-        if m <= 2:
-            candidates = product(grid, repeat=m)
-        else:
-            # coordinate sweeps around the balanced point
-            base = [1.0 / math.sqrt(2.0)] * m
-            candidates = []
-            for i in range(m):
-                for g in grid:
-                    c = list(base)
-                    c[i] = g
-                    candidates.append(tuple(c))
-            candidates.append(tuple(base))
+        blocks = _balanced_sectors(state, va, caps)
+        chunk = _chunk_size(blocks)
         best_r, best_val = None, -1.0
-        for r_vec in candidates:
-            val = _e_ssr_for(state, va, r_vec, caps)
-            if val > best_val:
-                best_val, best_r = val, list(r_vec)
+        for start in range(0, count, chunk):
+            points = _grid_points(grid, m, start, min(start + chunk, count))
+            vals = _filtered_negativities(blocks, points)
+            k = int(np.argmax(vals))
+            if vals[k] > best_val:
+                best_val, best_r = vals[k], points[k]
 
         step = grid_step / 2.0
         while step >= 1e-5:
             improved = False
             for i in range(m):
+                probes = []
                 for sign in (1.0, -1.0):
-                    probe = list(best_r)
+                    probe = best_r.copy()
                     probe[i] = min(max(best_r[i] + sign * step, 1e-6), 1.0 - 1e-6)
-                    if probe[i] == best_r[i]:
-                        continue
-                    val = _e_ssr_for(state, va, probe, caps)
+                    if probe[i] != best_r[i]:
+                        probes.append(probe)
+                if not probes:
+                    continue
+                for probe, val in zip(probes, _filtered_negativities(blocks, np.array(probes))):
                     if val > best_val:
                         best_val, best_r, improved = val, probe, True
                         break
             if not improved:
                 step /= 2.0
-        best = max(best, best_val)
+        best = max(best, float(best_val))
     return best

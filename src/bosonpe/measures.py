@@ -516,7 +516,7 @@ def negativity(state: BlockDiagonalState, partition: ModePartition) -> float:
     for N, (p, mat) in state.blocks.items():
         ia, ib = np.array(placements[N]).T
         rho[ia[:, None], ib[:, None], ia, ib] = p * mat
-    return _partial_transpose_negativity(rho)
+    return float(_partial_transpose_negativity(rho))
 
 
 def _schmidt_values(sector: SectorState) -> np.ndarray:
@@ -529,10 +529,11 @@ def _schmidt_values(sector: SectorState) -> np.ndarray:
     return np.linalg.svd(vec.reshape(da, db), compute_uv=False)
 
 
-def _pure_negativity(svals: np.ndarray) -> float:
-    """((sum_i s_i)^2 - 1) / 2 over the Schmidt values of a unit vector
-    (Vidal & Werner, PRA 65, 032314 (2002)), clipped at 0."""
-    return float(max((np.sum(svals) ** 2 - 1.0) / 2.0, 0.0))
+def _pure_negativity(svals: np.ndarray) -> np.ndarray:
+    """((sum_i s_i)^2 - 1) / 2 over the Schmidt values (last axis) of unit
+    vectors (Vidal & Werner, PRA 65, 032314 (2002)), clipped at 0; leading
+    axes are a batch."""
+    return np.maximum((np.sum(svals, axis=-1) ** 2 - 1.0) / 2.0, 0.0)
 
 
 def _schmidt_probabilities(svals: np.ndarray) -> np.ndarray:
@@ -546,17 +547,18 @@ def sector_negativity(sector: SectorState) -> float:
     d_A x d_B amplitude matrix; a mixed one is eigendecomposed as a dense
     partial transpose."""
     if sector.factor().shape[1] == 1:
-        return _pure_negativity(_schmidt_values(sector))
+        return float(_pure_negativity(_schmidt_values(sector)))
     da, db = sector.dims
-    return _partial_transpose_negativity(sector.matrix.reshape(da, db, da, db))
+    return float(_partial_transpose_negativity(sector.matrix.reshape(da, db, da, db)))
 
 
-def _partial_transpose_negativity(rho: np.ndarray) -> float:
-    """(||rho^{T_A}||_1 - 1) / 2 for rho indexed [a, b, a', b'], clipped at 0."""
-    da, db = rho.shape[:2]
-    pt = rho.transpose(2, 1, 0, 3).reshape(da * db, da * db)
-    evals = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
-    return float(max((np.sum(np.abs(evals)) - 1.0) / 2.0, 0.0))
+def _partial_transpose_negativity(rho: np.ndarray) -> np.ndarray:
+    """(||rho^{T_A}||_1 - 1) / 2 for rho indexed [..., a, b, a', b'],
+    clipped at 0; leading axes are a batch."""
+    da, db = rho.shape[-4:-2]
+    pt = np.swapaxes(rho, -4, -2).reshape(rho.shape[:-4] + (da * db, da * db))
+    evals = np.linalg.eigvalsh((pt + np.swapaxes(pt, -1, -2).conj()) / 2)
+    return np.maximum((np.sum(np.abs(evals), axis=-1) - 1.0) / 2.0, 0.0)
 
 
 def schmidt_spectrum(sector: SectorState, tol: float = 1e-8) -> np.ndarray:

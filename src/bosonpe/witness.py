@@ -144,8 +144,10 @@ class WitnessParams:
 
 
 def separability_ratio_from_moments(m: SpinMoments, params: WitnessParams) -> float:
-    """``separability_ratio`` on given moments.  A ratio or denominator that
-    overflows, at huge gains or spins, raises ``ValidationError``."""
+    """``separability_ratio`` on given moments.  A numerator or denominator
+    that overflows, at huge gains or spins, raises ``ValidationError``; a
+    finite one over a denominator so small that the ratio leaves the float
+    range gives +inf, as a vanishing denominator does."""
     num = 4.0 * m.axis("z").combined_variance(params.g_z) \
         * m.axis("y").combined_variance(params.g_y)
     x = m.axis("x")
@@ -154,7 +156,7 @@ def separability_ratio_from_moments(m: SpinMoments, params: WitnessParams) -> fl
     if den <= 0.0:
         return math.inf
     ratio = num / den
-    if not (math.isfinite(ratio) and math.isfinite(den)):
+    if not (math.isfinite(num) and math.isfinite(den)):
         raise ValidationError(f"separability ratio is not finite at g_z={params.g_z!r}, "
                               f"g_y={params.g_y!r}")
     return ratio

@@ -6,7 +6,8 @@ reduced density matrices and collective generators, a dense a_i† a_j tensor
 for one-body operators, scipy distributions for classical distances,
 pure-Python ``math.lgamma`` pmfs summed with ``math.fsum`` for the
 binomial and Poisson kernels, and per-resample and per-shot loops for the
-witness bootstrap and synthetic shot data.
+witness bootstrap and synthetic shot data.  The activation search oracle is
+the search loop with one full ``activate`` call per candidate.
 """
 
 import math
@@ -14,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from bosonpe.fock import UNCAPPED, enumerate_basis
+from bosonpe.fock import DESK, UNCAPPED, enumerate_basis
 
 
 def ryser_permanent(a: np.ndarray) -> complex:
@@ -306,3 +307,62 @@ def synthesize_shots_oracle(model: str, n_atoms: int = 100, split_fraction: floa
                 s_a, s_b = f * total + g, (1.0 - f) * total - g
             shots.append(ShotRecord(axis, *counts(s_a, n_a), *counts(s_b, n_b)))
     return tuple(shots)
+
+
+def m_pe_from_activation_oracle(state, n_va_restarts: int = 4, seed=0,
+                                grid_step: float = 0.05, caps=DESK) -> float:
+    """The activation search with one ``activate`` call per candidate: the
+    same V_A draws, grid and compass refinement as ``m_pe_from_activation``,
+    each reflectivity vector run through the full protocol."""
+    from bosonpe.activation import ActivationSpec, activate
+    from bosonpe.optics import BeamSplitterArray, ModeUnitary, identity_unitary
+
+    def e_ssr_for(va, r_vec):
+        spec = ActivationSpec(state, pre_rotation=va, array=BeamSplitterArray(tuple(r_vec)))
+        return activate(spec, caps=caps).e_ssr_negativity
+
+    m = state.modes
+    rng = np.random.default_rng(seed)
+    vas = [identity_unitary(m)]
+    for _ in range(n_va_restarts):
+        z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        q, _ = np.linalg.qr(z)
+        vas.append(ModeUnitary(q))
+
+    best = 0.0
+    grid = np.arange(grid_step, 1.0, grid_step)
+    for va in vas:
+        if m <= 2:
+            candidates = product(grid, repeat=m)
+        else:
+            base = [1.0 / math.sqrt(2.0)] * m
+            candidates = []
+            for i in range(m):
+                for g in grid:
+                    c = list(base)
+                    c[i] = g
+                    candidates.append(tuple(c))
+            candidates.append(tuple(base))
+        best_r, best_val = None, -1.0
+        for r_vec in candidates:
+            val = e_ssr_for(va, r_vec)
+            if val > best_val:
+                best_val, best_r = val, list(r_vec)
+
+        step = grid_step / 2.0
+        while step >= 1e-5:
+            improved = False
+            for i in range(m):
+                for sign in (1.0, -1.0):
+                    probe = list(best_r)
+                    probe[i] = min(max(best_r[i] + sign * step, 1e-6), 1.0 - 1e-6)
+                    if probe[i] == best_r[i]:
+                        continue
+                    val = e_ssr_for(va, probe)
+                    if val > best_val:
+                        best_val, best_r, improved = val, probe, True
+                        break
+            if not improved:
+                step /= 2.0
+        best = max(best, best_val)
+    return best

@@ -8,6 +8,7 @@ from bosonpe.cli import main
 from bosonpe.fock import (
     ValidationError,
     fock_state,
+    mix_states,
     tensor_compose,
     vacuum_state,
 )
@@ -27,8 +28,11 @@ from bosonpe.states import (
     classical_nd_state,
     coherent_spin_state,
     noon_state,
+    random_free_state,
     random_particle_separable,
 )
+
+from helpers import m_pe_from_activation_oracle
 
 
 def test_single_particle_activation_sign():
@@ -215,6 +219,53 @@ def test_m_pe_from_activation_noon2_search_value():
     state = noon_state(2).to_block_state()
     val = m_pe_from_activation(state, n_va_restarts=1, seed=0)
     assert val >= 0.24999999997750694 - 1e-9
+
+
+SEARCH_CASES = {
+    "noon2": (lambda: noon_state(2).to_block_state(), dict(n_va_restarts=1, seed=0)),
+    "fock111": (lambda: fock_state((1, 1, 1)).to_block_state(), dict(n_va_restarts=1, seed=0)),
+    # mixed blocks, scored through the partial transpose
+    "free": (lambda: random_free_state(2, 3, 11), dict(n_va_restarts=1, seed=0, grid_step=0.1)),
+    "noon2_with_11": (lambda: mix_states([(0.7, noon_state(2).to_block_state()),
+                                          (0.3, fock_state((1, 1)).to_block_state())]),
+                      dict(n_va_restarts=1, seed=3, grid_step=0.1)),
+    "noon3": (lambda: noon_state(3).to_block_state(), dict(n_va_restarts=1, seed=0, grid_step=0.1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_m_pe_from_activation_matches_per_candidate_search(case):
+    make, kwargs = SEARCH_CASES[case]
+    state = make()
+    assert abs(m_pe_from_activation(state, **kwargs)
+               - m_pe_from_activation_oracle(state, **kwargs)) <= 1e-12
+
+
+def test_m_pe_from_activation_at_the_cap_corner():
+    # 8 output modes and sector dimension 1716: the search scores the
+    # factored balanced output and never builds a dense block
+    state = fock_state((2, 1, 2, 1)).to_block_state()
+    want = m_pe_from_activation_oracle(state, n_va_restarts=0, grid_step=0.25)
+    tracemalloc.start()
+    try:
+        got = m_pe_from_activation(state, n_va_restarts=0, grid_step=0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
+    assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(grid_step=0), dict(grid_step=0.0), dict(grid_step=float("nan")),
+    dict(grid_step=float("inf")), dict(grid_step=1.0), dict(grid_step=1.5),
+    dict(grid_step=-0.1), dict(grid_step="0.1"), dict(grid_step=None),
+    dict(n_va_restarts=-1), dict(n_va_restarts=1.5), dict(n_va_restarts=True),
+    dict(n_va_restarts="2"),
+])
+def test_m_pe_from_activation_rejects_bad_arguments(kwargs):
+    with pytest.raises(ValidationError):
+        m_pe_from_activation(fock_state((1, 1)).to_block_state(), **kwargs)
 
 
 def test_dephasing_commutes_with_activation_for_number_superpositions():

@@ -7,8 +7,9 @@ check.  These properties pin them against the permanent oracle and against
 the full block validation, which user input still goes through; the dense
 blocks built from factors must pass that validation unchanged.  The whole
 factored activation pipeline (local-number projection, Schmidt spectra,
-sector negativities) is pinned against a plain dense reference.  The
-vectorised coherent-spin amplitudes, and the mixture states built from them,
+sector negativities) is pinned against a plain dense reference, and so is
+the activation search's batched scoring through the local-filter identity.
+The vectorised coherent-spin amplitudes, and the mixture states built from them,
 are pinned against the per-basis-state formula.  The closed-form witness
 optimum is checked against the grid the witness search used to scan and
 against random parameters.
@@ -21,8 +22,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosonpe.activation import ActivationSpec, activate
+from bosonpe.activation import (
+    ActivationSpec,
+    _balanced_sectors,
+    _filtered_negativities,
+    activate,
+)
 from bosonpe.fock import (
+    DESK,
     UNCAPPED,
     BlockDiagonalState,
     ModePartition,
@@ -294,6 +301,27 @@ def test_factored_activation_matches_dense_oracle(data):
     for N, (p, mat) in out.items():
         assert abs(report.output.weight(N) - p) <= 1e-12
         assert np.max(np.abs(report.output.block(N) - mat)) <= 1e-12
+
+
+@FEW
+@given(st.data())
+def test_filtered_negativities_match_activate_and_dense_oracle(data):
+    state, blocks, _ = data.draw(low_rank_states())
+    m = state.modes
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    va = ModeUnitary(haar_unitary(m, rng))
+    r = np.array(data.draw(st.lists(
+        st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=m, max_size=m),
+        min_size=2, max_size=2)))
+    got = _filtered_negativities(_balanced_sectors(state, va, DESK), r)
+    assert got.shape == (len(r),)
+    for row, val in zip(r, got):
+        report = activate(ActivationSpec(state, va, BeamSplitterArray(tuple(row))))
+        assert abs(val - report.e_ssr_negativity) <= 1e-12
+        out = dense_activation(blocks, m, splitter_unitary(row, va.matrix))
+        oracle = dense_local_sectors(out, 2 * m, range(m), range(m, 2 * m))
+        want = sum(p * dense_negativity(s, da, db) for p, s, da, db in oracle.values())
+        assert abs(val - want) <= 1e-12
 
 
 @FEW

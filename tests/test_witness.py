@@ -7,7 +7,9 @@ import pytest
 
 from bosonpe.fock import ValidationError
 from bosonpe.witness import (
+    AxisMoments,
     ShotRecord,
+    SpinMoments,
     SpinShotDataset,
     WitnessParams,
     dataset_from_csv,
@@ -79,6 +81,15 @@ def test_separability_ratio_zero_denominator():
                          ("y", 2, 0, 1, 1), ("y", 0, 2, 1, 1),
                          ("x", 1, 1, 1, 1), ("x", 1, 1, 1, 1)])
     assert separability_ratio(data, WitnessParams(1.0, 1.0)) == math.inf
+
+
+def test_separability_ratio_vanishing_small_denominator():
+    # <Sx_B> = 0 and a tiny gain: the squared denominator is subnormal and
+    # the ratio leaves the float range, as for a zero denominator
+    y = z = AxisMoments(0.0, 0.0, 1.0, 1.0, -0.5, 100)
+    m = SpinMoments({"x": AxisMoments(-1.0, 0.0, 0.0, 0.0, 0.0, 100), "y": y, "z": z})
+    assert separability_ratio_from_moments(m, WitnessParams(1.0, 1.2855440584794122e-156)) \
+        == math.inf
 
 
 def test_normalization_example():
