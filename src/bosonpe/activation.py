@@ -23,6 +23,7 @@ from .fock import (
     UNCAPPED,
     BlockDiagonalState,
     DeskCaps,
+    DeskScaleError,
     ModePartition,
     SectorDecomposition,
     ValidationError,
@@ -30,6 +31,7 @@ from .fock import (
     _local_number_layout,
     enumerate_basis,
     project_local_number,
+    vacuum_state,
 )
 from .optics import (
     BeamSplitterArray,
@@ -52,7 +54,7 @@ from .measures import (
     sector_negativity,
     schmidt_spectrum,
 )
-from .states import random_particle_separable
+from .states import _MAX_DENSE_SUPPORT, random_particle_separable
 
 SSR_ENTANGLED_TOL = 1e-9
 
@@ -308,15 +310,12 @@ def activation_inequality_check(state: BlockDiagonalState,
     m = state.modes
     candidates = []
     for _ in range(n_candidates):
-        blocks = {}
-        for N, (p, _mat) in state.blocks.items():
-            if N == 0:
-                blocks[0] = (p, np.array([[1.0 + 0j]]))
-            else:
-                sub = int(rng.integers(0, 2**31))
-                cand = random_particle_separable(m, N, 3, sub)
-                blocks[N] = (p, cand.block(N))
-        candidates.append(BlockDiagonalState(m, blocks, caps=UNCAPPED))
+        factors = {}
+        for N in state.sectors():
+            cand = vacuum_state(m) if N == 0 else \
+                random_particle_separable(m, N, 3, int(rng.integers(0, 2**31)))
+            factors[N] = (state.weight(N), *cand.factor(N))
+        candidates.append(BlockDiagonalState._factored(m, factors))
     m_upper = distance_to_candidate_set(state, candidates)
     return ActivationInequalityReport(
         e_ssr_lower=e_lower,
@@ -429,7 +428,8 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     prod_i (sqrt(2) r_i)^{n_Ai} (sqrt(2) t_i)^{n_Bi}.  The grid goes in
     batches of reflectivity vectors, each compass step's +/- pair as one.
     ``grid_step`` must lie in (0, 1) and ``n_va_restarts`` be a nonnegative
-    integer.
+    integer; a grid of more than 1e6 candidates raises DeskScaleError before
+    anything is allocated.
     """
     if not (isinstance(grid_step, numbers.Real) and 0.0 < grid_step < 1.0):
         raise ValidationError(f"grid_step must be a finite number in (0, 1), got {grid_step!r}")
@@ -438,6 +438,10 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
         raise ValidationError(
             f"n_va_restarts must be a nonnegative integer, got {n_va_restarts!r}")
     m = state.modes
+    n_grid = math.ceil((1.0 - grid_step) / grid_step)  # len(np.arange(grid_step, 1, grid_step))
+    count = n_grid**m if m <= 2 else m * n_grid + 1
+    if count > _MAX_DENSE_SUPPORT:
+        raise DeskScaleError(f"grid_step={grid_step!r} makes {count} grid candidates on {m} modes")
     rng = np.random.default_rng(seed)
     vas = [identity_unitary(m)]
     for _ in range(n_va_restarts):
@@ -447,7 +451,6 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
 
     best = 0.0
     grid = np.arange(grid_step, 1.0, grid_step)
-    count = len(grid) ** m if m <= 2 else m * len(grid) + 1
     for va in vas:
         blocks = _balanced_sectors(state, va, caps)
         chunk = _chunk_size(blocks)

@@ -3,11 +3,11 @@
 States are stored as direct sums over total-particle-number sectors, which
 enforces the number superselection rule by construction.  The basis within
 each sector is the set of occupation vectors in lexicographically descending
-order, fixed once and for all so that serialized states are portable.  A
-block is held as a dense matrix or as factors (V, lam) with
-rho_N = V diag(lam) V†; pure and low-rank states stay factored through the
-optics and the local-number projection, and the dense matrix is built only
-when asked for.
+order, fixed once and for all so that serialized states are portable.  Every
+block has factors (V, lam) with rho_N = V diag(lam) V† from birth: a dense
+block is validated and factored once, where the user hands it in, and every
+internal operation forms its factors directly, through ``_column_factors``
+where columns are merged.  The dense matrix is built only when asked for.
 
 Everything here is immutable after construction (a lazily built form is
 cached, and rebuilding it gives the same value) and every operation is a
@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -166,19 +167,34 @@ class PureSectorState:
             self.modes, {self.particles: (1.0, amps[:, None], np.ones(1))})
 
 
-def _validate_block(mat: np.ndarray, dim: int, N: int) -> np.ndarray:
+def _eigh_factors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, lam, evals) with mat ~ V diag(lam) V†, from one eigh on the support
+    rows: evals are all its eigenvalues, lam those above the numerical-rank
+    cutoff (support size times machine epsilon times the largest)."""
+    support = np.flatnonzero(np.any(mat != 0, axis=1))
+    evals, evecs = np.linalg.eigh(mat[np.ix_(support, support)])
+    keep = evals > len(support) * np.finfo(float).eps * evals.max(initial=0.0)
+    vecs = np.zeros((mat.shape[0], int(keep.sum())), dtype=complex)
+    vecs[support] = evecs[:, keep]
+    return vecs, evals[keep], evals
+
+
+def _validate_block(mat: np.ndarray, dim: int, N: int) -> tuple:
+    """(the symmetrised unit-trace block, V, lam) of a user-supplied block;
+    the PSD check reads the eigenvalues of the eigh that gives the factors."""
     if mat.shape != (dim, dim):
         raise ValidationError(f"block N={N} has shape {mat.shape}, expected ({dim}, {dim})")
     if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(mat))):
         raise ValidationError(f"block N={N} not Hermitian within {HERMITICITY_TOL}")
     mat = (mat + mat.conj().T) / 2
-    evals = np.linalg.eigvalsh(mat)
-    if evals.min() < -PSD_TOL:
-        raise ValidationError(f"block N={N} not PSD: min eigenvalue {evals.min():.3e}")
     tr = np.trace(mat).real
     if abs(tr - 1.0) > 1e-9:
         raise ValidationError(f"block N={N} trace {tr} not 1")
-    return _unit_trace(mat)
+    mat = _unit_trace(mat)
+    V, lam, evals = _eigh_factors(mat)
+    if evals.min(initial=0.0) < -PSD_TOL:
+        raise ValidationError(f"block N={N} not PSD: min eigenvalue {evals.min():.3e}")
+    return mat, V, lam
 
 
 def _unit_trace(mat: np.ndarray) -> np.ndarray:
@@ -187,18 +203,28 @@ def _unit_trace(mat: np.ndarray) -> np.ndarray:
     return mat / tr if abs(tr - 1.0) > RENORM_TOL else mat
 
 
-def _factor_block(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V, lam) with mat ~ V diag(lam) V†, from one eigh on the support rows.
+def _column_factors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, mu) with X X† = V diag(mu) V†, V orthonormal, for columns X (d x T),
+    with the cutoff of ``_eigh_factors``.  For T < d, V = X Q mu^{-1/2} for the
+    eigenpairs (Q, mu) of the Gram matrix X†X, read off the thin SVD of X so
+    that V stays orthonormal for near-parallel columns; else one eigh of X X†."""
+    if X.shape[1] < X.shape[0]:
+        V, s, _ = np.linalg.svd(X, full_matrices=False)
+        mu = s * s
+        keep = mu > len(mu) * np.finfo(float).eps * mu.max(initial=0.0)
+        return V[:, keep], mu[keep]
+    return _eigh_factors(X @ X.conj().T)[:2]
 
-    Eigenvalues at or below the numerical-rank cutoff (support size times
-    machine epsilon times the largest eigenvalue) are dropped, and with them
-    the small negative eigenvalues that PSD_TOL admits."""
-    support = np.flatnonzero(np.any(mat != 0, axis=1))
-    evals, evecs = np.linalg.eigh(mat[np.ix_(support, support)])
-    keep = evals > len(support) * np.finfo(float).eps * evals.max(initial=0.0)
-    vecs = np.zeros((mat.shape[0], int(keep.sum())), dtype=complex)
-    vecs[support] = evecs[:, keep]
-    return vecs, evals[keep]
+
+def _normalized_state(modes: int, factors: dict) -> tuple:
+    """{N: (V, mu)}, unnormalised blocks V diag(mu) V† -> (their normalised
+    state without blocks of trace <= BLOCK_DROP_TOL, or None, total trace)."""
+    traces = {N: float(mu.sum()) for N, (_, mu) in factors.items()}
+    kept = {N: tr for N, tr in traces.items() if tr > BLOCK_DROP_TOL}
+    norm = sum(kept.values())
+    state = BlockDiagonalState._factored(modes, {
+        N: (tr / norm, factors[N][0], factors[N][1] / tr) for N, tr in kept.items()})
+    return (state if kept else None), sum(traces.values())
 
 
 class BlockDiagonalState:
@@ -207,16 +233,15 @@ class BlockDiagonalState:
     Block-diagonal in total particle number by construction, i.e. the state
     commutes with the number operator.
 
-    A block is held either as a dense matrix or as factors (V, lam) with
-    rho_N = V diag(lam) V†, V an orthonormal d x r matrix and lam > 0.
-    ``BlockDiagonalState(...)`` validates dense blocks; pure states from
-    ``PureSectorState.to_block_state`` and the results of ``append_vacuum``
-    and ``apply_mode_unitary`` are born factored, which is valid by
-    construction.  Each form is built from the other on first use and
-    cached: ``factor(N)`` runs one eigh on a dense-born block's support rows,
-    and ``block(N)``, ``blocks`` and ``state_to_json`` build an exactly
-    Hermitian dense block from factors.  A racing second build computes the
-    same value, so states can still be shared between threads.
+    Every block has factors (V, lam) with rho_N = V diag(lam) V†, V an
+    orthonormal d x r matrix and lam > 0.  ``BlockDiagonalState(...)``
+    validates user-supplied dense blocks and factors each by one eigh, keeping
+    the validated matrix (so JSON round trips are bit-exact); every state the
+    library builds is born factored through ``_factored``.  ``block(N)``,
+    ``blocks`` and ``state_to_json`` build an exactly Hermitian dense block
+    from the factors on first use, never above the desk block size.  A racing
+    second build computes the same value, so states can be shared between
+    threads.
     """
 
     __slots__ = ("modes", "_weights", "_dense", "_factors")
@@ -241,11 +266,12 @@ class BlockDiagonalState:
         if not cleaned:
             raise ValidationError("all blocks dropped; state has no weight")
         if abs(kept - 1.0) > RENORM_TOL:
-            cleaned = {N: (p / kept, mat) for N, (p, mat) in cleaned.items()}
+            cleaned = {N: (p / kept, b) for N, (p, b) in cleaned.items()}
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "_weights", {N: p for N, (p, _) in cleaned.items()})
-        object.__setattr__(self, "_dense", {N: _freeze(mat) for N, (_, mat) in cleaned.items()})
-        object.__setattr__(self, "_factors", {})
+        object.__setattr__(self, "_dense", {N: _freeze(b[0]) for N, (_, b) in cleaned.items()})
+        object.__setattr__(self, "_factors", {
+            N: (_freeze(b[1]), _freeze(b[2])) for N, (_, b) in cleaned.items()})
 
     @classmethod
     def _factored(cls, modes: int, factors: dict) -> "BlockDiagonalState":
@@ -276,6 +302,9 @@ class BlockDiagonalState:
         """Dense density matrix of sector N, built from the factors on first use."""
         if N not in self._dense:
             V, lam = self._factors[N]
+            if V.shape[0] > _MAX_BLOCK_DIM:
+                raise DeskScaleError(f"block N={N} of dimension {V.shape[0]} exceeds the "
+                                     f"desk block size {_MAX_BLOCK_DIM}; use its factors")
             # symmetrised in place: at most two d x d arrays are alive at once
             mat = (V * lam) @ V.conj().T
             mat += mat.conj().T
@@ -290,9 +319,6 @@ class BlockDiagonalState:
 
     def factor(self, N: int) -> tuple[np.ndarray, np.ndarray]:
         """(V, lam) with block N = V diag(lam) V†, V orthonormal, lam > 0."""
-        if N not in self._factors:
-            V, lam = _factor_block(self._dense[N])
-            self._factors[N] = (_freeze(V), _freeze(lam))
         return self._factors[N]
 
     def mean_particle_number(self) -> float:
@@ -316,7 +342,7 @@ class BlockDiagonalState:
 
 
 def vacuum_state(modes: int = 1) -> BlockDiagonalState:
-    return BlockDiagonalState(modes, {0: (1.0, np.array([[1.0 + 0j]]))})
+    return fock_state((0,) * modes).to_block_state()
 
 
 def fock_state(occupation, caps: DeskCaps = DESK) -> PureSectorState:
@@ -330,15 +356,6 @@ def fock_state(occupation, caps: DeskCaps = DESK) -> PureSectorState:
     return PureSectorState(basis, amps)
 
 
-def _normalized_blocks(acc: dict) -> tuple[dict, float]:
-    """{N: matrix} -> ({N: (trace / total trace, matrix / trace)}, total trace),
-    dropping blocks whose trace is at most BLOCK_DROP_TOL."""
-    traces = {N: np.trace(mat).real for N, mat in acc.items()}
-    total = sum(traces.values())
-    blocks = {N: (tr / total, acc[N] / tr) for N, tr in traces.items() if tr > BLOCK_DROP_TOL}
-    return blocks, total
-
-
 def mix_states(pairs) -> BlockDiagonalState:
     """Convex mixture of block-diagonal states on a common mode count."""
     pairs = list(pairs)
@@ -347,14 +364,15 @@ def mix_states(pairs) -> BlockDiagonalState:
     modes = pairs[0][1].modes
     if any(s.modes != modes for _, s in pairs):
         raise ValidationError("mixture components must share the mode count")
-    if abs(sum(w for w, _ in pairs) - 1.0) > 1e-10:
-        raise ValidationError("mixture weights must sum to 1")
-    acc: dict[int, np.ndarray] = {}
+    if not all(w >= 0 for w, _ in pairs) or abs(sum(w for w, _ in pairs) - 1.0) > 1e-10:
+        raise ValidationError("mixture weights must be nonnegative and sum to 1")
+    columns: dict[int, list] = {}
     for w, s in pairs:
-        for N, (p, mat) in s.blocks.items():
-            acc[N] = acc.get(N, 0) + w * p * mat
-    blocks, _ = _normalized_blocks(acc)
-    return BlockDiagonalState(modes, blocks, caps=UNCAPPED)
+        for N in s.sectors():
+            V, lam = s.factor(N)
+            columns.setdefault(N, []).append(V * np.sqrt(w * s.weight(N) * lam))
+    return _normalized_state(
+        modes, {N: _column_factors(np.hstack(cols)) for N, cols in columns.items()})[0]
 
 
 def tensor_compose(s1: BlockDiagonalState, s2: BlockDiagonalState,
@@ -365,19 +383,19 @@ def tensor_compose(s1: BlockDiagonalState, s2: BlockDiagonalState,
     """
     m1, m2 = s1.modes, s2.modes
     m = m1 + m2
-    acc: dict[int, np.ndarray] = {}
-    for N1, (p1, a) in s1.blocks.items():
-        b1 = enumerate_basis(m1, N1, UNCAPPED)
-        for N2, (p2, b) in s2.blocks.items():
-            b2 = enumerate_basis(m2, N2, UNCAPPED)
-            N = N1 + N2
-            basis = enumerate_basis(m, N, caps)
-            idx = [basis.index(occ1 + occ2) for occ1 in b1.states for occ2 in b2.states]
-            small = np.kron(a, b)
-            big = acc.setdefault(N, np.zeros((basis.dim, basis.dim), dtype=complex))
-            big[np.ix_(idx, idx)] += p1 * p2 * small
-    blocks, _ = _normalized_blocks(acc)
-    return BlockDiagonalState(m, blocks, caps=caps)
+    parts: dict[int, list] = {}
+    for N1, N2 in product(s1.sectors(), s2.sectors()):
+        (V1, lam1), (V2, lam2) = s1.factor(N1), s2.factor(N2)
+        basis = enumerate_basis(m, N1 + N2, caps)
+        rows = [basis.index(a + b) for a, b in product(_basis_states(m1, N1),
+                                                       _basis_states(m2, N2))]
+        V = np.zeros((basis.dim, V1.shape[1] * V2.shape[1]), dtype=complex)
+        V[rows] = np.kron(V1, V2)
+        mu = s1.weight(N1) * s2.weight(N2) * np.kron(lam1, lam2)
+        parts.setdefault(N1 + N2, []).append((V, mu))
+    # different (N1, N2) pairs occupy different basis states, so the stacked
+    # columns stay orthonormal and need no eigensolve
+    return _normalized_state(m, {N: [np.hstack(x) for x in zip(*p)] for N, p in parts.items()})[0]
 
 
 @dataclass(frozen=True)
@@ -420,7 +438,7 @@ class SectorState:
     ia * dim_b + ib; ``basis_a`` / ``basis_b`` give the factor bases.  A
     sector made by ``project_local_number`` is born as a factor F with
     matrix = F F† and unit Frobenius norm, and builds its matrix on first
-    use; one made from a matrix is factored on first use of ``factor``.
+    use; one made from a matrix is factored by one eigh where it is made.
     """
 
     __slots__ = ("basis_a", "basis_b", "_matrix", "_factor")
@@ -430,10 +448,11 @@ class SectorState:
         d = basis_a.dim * basis_b.dim
         if mat.shape != (d, d):
             raise ValidationError(f"sector matrix shape {mat.shape}, expected ({d}, {d})")
+        V, lam, _ = _eigh_factors(mat)
         object.__setattr__(self, "basis_a", basis_a)
         object.__setattr__(self, "basis_b", basis_b)
         object.__setattr__(self, "_matrix", _freeze(mat))
-        object.__setattr__(self, "_factor", None)
+        object.__setattr__(self, "_factor", _freeze(V * np.sqrt(lam)))
 
     @classmethod
     def _factored(cls, basis_a: FockBasis, basis_b: FockBasis,
@@ -458,11 +477,7 @@ class SectorState:
         return self._matrix
 
     def factor(self) -> np.ndarray:
-        """F with matrix = F F†; from one eigh on the support rows when the
-        sector was made from a matrix."""
-        if self._factor is None:
-            V, lam = _factor_block(self._matrix)
-            object.__setattr__(self, "_factor", _freeze(V * np.sqrt(lam)))
+        """F with matrix = F F†."""
         return self._factor
 
     @property
@@ -519,6 +534,19 @@ def _local_number_layout(modes: int, N: int, partition: ModePartition) -> dict:
     return layout
 
 
+def _sector_factors(state: BlockDiagonalState, partition: ModePartition):
+    """Yield ((N_A, N_B), p_N, F, basis_a, basis_b) for every local-number
+    sector: F holds the rows of its block's factor V sqrt(lam) that carry
+    those local numbers, placed on the product basis."""
+    for N in state.sectors():
+        V, lam = state.factor(N)
+        factor = V * np.sqrt(lam)
+        for key, (rows, pos, ba, bb) in _local_number_layout(state.modes, N, partition).items():
+            f = np.zeros((ba.dim * bb.dim, factor.shape[1]), dtype=complex)
+            f[pos] = factor[rows]
+            yield key, state.weight(N), f, ba, bb
+
+
 def project_local_number(state: BlockDiagonalState,
                          partition: ModePartition) -> SectorDecomposition:
     """Local-number projection (P_{N_A} ⊗ P_{N_B}) ρ (P_{N_A} ⊗ P_{N_B}).
@@ -528,18 +556,10 @@ def project_local_number(state: BlockDiagonalState,
     sector's trace."""
     partition.check_covers(state.modes)
     entries = {}
-    for N in state.sectors():
-        V, lam = state.factor(N)
-        factor = V * np.sqrt(lam)
-        for key, (rows, pos, ba, bb) in _local_number_layout(state.modes, N, partition).items():
-            sub = factor[rows]
-            tr = np.vdot(sub, sub).real
-            prob = state.weight(N) * tr
-            if prob < BLOCK_DROP_TOL:
-                continue
-            f = np.zeros((ba.dim * bb.dim, factor.shape[1]), dtype=complex)
-            f[pos] = sub / math.sqrt(tr)
-            entries[key] = (prob, SectorState._factored(ba, bb, f))
+    for key, p, f, ba, bb in _sector_factors(state, partition):
+        tr = np.vdot(f, f).real
+        if p * tr >= BLOCK_DROP_TOL:
+            entries[key] = (p * tr, SectorState._factored(ba, bb, f / math.sqrt(tr)))
     return SectorDecomposition(entries)
 
 
@@ -550,13 +570,29 @@ def dephase_local(state: BlockDiagonalState, partition: ModePartition,
     Output is sum over (N_A, N_B) of the two-sided projections; idempotent.
     """
     partition.check_covers(state.modes)
-    blocks = {}
-    for N, (p, mat) in state.blocks.items():
-        out = np.zeros_like(mat)
+    factors = {}
+    for N in state.sectors():
+        V, lam = state.factor(N)
+        factor = V * np.sqrt(state.weight(N) * lam)
+        cols = []
         for rows, _, _, _ in _local_number_layout(state.modes, N, partition).values():
-            out[np.ix_(rows, rows)] = mat[np.ix_(rows, rows)]
-        blocks[N] = (p, out)
-    return BlockDiagonalState(state.modes, blocks, caps=UNCAPPED)
+            cols.append(np.zeros_like(factor))
+            cols[-1][rows] = factor[rows]
+        factors[N] = _column_factors(np.hstack(cols))
+    return _normalized_state(state.modes, factors)[0]
+
+
+def _local_reduction(state: BlockDiagonalState, partition: ModePartition,
+                     b_factors: dict | None = None) -> dict:
+    """{N_A: (V, mu)}, the blocks of Tr_B[(1 ⊗ L L†) rho] unnormalised, with
+    L = ``b_factors[N_B]`` on each B sector (None: the identity)."""
+    columns: dict[int, list] = {}
+    for (na, nb), p, f, ba, bb in _sector_factors(state, partition):
+        f = math.sqrt(p) * f.reshape(ba.dim, bb.dim, -1)
+        if b_factors is not None:
+            f = np.einsum("bk,abj->akj", b_factors[nb].conj(), f)
+        columns.setdefault(na, []).append(f.reshape(ba.dim, -1))
+    return {na: _column_factors(np.hstack(cols)) for na, cols in columns.items()}
 
 
 def trace_out(state: BlockDiagonalState, partition: ModePartition) -> BlockDiagonalState:
@@ -565,17 +601,7 @@ def trace_out(state: BlockDiagonalState, partition: ModePartition) -> BlockDiago
     ma = len(partition.a_modes)
     if ma == 0:
         raise ValidationError("cannot trace out every mode")
-    acc: dict[int, np.ndarray] = {}
-    for N, (p, mat) in state.blocks.items():
-        layout = _local_number_layout(state.modes, N, partition)
-        for (na, _nb), (rows, pos, ba, bb) in layout.items():
-            # the (N_A, N_B) sector on the product basis, traced over B
-            sector = np.zeros((ba.dim * bb.dim,) * 2, dtype=complex)
-            sector[np.ix_(pos, pos)] = mat[np.ix_(rows, rows)]
-            reduced = np.einsum("ibjb->ij", sector.reshape(ba.dim, bb.dim, ba.dim, bb.dim))
-            acc[na] = acc.get(na, 0) + p * reduced
-    blocks, _ = _normalized_blocks(acc)
-    return BlockDiagonalState(ma, blocks, caps=UNCAPPED)
+    return _normalized_state(ma, _local_reduction(state, partition))[0]
 
 
 @lru_cache(maxsize=None)

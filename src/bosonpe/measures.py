@@ -608,7 +608,7 @@ def block_trace_distance(s1: BlockDiagonalState, s2: BlockDiagonalState) -> floa
     if s1.modes != s2.modes:
         raise ValidationError("states live on different mode counts")
     total = 0.0
-    for N in sorted(set(s1.blocks) | set(s2.blocks)):
+    for N in sorted(set(s1.sectors()) | set(s2.sectors())):
         p1, p2 = s1.weight(N), s2.weight(N)
         a = p1 * s1.block(N) if p1 > 0 else 0.0
         b = p2 * s2.block(N) if p2 > 0 else 0.0

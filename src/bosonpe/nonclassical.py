@@ -21,7 +21,6 @@ import numpy as np
 from scipy.special import gammaln, pdtrc, xlog1py, xlogy
 
 from .fock import (
-    BLOCK_DROP_TOL,
     DESK,
     BlockDiagonalState,
     DeskCaps,
@@ -30,11 +29,11 @@ from .fock import (
     _MAX_BLOCK_DIM,
     _desk_caps_at_least,
     tensor_compose,
-    vacuum_state,
 )
 from .activation import ActivationReport, ActivationSpec, activate
 from .states import (
     _MAX_DENSE_SUPPORT,
+    _block_coefficients,
     _classical_terms,
     _css_block,
     _direction_mixture_state,
@@ -168,23 +167,10 @@ def exchangeable_state(spec: ExchangeableSeparableSpec,
     """The full m-mode state described by ``spec`` (single block at N)."""
     if caps is None:
         caps = _desk_caps_at_least(spec.N, spec.m)
-    if spec.N == 0:
-        return vacuum_state(spec.m)
     weights, vectors = zip(*spec.symmetrized_terms())
-    mat = _css_block(_unit_rows(vectors), np.array(weights), spec.N, caps)
-    return BlockDiagonalState(spec.m, {spec.N: (1.0, mat)}, caps=caps)
-
-
-def _block_coefficients(weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-term weights (terms x n) -> the coefficient of each term's
-    coherent-spin projector in the state that ``_direction_mixture_state``
-    builds from them, and the total mass kept: entries below 1e-16 are
-    skipped, every weight is divided by the kept mass, and blocks of trace at
-    most BLOCK_DROP_TOL are dropped, as in ``_normalized_blocks``."""
-    kept = np.where(weights < 1e-16, 0.0, weights)
-    traces = kept.sum(axis=0)
-    total = float(traces.sum())
-    return np.where(traces > BLOCK_DROP_TOL, kept, 0.0) / total, total
+    rows = np.zeros((len(weights), spec.N + 1))
+    rows[:, spec.N] = weights
+    return _direction_mixture_state(_unit_rows(vectors), rows, spec.m, caps)
 
 
 def _css_trace_distance(directions, rho_weights: np.ndarray, sigma_weights: np.ndarray,
@@ -237,7 +223,7 @@ def _css_trace_distance(directions, rho_weights: np.ndarray, sigma_weights: np.n
 @dataclass(frozen=True)
 class DefinettiResult:
     """The classical approximation's distance and bound.  ``rho_reduced`` and
-    ``sigma_classical`` are built densely, and validated, on first access."""
+    ``sigma_classical`` are built, born factored, on first access."""
 
     distance: float
     bound: float
@@ -331,14 +317,10 @@ def two_copy_pe_check(state: BlockDiagonalState,
     joint = tensor_compose(state, state, caps=caps)
     report = activate(ActivationSpec(joint), caps=caps)
 
-    if joint.max_particles == 0:
-        verdict = "separable"
-    elif joint.max_particles <= 1:
+    if joint.max_particles <= 1:
         verdict = "separable"
     elif joint.modes == 2 and joint.max_particles <= 2:
-        sep = True
-        if 2 in joint.blocks:
-            sep = is_particle_separable_two_qubit(joint.block(2))
+        sep = joint.weight(2) == 0 or is_particle_separable_two_qubit(joint.block(2))
         verdict = "separable" if sep else "entangled"
     else:
         verdict = "undecidable"

@@ -29,9 +29,10 @@ from .fock import (
     _annihilation_maps,
     _complex_from_json,
     _complex_to_json,
-    _normalized_blocks,
+    _eigh_factors,
+    _local_reduction,
+    _normalized_state,
     enumerate_basis,
-    split_occupation,
 )
 
 UNITARITY_TOL = 1e-10
@@ -227,10 +228,8 @@ def append_vacuum(state: BlockDiagonalState, k: int,
 
 def measure_total_number(state: BlockDiagonalState) -> dict:
     """Projective number measurement: N -> (p_N, conditional state)."""
-    return {
-        N: (p, BlockDiagonalState(state.modes, {N: (1.0, mat)}, caps=UNCAPPED))
-        for N, (p, mat) in state.blocks.items()
-    }
+    return {N: (state.weight(N), BlockDiagonalState._factored(
+        state.modes, {N: (1.0, *state.factor(N))})) for N in state.sectors()}
 
 
 @dataclass(frozen=True)
@@ -242,15 +241,8 @@ class TruncatedFockSpace:
     n_max: int
 
     @property
-    def states(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for N in range(self.n_max + 1):
-            out.extend(enumerate_basis(self.modes, N, UNCAPPED).states)
-        return tuple(out)
-
-    @property
     def dim(self) -> int:
-        return len(self.states)
+        return math.comb(self.modes + self.n_max, self.n_max)
 
     def sector_slices(self) -> dict[int, slice]:
         out = {}
@@ -262,22 +254,26 @@ class TruncatedFockSpace:
         return out
 
 
-def validate_ssr_povm(space: TruncatedFockSpace, elements, tol: float = 1e-10):
+def validate_ssr_povm(space: TruncatedFockSpace, elements, tol: float = 1e-10) -> list:
     """Check POVM elements are PSD, complete, and commute with the number
-    operator (no coherences between sectors)."""
+    operator (no coherences between sectors).  Returns each element's number
+    blocks as factors {N: L}, E_N = L L†, from the eigh that checks PSD."""
     dim = space.dim
-    slices = space.sector_slices()
     total = np.zeros((dim, dim), dtype=complex)
+    factors = []
     for k, E in enumerate(elements):
         E = np.asarray(E, dtype=complex)
         if E.shape != (dim, dim):
             raise ValidationError(f"POVM element {k} has shape {E.shape}, expected {(dim, dim)}")
         if np.max(np.abs(E - E.conj().T)) > tol:
             raise ValidationError(f"POVM element {k} not Hermitian")
-        if np.linalg.eigvalsh((E + E.conj().T) / 2).min() < -tol:
-            raise ValidationError(f"POVM element {k} not PSD")
         off = E.copy()
-        for sl in slices.values():
+        factors.append({})
+        for N, sl in space.sector_slices().items():
+            V, lam, evals = _eigh_factors((E[sl, sl] + E[sl, sl].conj().T) / 2)
+            if evals.min(initial=0.0) < -tol:
+                raise ValidationError(f"POVM element {k} not PSD")
+            factors[-1][N] = V * np.sqrt(lam)
             off[sl, sl] = 0.0
         if np.max(np.abs(off)) > tol:
             raise ValidationError(
@@ -286,6 +282,7 @@ def validate_ssr_povm(space: TruncatedFockSpace, elements, tol: float = 1e-10):
         total += E
     if np.max(np.abs(total - np.eye(dim))) > 1e-8:
         raise ValidationError("POVM elements do not sum to the identity")
+    return factors
 
 
 def measure_destructive(state: BlockDiagonalState, partition: ModePartition,
@@ -300,33 +297,12 @@ def measure_destructive(state: BlockDiagonalState, partition: ModePartition,
     ma, mb = len(partition.a_modes), len(partition.b_modes)
     if mb == 0:
         raise ValidationError("destructive measurement needs at least one measured mode")
-    n_max = state.max_particles
-    space = TruncatedFockSpace(mb, n_max)
-    validate_ssr_povm(space, povm_elements, tol=tol)
-    b_index = {occ: i for i, occ in enumerate(space.states)}
-
     outcomes = {}
-    for k, E in enumerate(povm_elements):
-        E = np.asarray(E, dtype=complex)
-        acc: dict[int, np.ndarray] = {}
-        for N, (p, mat) in state.blocks.items():
-            basis = enumerate_basis(state.modes, N, UNCAPPED)
-            split = [split_occupation(occ, partition) for occ in basis.states]
-            for i, (na_i, nb_i) in enumerate(split):
-                for j, (na_j, nb_j) in enumerate(split):
-                    if sum(na_i) != sum(na_j):
-                        continue
-                    w = E[b_index[nb_j], b_index[nb_i]]
-                    if w == 0:
-                        continue
-                    ba = enumerate_basis(max(ma, 1), sum(na_i), UNCAPPED)
-                    out = acc.setdefault(sum(na_i), np.zeros((ba.dim, ba.dim), dtype=complex))
-                    out[ba.index(na_i if ma else (0,)), ba.index(na_j if ma else (0,))] += \
-                        p * mat[i, j] * w
-        blocks, prob = _normalized_blocks(acc)
-        if not blocks:
-            continue
-        outcomes[k] = (prob, BlockDiagonalState(max(ma, 1), blocks, caps=UNCAPPED))
+    for k, b_factors in enumerate(validate_ssr_povm(
+            TruncatedFockSpace(mb, state.max_particles), povm_elements, tol=tol)):
+        post, prob = _normalized_state(max(ma, 1), _local_reduction(state, partition, b_factors))
+        if post is not None:
+            outcomes[k] = (prob, post)
     return outcomes
 
 

@@ -4,11 +4,11 @@ A pure free state puts all N particles in one single-particle mode psi; mixed
 free states are convex mixtures of those.  Every such state, and every number
 block of a classical (Poisson) or exchangeable mixture, comes from one
 vectorised kernel: ``_css_amplitudes`` gives the Fock amplitudes of
-|css(d, n)> as the rows of a matrix A, one row per direction d, and
-``_css_block`` forms sum_t c_t |css_t><css_t| = A^T diag(c) A*.  Mixed-state
-separability is decided exactly only on the two-mode two-particle sector, via
-the positive partial transpose criterion on the first-quantized two-qubit
-embedding.
+|css(d, n)> as the rows of a matrix A, one row per direction d, and a block
+sum_t c_t |css_t><css_t| = A^T diag(c) A* is born factored from them.
+Mixed-state separability is decided exactly only on the two-mode two-particle
+sector, via the positive partial transpose criterion on the first-quantized
+two-qubit embedding.
 """
 
 from __future__ import annotations
@@ -20,14 +20,17 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .fock import (
+    BLOCK_DROP_TOL,
     DESK,
     BlockDiagonalState,
     DeskCaps,
     DeskScaleError,
     PureSectorState,
     ValidationError,
+    _column_factors,
     _desk_caps_at_least,
-    _normalized_blocks,
+    _eigh_factors,
+    _normalized_state,
     canonical_phase,
     enumerate_basis,
     mix_states,
@@ -83,10 +86,15 @@ class SeparableMixtureSpec:
 def _css_amplitudes(dirs: np.ndarray, n: int, caps: DeskCaps) -> np.ndarray:
     """Rows: the Fock amplitudes sqrt(n! / prod n_i!) prod d_i^{n_i} of
     |css(d, n)> for each row d of ``dirs``; a zero row is the vacuum at n = 0
-    and vanishes above it."""
+    and vanishes above it; the (rows, dim, modes) powers go 2**20 at a time."""
     occ = np.array(enumerate_basis(dirs.shape[1], n, caps).states)
     log_multinom = math.lgamma(n + 1) - np.sum(gammaln(occ + 1), axis=1)
-    return np.exp(0.5 * log_multinom) * np.prod(dirs[:, None, :] ** occ, axis=2)
+    out = np.empty((len(dirs), len(occ)), dtype=complex)
+    chunk = max(1, 2**20 // occ.size)
+    for s in range(0, len(dirs), chunk):
+        out[s:s + chunk] = np.exp(0.5 * log_multinom) * np.prod(
+            dirs[s:s + chunk, None, :] ** occ, axis=2)
+    return out
 
 
 def _css_block(dirs: np.ndarray, coef: np.ndarray, n: int, caps: DeskCaps) -> np.ndarray:
@@ -124,29 +132,43 @@ def _unit_rows(vectors) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+def _block_coefficients(weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per-term weights (terms x n) -> each term's coherent-spin coefficient
+    in the state ``_direction_mixture_state`` builds, and the mass kept:
+    entries below 1e-16 are skipped, the rest divided by the kept mass, and
+    blocks of trace at most BLOCK_DROP_TOL dropped."""
+    kept = np.where(weights < 1e-16, 0.0, weights)
+    traces = kept.sum(axis=0)
+    total = float(traces.sum())
+    return np.where(traces > BLOCK_DROP_TOL, kept, 0.0) / total, total
+
+
 def _direction_mixture_state(directions, weights: np.ndarray, l: int,
                              caps: DeskCaps) -> BlockDiagonalState:
-    """The dense state sum_t sum_n weights[t, n] |css(directions[t], n)><..|
-    on l modes, normalized by its total trace; entries below 1e-16 are
-    skipped.  A direction may be None (nothing on the l modes) where its
-    weights vanish above n = 0."""
+    """sum_t sum_n c[t, n] |css(directions[t], n)><..| on l modes for
+    c = ``_block_coefficients(weights)``, block n factored from the columns
+    A^T sqrt(c), or from ``_css_block`` when it has as many terms as basis
+    states.  A direction may be None where its weights vanish above n = 0."""
     dirs = np.array([np.zeros(l) if d is None else d for d in directions], dtype=complex)
-    kept = np.where(weights < 1e-16, 0.0, weights)
-    acc = {n: _css_block(dirs, c, n, caps) for n, c in enumerate(kept.T) if c.any()}
-    blocks, _ = _normalized_blocks(acc)
-    return BlockDiagonalState(l, blocks, caps=caps)
+    coef, _ = _block_coefficients(weights)
+    factors = {}
+    for n, c in enumerate(coef.T):
+        keep = c != 0
+        if keep.sum() >= enumerate_basis(l, n, caps).dim:
+            factors[n] = _eigh_factors(_css_block(dirs, c, n, caps))[:2]
+        elif keep.any():
+            factors[n] = _column_factors(_css_amplitudes(dirs[keep], n, caps).T
+                                         * np.sqrt(c[keep]))
+    return _normalized_state(l, factors)[0]
 
 
 def particle_separable_mixture(spec: SeparableMixtureSpec,
                                caps: DeskCaps = DESK) -> BlockDiagonalState:
     """Convex mixture of coherent spin states with a common particle number."""
-    n = spec.terms[0][1].N
-    m = spec.terms[0][1].modes
-    if n == 0:
-        return vacuum_state(m)
-    mat = _css_block(_unit_rows([cs.psi for _, cs in spec.terms]),
-                     np.array([w for w, _ in spec.terms]), n, caps)
-    return BlockDiagonalState(m, {n: (1.0, mat)}, caps=caps)
+    n, m = spec.terms[0][1].N, spec.terms[0][1].modes
+    rows = np.zeros((len(spec.terms), n + 1))
+    rows[:, n] = [w for w, _ in spec.terms]
+    return _direction_mixture_state(_unit_rows([cs.psi for _, cs in spec.terms]), rows, m, caps)
 
 
 def random_direction(m: int, rng) -> np.ndarray:

@@ -7,7 +7,9 @@ for one-body operators, scipy distributions for classical distances,
 pure-Python ``math.lgamma`` pmfs summed with ``math.fsum`` for the
 binomial and Poisson kernels, and per-resample and per-shot loops for the
 witness bootstrap and synthetic shot data.  The activation search oracle is
-the search loop with one full ``activate`` call per candidate.
+the search loop with one full ``activate`` call per candidate.  The state
+constructors' oracles are their earlier dense bodies: every block summed as a
+d x d matrix, on {N: (p_N, dense block)} dicts.
 """
 
 import math
@@ -83,7 +85,10 @@ def dense_activation(blocks: dict, m: int, u: np.ndarray) -> dict:
 def dense_local_sectors(blocks: dict, modes: int, a_modes, b_modes) -> dict:
     """(N_A, N_B) -> (probability, normalized sector matrix on the product
     basis |n_A> ⊗ |n_B>), sliced from dense blocks; an empty side is one
-    vacuum mode."""
+    vacuum mode.  A sector of trace at most 1e-14, the package's drop
+    tolerance, is left zero: dividing by a subnormal trace (a reflectivity
+    of 1e-78 gives 2e-311) returns inf, and p times its negativity is below
+    1e-13 anyway."""
     out = {}
     for N, (p, mat) in blocks.items():
         groups = {}
@@ -99,7 +104,7 @@ def dense_local_sectors(blocks: dict, modes: int, a_modes, b_modes) -> dict:
             sub = mat[np.ix_(idx, idx)]
             tr = np.trace(sub).real
             sector = np.zeros((ba.dim * bb.dim,) * 2, dtype=complex)
-            if tr > 0:
+            if tr > 1e-14:
                 sector[np.ix_(pos, pos)] = sub / tr
             out[(na, nb)] = (p * tr, sector, ba.dim, bb.dim)
     return out
@@ -366,3 +371,95 @@ def m_pe_from_activation_oracle(state, n_va_restarts: int = 4, seed=0,
                 step /= 2.0
         best = max(best, best_val)
     return best
+
+
+def normalized_dense_blocks(acc: dict) -> tuple[dict, float]:
+    """{N: matrix} -> ({N: (trace / total trace, matrix / trace)}, total trace),
+    dropping blocks whose trace is at most 1e-14."""
+    traces = {N: np.trace(mat).real for N, mat in acc.items()}
+    total = sum(traces.values())
+    blocks = {N: (tr / total, acc[N] / tr) for N, tr in traces.items() if tr > 1e-14}
+    return blocks, total
+
+
+def mix_states_oracle(pairs) -> dict:
+    """Convex mixture of [(w, {N: (p, block)})], summed densely."""
+    acc = {}
+    for w, blocks in pairs:
+        for N, (p, mat) in blocks.items():
+            acc[N] = acc.get(N, 0) + w * p * mat
+    return normalized_dense_blocks(acc)[0]
+
+
+def tensor_compose_oracle(m1: int, blocks1: dict, m2: int, blocks2: dict) -> dict:
+    """Tensor product of dense blocks re-indexed into the (m1 + m2)-mode basis."""
+    m = m1 + m2
+    acc = {}
+    for N1, (p1, a) in blocks1.items():
+        b1 = enumerate_basis(m1, N1, UNCAPPED)
+        for N2, (p2, b) in blocks2.items():
+            b2 = enumerate_basis(m2, N2, UNCAPPED)
+            basis = enumerate_basis(m, N1 + N2, UNCAPPED)
+            idx = [basis.index(o1 + o2) for o1 in b1.states for o2 in b2.states]
+            big = acc.setdefault(N1 + N2, np.zeros((basis.dim, basis.dim), dtype=complex))
+            big[np.ix_(idx, idx)] += p1 * p2 * np.kron(a, b)
+    return normalized_dense_blocks(acc)[0]
+
+
+def _split(occ, a_modes, b_modes):
+    return tuple(occ[i] for i in a_modes), tuple(occ[i] for i in b_modes)
+
+
+def dephase_local_oracle(modes: int, blocks: dict, a_modes, b_modes) -> dict:
+    """Each dense block with its entries between different local numbers zeroed."""
+    out = {}
+    for N, (p, mat) in blocks.items():
+        na = [sum(_split(occ, a_modes, b_modes)[0])
+              for occ in enumerate_basis(modes, N, UNCAPPED).states]
+        same = np.equal.outer(na, na)
+        out[N] = (p, np.where(same, mat, 0.0))
+    return out
+
+
+def measure_destructive_oracle(modes: int, blocks: dict, a_modes, b_modes, povm) -> dict:
+    """Outcome -> (probability, {N_A: (p, block)}) of Tr_B[(1 ⊗ E_k) rho] / p_k,
+    one matrix entry at a time; ``povm=None`` is the partial trace (one
+    outcome, E = 1)."""
+    ma, mb = len(a_modes), len(b_modes)
+    n_max = max(blocks)
+    b_states = [occ for n in range(n_max + 1)
+                for occ in enumerate_basis(max(mb, 1), n, UNCAPPED).states]
+    b_index = {occ: i for i, occ in enumerate(b_states)}
+    elements = [np.eye(len(b_states))] if povm is None else povm
+    outcomes = {}
+    for k, E in enumerate(elements):
+        acc = {}
+        for N, (p, mat) in blocks.items():
+            split = [_split(occ, a_modes, b_modes)
+                     for occ in enumerate_basis(modes, N, UNCAPPED).states]
+            for i, (na_i, nb_i) in enumerate(split):
+                for j, (na_j, nb_j) in enumerate(split):
+                    if sum(na_i) != sum(na_j):
+                        continue
+                    w = E[b_index[nb_j or (0,)], b_index[nb_i or (0,)]]
+                    ba = enumerate_basis(max(ma, 1), sum(na_i), UNCAPPED)
+                    out = acc.setdefault(sum(na_i), np.zeros((ba.dim, ba.dim), dtype=complex))
+                    out[ba.index(na_i or (0,)), ba.index(na_j or (0,))] += p * mat[i, j] * w
+        reduced, prob = normalized_dense_blocks(acc)
+        if reduced:
+            outcomes[k] = (prob, reduced)
+    return outcomes
+
+
+def css_mixture_oracle(directions, weights: np.ndarray, l: int) -> dict:
+    """sum_t sum_n weights[t, n] |css(directions[t], n)><..| on l modes from
+    per-basis-state amplitudes, entries below 1e-16 skipped, normalized by
+    the total trace; a direction None is the vacuum at n = 0."""
+    acc = {}
+    for d, row in zip(directions, weights):
+        for n, w in enumerate(row):
+            if w < 1e-16:
+                continue
+            amps = np.ones(1) if d is None else coherent_spin_amplitudes(d, n)
+            acc[n] = acc.get(n, 0) + w * np.outer(amps, amps.conj())
+    return normalized_dense_blocks(acc)[0]

@@ -6,6 +6,7 @@ import pytest
 
 from bosonpe.cli import main
 from bosonpe.fock import (
+    DeskScaleError,
     ValidationError,
     fock_state,
     mix_states,
@@ -266,6 +267,23 @@ def test_m_pe_from_activation_at_the_cap_corner():
 def test_m_pe_from_activation_rejects_bad_arguments(kwargs):
     with pytest.raises(ValidationError):
         m_pe_from_activation(fock_state((1, 1)).to_block_state(), **kwargs)
+
+
+@pytest.mark.parametrize("occupation, grid_step", [
+    ((1, 1), 1e-13),    # about 1e26 candidates on the 2-mode product grid
+    ((1, 1), 9.9e-4),   # 1010^2 candidates, just above the cap
+    ((1, 0, 1), 1e-13),  # the per-coordinate sweep on 3 modes
+])
+def test_m_pe_from_activation_refuses_huge_grids_before_allocating(occupation, grid_step):
+    state = fock_state(occupation).to_block_state()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DeskScaleError):
+            m_pe_from_activation(state, n_va_restarts=0, grid_step=grid_step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_dephasing_commutes_with_activation_for_number_superpositions():

@@ -5,7 +5,9 @@ and the coherent-spin kernel.
 it and ``append_vacuum`` return factored blocks that skip the eigenvalue
 check.  These properties pin them against the permanent oracle and against
 the full block validation, which user input still goes through; the dense
-blocks built from factors must pass that validation unchanged.  The whole
+blocks built from factors must pass that validation unchanged.  The
+column-factor kernel every internal state constructor uses is pinned against the
+dense X X†, with rank-deficient and near-parallel columns.  The whole
 factored activation pipeline (local-number projection, Schmidt spectra,
 sector negativities) is pinned against a plain dense reference, and so is
 the activation search's batched scoring through the local-filter identity.
@@ -35,6 +37,7 @@ from bosonpe.fock import (
     ModePartition,
     PureSectorState,
     ValidationError,
+    _column_factors,
     _validate_block,
     enumerate_basis,
     project_local_number,
@@ -101,7 +104,7 @@ def padded_states(draw, modes, max_particles=3):
 def assert_blocks_pass_validation(state):
     for N, (_, mat) in state.blocks.items():
         dim = enumerate_basis(state.modes, N, UNCAPPED).dim
-        assert np.array_equal(_validate_block(mat, dim, N), mat)
+        assert np.array_equal(_validate_block(mat, dim, N)[0], mat)
 
 
 @FEW
@@ -219,6 +222,30 @@ def test_css_kernel_and_mixture_blocks_match_oracle(data):
     assert state.sectors() == sorted(acc)
     for n, block in acc.items():
         assert np.max(np.abs(state.weight(n) * state.block(n) - block / total)) <= 1e-12
+
+
+@FEW
+@given(st.data())
+def test_column_factors_match_dense_oracle(data):
+    # X = B C with B of rank r: rank-deficient when r < min(d, T); a tiny
+    # spread around one repeated column makes the columns near parallel
+    d = data.draw(st.integers(1, 12))
+    T = data.draw(st.integers(1, 16))
+    r = data.draw(st.integers(1, min(d, T)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    B = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    C = rng.normal(size=(r, T)) + 1j * rng.normal(size=(r, T))
+    X = B @ C
+    if data.draw(st.booleans()):
+        spread = data.draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
+        X = X[:, :1] + spread * X
+    V, mu = _column_factors(X)
+    oracle = X @ X.conj().T
+    scale = max(1.0, np.max(np.abs(oracle)))
+    assert V.shape == (d, len(mu)) and len(mu) <= r
+    assert np.all(mu > 0)
+    assert np.max(np.abs((V * mu) @ V.conj().T - oracle)) <= 1e-13 * scale
+    assert np.max(np.abs(V.conj().T @ V - np.eye(len(mu)))) <= 1e-12
 
 
 @st.composite
