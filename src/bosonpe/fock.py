@@ -180,8 +180,8 @@ def _eigh_factors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _validate_block(mat: np.ndarray, dim: int, N: int) -> tuple:
-    """(the symmetrised unit-trace block, V, lam) of a user-supplied block;
-    the PSD check reads the eigenvalues of the eigh that gives the factors."""
+    """(the symmetrised unit-trace block, V, lam), frozen, of a user-supplied
+    block; the PSD check reads the eigenvalues of the eigh that gives V, lam."""
     if mat.shape != (dim, dim):
         raise ValidationError(f"block N={N} has shape {mat.shape}, expected ({dim}, {dim})")
     if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(mat))):
@@ -194,7 +194,7 @@ def _validate_block(mat: np.ndarray, dim: int, N: int) -> tuple:
     V, lam, evals = _eigh_factors(mat)
     if evals.min(initial=0.0) < -PSD_TOL:
         raise ValidationError(f"block N={N} not PSD: min eigenvalue {evals.min():.3e}")
-    return mat, V, lam
+    return _freeze(mat), _freeze(V), _freeze(lam)
 
 
 def _unit_trace(mat: np.ndarray) -> np.ndarray:
@@ -205,26 +205,25 @@ def _unit_trace(mat: np.ndarray) -> np.ndarray:
 
 def _column_factors(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(V, mu) with X X† = V diag(mu) V†, V orthonormal, for columns X (d x T),
-    with the cutoff of ``_eigh_factors``.  For T < d, V = X Q mu^{-1/2} for the
-    eigenpairs (Q, mu) of the Gram matrix X†X, read off the thin SVD of X so
-    that V stays orthonormal for near-parallel columns; else one eigh of X X†."""
+    with the cutoff of ``_eigh_factors`` (X X† has the nonzero rows of X as
+    support).  For T < d, V = X Q mu^{-1/2} for the eigenpairs (Q, mu) of the
+    Gram matrix X†X, read off the thin SVD of X so that V stays orthonormal
+    for near-parallel columns; else one eigh of X X†."""
     if X.shape[1] < X.shape[0]:
         V, s, _ = np.linalg.svd(X, full_matrices=False)
         mu = s * s
-        keep = mu > len(mu) * np.finfo(float).eps * mu.max(initial=0.0)
+        keep = mu > np.count_nonzero(X.any(axis=1)) * np.finfo(float).eps * mu.max(initial=0.0)
         return V[:, keep], mu[keep]
     return _eigh_factors(X @ X.conj().T)[:2]
 
 
-def _normalized_state(modes: int, factors: dict) -> tuple:
-    """{N: (V, mu)}, unnormalised blocks V diag(mu) V† -> (their normalised
-    state without blocks of trace <= BLOCK_DROP_TOL, or None, total trace)."""
-    traces = {N: float(mu.sum()) for N, (_, mu) in factors.items()}
-    kept = {N: tr for N, tr in traces.items() if tr > BLOCK_DROP_TOL}
+def _normalized_state(modes: int, factors: dict):
+    """{N: (V, mu)}, unnormalised blocks V diag(mu) V† -> their normalised
+    state without blocks of trace <= BLOCK_DROP_TOL, or None if none is left."""
+    kept = {N: float(mu.sum()) for N, (_, mu) in factors.items() if mu.sum() > BLOCK_DROP_TOL}
     norm = sum(kept.values())
-    state = BlockDiagonalState._factored(modes, {
-        N: (tr / norm, factors[N][0], factors[N][1] / tr) for N, tr in kept.items()})
-    return (state if kept else None), sum(traces.values())
+    blocks = {N: (tr / norm, factors[N][0], factors[N][1] / tr) for N, tr in kept.items()}
+    return BlockDiagonalState._factored(modes, blocks) if kept else None
 
 
 class BlockDiagonalState:
@@ -269,9 +268,8 @@ class BlockDiagonalState:
             cleaned = {N: (p / kept, b) for N, (p, b) in cleaned.items()}
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "_weights", {N: p for N, (p, _) in cleaned.items()})
-        object.__setattr__(self, "_dense", {N: _freeze(b[0]) for N, (_, b) in cleaned.items()})
-        object.__setattr__(self, "_factors", {
-            N: (_freeze(b[1]), _freeze(b[2])) for N, (_, b) in cleaned.items()})
+        object.__setattr__(self, "_dense", {N: b[0] for N, (_, b) in cleaned.items()})
+        object.__setattr__(self, "_factors", {N: b[1:] for N, (_, b) in cleaned.items()})
 
     @classmethod
     def _factored(cls, modes: int, factors: dict) -> "BlockDiagonalState":
@@ -372,7 +370,7 @@ def mix_states(pairs) -> BlockDiagonalState:
             V, lam = s.factor(N)
             columns.setdefault(N, []).append(V * np.sqrt(w * s.weight(N) * lam))
     return _normalized_state(
-        modes, {N: _column_factors(np.hstack(cols)) for N, cols in columns.items()})[0]
+        modes, {N: _column_factors(np.hstack(cols)) for N, cols in columns.items()})
 
 
 def tensor_compose(s1: BlockDiagonalState, s2: BlockDiagonalState,
@@ -395,7 +393,7 @@ def tensor_compose(s1: BlockDiagonalState, s2: BlockDiagonalState,
         parts.setdefault(N1 + N2, []).append((V, mu))
     # different (N1, N2) pairs occupy different basis states, so the stacked
     # columns stay orthonormal and need no eigensolve
-    return _normalized_state(m, {N: [np.hstack(x) for x in zip(*p)] for N, p in parts.items()})[0]
+    return _normalized_state(m, {N: [np.hstack(x) for x in zip(*p)] for N, p in parts.items()})
 
 
 @dataclass(frozen=True)
@@ -563,8 +561,7 @@ def project_local_number(state: BlockDiagonalState,
     return SectorDecomposition(entries)
 
 
-def dephase_local(state: BlockDiagonalState, partition: ModePartition,
-                  caps: DeskCaps = DESK) -> BlockDiagonalState:
+def dephase_local(state: BlockDiagonalState, partition: ModePartition) -> BlockDiagonalState:
     """Remove coherences between different local particle numbers.
 
     Output is sum over (N_A, N_B) of the two-sided projections; idempotent.
@@ -579,7 +576,7 @@ def dephase_local(state: BlockDiagonalState, partition: ModePartition,
             cols.append(np.zeros_like(factor))
             cols[-1][rows] = factor[rows]
         factors[N] = _column_factors(np.hstack(cols))
-    return _normalized_state(state.modes, factors)[0]
+    return _normalized_state(state.modes, factors)
 
 
 def _local_reduction(state: BlockDiagonalState, partition: ModePartition,
@@ -601,7 +598,7 @@ def trace_out(state: BlockDiagonalState, partition: ModePartition) -> BlockDiago
     ma = len(partition.a_modes)
     if ma == 0:
         raise ValidationError("cannot trace out every mode")
-    return _normalized_state(ma, _local_reduction(state, partition))[0]
+    return _normalized_state(ma, _local_reduction(state, partition))
 
 
 @lru_cache(maxsize=None)

@@ -245,13 +245,10 @@ class TruncatedFockSpace:
         return math.comb(self.modes + self.n_max, self.n_max)
 
     def sector_slices(self) -> dict[int, slice]:
-        out = {}
-        at = 0
-        for N in range(self.n_max + 1):
-            d = enumerate_basis(self.modes, N, UNCAPPED).dim
-            out[N] = slice(at, at + d)
-            at += d
-        return out
+        """N -> rows of sector N, after the comb(m + N - 1, m) rows below N."""
+        m = self.modes
+        return {N: slice(math.comb(m + N - 1, m), math.comb(m + N, m))
+                for N in range(self.n_max + 1)}
 
 
 def validate_ssr_povm(space: TruncatedFockSpace, elements, tol: float = 1e-10) -> list:
@@ -300,9 +297,10 @@ def measure_destructive(state: BlockDiagonalState, partition: ModePartition,
     outcomes = {}
     for k, b_factors in enumerate(validate_ssr_povm(
             TruncatedFockSpace(mb, state.max_particles), povm_elements, tol=tol)):
-        post, prob = _normalized_state(max(ma, 1), _local_reduction(state, partition, b_factors))
+        reduced = _local_reduction(state, partition, b_factors)
+        post = _normalized_state(max(ma, 1), reduced)
         if post is not None:
-            outcomes[k] = (prob, post)
+            outcomes[k] = (sum(float(mu.sum()) for _, mu in reduced.values()), post)
     return outcomes
 
 

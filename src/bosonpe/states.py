@@ -145,21 +145,21 @@ def _block_coefficients(weights: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _direction_mixture_state(directions, weights: np.ndarray, l: int,
                              caps: DeskCaps) -> BlockDiagonalState:
-    """sum_t sum_n c[t, n] |css(directions[t], n)><..| on l modes for
-    c = ``_block_coefficients(weights)``, block n factored from the columns
-    A^T sqrt(c), or from ``_css_block`` when it has as many terms as basis
-    states.  A direction may be None where its weights vanish above n = 0."""
+    """sum_t sum_n c[t, n] |css(directions[t], n)><..| on l modes, for
+    c = ``_block_coefficients(weights)``; only blocks with a kept term are
+    built, from the columns A^T sqrt(c), or by ``_css_block`` when the terms
+    are as many as the basis states.  A None direction has no weight above 0."""
     dirs = np.array([np.zeros(l) if d is None else d for d in directions], dtype=complex)
     coef, _ = _block_coefficients(weights)
     factors = {}
-    for n, c in enumerate(coef.T):
-        keep = c != 0
-        if keep.sum() >= enumerate_basis(l, n, caps).dim:
+    for n in np.flatnonzero(coef.any(axis=0)).tolist():
+        c = coef[:, n]
+        if np.count_nonzero(c) < enumerate_basis(l, n, caps).dim:
+            factors[n] = _column_factors(_css_amplitudes(dirs[c != 0], n, caps).T
+                                         * np.sqrt(c[c != 0]))
+        else:
             factors[n] = _eigh_factors(_css_block(dirs, c, n, caps))[:2]
-        elif keep.any():
-            factors[n] = _column_factors(_css_amplitudes(dirs[keep], n, caps).T
-                                         * np.sqrt(c[keep]))
-    return _normalized_state(l, factors)[0]
+    return _normalized_state(l, factors)
 
 
 def particle_separable_mixture(spec: SeparableMixtureSpec,

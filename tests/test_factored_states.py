@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ import pytest
 import bosonpe
 from bosonpe import fock
 from bosonpe.fock import (
+    DESK,
     UNCAPPED,
     BlockDiagonalState,
     ModePartition,
@@ -199,6 +201,22 @@ def test_internal_states_never_run_entry_validation(monkeypatch):
     assert calls == []
     BlockDiagonalState(1, {0: (1.0, np.eye(1))})  # the entry point still validates
     assert len(calls) == 1
+
+
+def test_classical_state_builds_only_sectors_with_weight():
+    # columns beyond the Poisson support are never enumerated: a far cutoff
+    # costs no basis, and a column of zero weight above the caps is no error
+    tracemalloc.start()
+    try:
+        state = classical_nd_state([0.3, 0.3, 0.3], n_max=150)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert state.sectors() == list(range(12))
+    capped = classical_nd_state([0.1, 0.1], n_max=10, caps=DESK)
+    assert capped.sectors() == list(range(DESK.max_particles + 1))
+    assert capped.allclose(classical_nd_state([0.1, 0.1], n_max=DESK.max_particles), tol=1e-15)
 
 
 # An 8-mode classical state with |alpha|^2 = 1.44 takes the Poisson cutoff
