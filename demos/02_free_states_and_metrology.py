@@ -16,7 +16,6 @@ from bosonpe import (
     CoherentSpinSpec,
     SingleParticleObservable,
     coherent_spin_state,
-    collective_generator,
     m_pe_f,
     noon_state,
     qfi,
@@ -30,14 +29,14 @@ sz = SingleParticleObservable(PAULI["z"])
 css = coherent_spin_state(
     CoherentSpinSpec(np.array([1.0, 1.0]) / math.sqrt(2), 4)).to_block_state()
 print("Coherent spin state along +x, N = 4:")
-print("   QFI  =", round(qfi(css, collective_generator(sz, 2, 4)), 6))
+print("   QFI  =", round(qfi(css, sz), 6))
 print("   4 V  =", round(4 * single_particle_variance(css, sz), 6))
 print("   monotone value:", m_pe_f(css).value)
 
 noon = noon_state(2).to_block_state()
 res = m_pe_f(noon)
 print("\nNOON state, N = 2:")
-print("   QFI  =", round(qfi(noon, collective_generator(sz, 2, 2)), 6))
+print("   QFI  =", round(qfi(noon, sz), 6))
 print("   4 V  =", round(4 * single_particle_variance(noon, sz), 6))
 print("   monotone value:", round(res.value, 10), "at Bloch direction", res.bloch)
 

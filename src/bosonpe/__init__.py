@@ -58,7 +58,6 @@ from .states import (
     random_particle_separable,
 )
 from .measures import (
-    CollectiveGenerator,
     SingleParticleObservable,
     block_trace_distance,
     collective_generator,
@@ -67,7 +66,6 @@ from .measures import (
     m_pe_f,
     negativity,
     qfi,
-    qfi_matrix,
     single_particle_variance,
 )
 from .activation import (

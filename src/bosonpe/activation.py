@@ -194,7 +194,7 @@ def fock_activation_amplitudes(occupation, alphas, sector) -> dict:
     if len(sector) != parties:
         raise ValidationError("one local particle number per party")
     col_norms = np.sum(np.abs(alphas) ** 2, axis=0)
-    if np.max(np.abs(col_norms - 1.0)) > 1e-10:
+    if not np.max(np.abs(col_norms - 1.0)) <= 1e-10:
         raise ValidationError("per-mode coefficients must satisfy sum_K |alpha_Ki|^2 = 1")
     N = sum(occupation)
     if sum(sector) != N:

@@ -33,7 +33,6 @@ from .measures import (
     PAULI,
     SingleParticleObservable,
     bloch_observable,
-    collective_generator,
     m_pe_f,
     qfi,
     single_particle_variance,
@@ -203,10 +202,8 @@ def cmd_activate(args) -> int:
 def cmd_qfi(args) -> int:
     state = parse_state(args.state)
     h = parse_observable(args.observable)
-    G = collective_generator(h, state.modes, state.max_particles)
-    value = qfi(state, G)
     emit({
-        "value": value,
+        "value": qfi(state, h),
         "variance_single_particle": single_particle_variance(state, h),
         "observable": args.observable,
     })
@@ -220,12 +217,8 @@ def cmd_mpef(args) -> int:
            "gap": res.upper - res.lower,
            "search_metadata": dict(res.metadata, search=res.search)}
     if res.bloch is not None:
-        nx, ny, nz = res.bloch
-        doc["argmax_h"] = {
-            "bloch": [nx, ny, nz],
-            "theta": math.acos(max(-1.0, min(1.0, nz))),
-            "phi": math.atan2(ny, nx),
-        }
+        doc["argmax_h"] = {"bloch": list(res.bloch), "theta": res.metadata["theta"],
+                           "phi": res.metadata["phi"]}
     else:
         doc["argmax_h"] = {"matrix": res.h}
     emit(doc)

@@ -116,14 +116,6 @@ def enumerate_basis(m: int, N: int, caps: DeskCaps = DESK) -> FockBasis:
     return FockBasis(m, N, _basis_states(m, N))
 
 
-def canonical_phase(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rescale a global phase so the first non-tiny amplitude is real positive."""
-    for x in vec:
-        if abs(x) > tol:
-            return vec * (abs(x) / x)
-    return vec.copy()
-
-
 @dataclass(frozen=True)
 class PureSectorState:
     """Unit vector in one fixed-N sector."""
@@ -138,7 +130,7 @@ class PureSectorState:
                 f"expected {self.basis.dim} amplitudes, got shape {amps.shape}"
             )
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValidationError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
@@ -149,9 +141,6 @@ class PureSectorState:
     @property
     def particles(self) -> int:
         return self.basis.particles
-
-    def canonicalized(self) -> "PureSectorState":
-        return PureSectorState(self.basis, canonical_phase(self.amplitudes))
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
@@ -184,15 +173,15 @@ def _validate_block(mat: np.ndarray, dim: int, N: int) -> tuple:
     block; the PSD check reads the eigenvalues of the eigh that gives V, lam."""
     if mat.shape != (dim, dim):
         raise ValidationError(f"block N={N} has shape {mat.shape}, expected ({dim}, {dim})")
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(mat))):
+    if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL * max(1.0, np.max(np.abs(mat))):
         raise ValidationError(f"block N={N} not Hermitian within {HERMITICITY_TOL}")
     mat = (mat + mat.conj().T) / 2
     tr = np.trace(mat).real
-    if abs(tr - 1.0) > 1e-9:
+    if not abs(tr - 1.0) <= 1e-9:
         raise ValidationError(f"block N={N} trace {tr} not 1")
     mat = _unit_trace(mat)
     V, lam, evals = _eigh_factors(mat)
-    if evals.min(initial=0.0) < -PSD_TOL:
+    if not evals.min(initial=0.0) >= -PSD_TOL:
         raise ValidationError(f"block N={N} not PSD: min eigenvalue {evals.min():.3e}")
     return _freeze(mat), _freeze(V), _freeze(lam)
 
@@ -259,7 +248,7 @@ class BlockDiagonalState:
                 continue
             basis = enumerate_basis(modes, int(N), caps)
             cleaned[int(N)] = (p, _validate_block(np.asarray(mat, dtype=complex), basis.dim, N))
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise ValidationError(f"block weights sum to {total}, not 1")
         kept = sum(p for p, _ in cleaned.values())
         if not cleaned:
@@ -496,7 +485,7 @@ class SectorDecomposition:
 
     def __post_init__(self):
         total = sum(p for p, _ in self.entries.values())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValidationError(f"sector probabilities sum to {total}, not 1")
 
     def probability(self, key) -> float:

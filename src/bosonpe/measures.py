@@ -15,9 +15,8 @@ One-body operators sum_ij f_ij a_i† a_j are never held as dense tensors.
 Each is applied to a block's factors (V, lam) as sum_i a_i† (sum_j f_ij
 a_j V) through the cached annihilation maps of ``fock``, so the QFI, the
 single-particle variance and the form M cost O(m^2 d r) per block of
-dimension d and rank r, with no d x d eigensolve.  ``second_quantized`` and
-``CollectiveGenerator.sector`` still build a dense sector matrix for
-callers that ask for one.
+dimension d and rank r, with no d x d eigensolve.  ``second_quantized``
+still builds a dense sector matrix for callers that ask for one.
 """
 
 from __future__ import annotations
@@ -62,10 +61,11 @@ class SingleParticleObservable:
         h = np.asarray(self.h, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValidationError("observable must be a square matrix")
-        if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
+        # written "not err <= tol" so that a NaN entry fails the check
+        if not np.max(np.abs(h - h.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(h))):
             raise ValidationError("observable must be Hermitian within 1e-12")
         h = (h + h.conj().T) / 2
-        if np.max(np.abs(np.linalg.eigvalsh(h))) > 1.0 + 1e-10:
+        if not np.max(np.abs(np.linalg.eigvalsh(h))) <= 1.0 + 1e-10:
             raise ValidationError("operator norm must be at most 1")
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
@@ -76,8 +76,12 @@ class SingleParticleObservable:
 
 
 def bloch_observable(n) -> SingleParticleObservable:
+    """n . sigma / |n| for a finite nonzero 3-vector n."""
     n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
+    norm = np.linalg.norm(n) if n.shape == (3,) else 0.0
+    if not 0.0 < norm < math.inf:
+        raise ValidationError("a Bloch vector must be a finite nonzero 3-vector")
+    n = n / norm
     return SingleParticleObservable(n[0] * PAULI["x"] + n[1] * PAULI["y"] + n[2] * PAULI["z"])
 
 
@@ -109,45 +113,24 @@ def _apply_one_body(f: np.ndarray, V: np.ndarray, m: int, N: int) -> np.ndarray:
     return _create(np.einsum("...ij,jtr->...itr", f, lowered), m, N)
 
 
-class CollectiveGenerator:
-    """(sum over particles of h) / sqrt(N) on each sector N.
-
-    ``qfi`` applies h to each block's factors through the annihilation maps
-    and never forms a sector matrix.  ``sector(N)`` builds the dense matrix
-    of sector N on its first call and keeps it; ``n_max`` is accepted for
-    compatibility, and no sector is built in advance."""
-
-    __slots__ = ("h", "modes", "_sectors")
-
-    def __init__(self, h: np.ndarray, modes: int, n_max: int):
-        h = np.asarray(h, dtype=complex)
-        if h.shape != (modes, modes):
-            raise ValidationError(f"h must be {modes}x{modes}")
-        self.h = h
-        self.modes = modes
-        self._sectors = {}
-
-    def sector(self, N: int) -> np.ndarray:
-        if N not in self._sectors:
-            mat = second_quantized(self.h, self.modes, N)
-            self._sectors[N] = mat / math.sqrt(N) if N else mat
-        return self._sectors[N]
-
-
-def collective_generator(h: SingleParticleObservable, m: int, n_max: int) -> CollectiveGenerator:
+def collective_generator(h: SingleParticleObservable, m: int,
+                         n_max: int) -> SingleParticleObservable:
+    """``h`` itself, after checking that it acts on ``m`` modes: ``qfi`` takes
+    the observable directly.  Kept for the benchmark's calling convention
+    until its next change (ROADMAP item 1); ``n_max`` is unread."""
     if h.modes != m:
         raise ValidationError("observable mode count mismatch")
-    return CollectiveGenerator(h.h, m, n_max)
+    return h
 
 
-def _qfi_weights(mu: np.ndarray, cutoff: float = QFI_EIGENVALUE_CUTOFF) -> np.ndarray:
+def _qfi_weights(mu: np.ndarray) -> np.ndarray:
     """w_kl = 2 (mu_k - mu_l)^2 / (mu_k + mu_l) over eigenvalues mu (0 where
-    mu_k + mu_l <= cutoff): a state's QFI for H is sum_kl w_kl |<k|H|l>|^2
-    in its eigenbasis."""
+    mu_k + mu_l <= QFI_EIGENVALUE_CUTOFF): a state's QFI for H is sum_kl w_kl
+    |<k|H|l>|^2 in its eigenbasis."""
     s = mu[:, None] + mu[None, :]
     d = mu[:, None] - mu[None, :]
     w = np.zeros_like(s)
-    mask = s > cutoff
+    mask = s > QFI_EIGENVALUE_CUTOFF
     w[mask] = 2.0 * d[mask] ** 2 / s[mask]
     return w
 
@@ -171,38 +154,23 @@ def _factor_qfi_form(BV: np.ndarray, V: np.ndarray, mu: np.ndarray) -> np.ndarra
     return form.real
 
 
-def qfi_matrix(rho: np.ndarray, H: np.ndarray,
-               cutoff: float = QFI_EIGENVALUE_CUTOFF) -> float:
-    """Spectral-form QFI 2 sum (l_i - l_j)^2 / (l_i + l_j) |<i|H|j>|^2."""
-    rho = np.asarray(rho, dtype=complex)
-    evals, evecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    Hm = evecs.conj().T @ H @ evecs
-    return float(np.sum(_qfi_weights(np.clip(evals, 0.0, None), cutoff) * np.abs(Hm) ** 2))
-
-
-def variance_matrix(rho: np.ndarray, H: np.ndarray) -> float:
-    """Operator variance Tr[rho H^2] - Tr[rho H]^2."""
-    m1 = np.trace(rho @ H).real
-    m2 = np.trace(rho @ H @ H).real
-    return float(m2 - m1 * m1)
-
-
-def qfi(state: BlockDiagonalState, G: CollectiveGenerator) -> float:
-    """QFI of the number-block state for a Hermitian block-diagonal generator.
+def qfi(state: BlockDiagonalState, h: SingleParticleObservable) -> float:
+    """QFI of the number-block state for the generator (sum over particles of
+    h) / sqrt(N) on each sector N.
 
     Additive over blocks.  Each block is read as factors (V, lam) with global
     eigenvalues mu = p_N lam, so the eigenvalue cutoff acts on the weighted
-    spectrum; the generator acts on V through the annihilation maps, and no
-    dense block, sector matrix or d x d eigensolve is formed.
+    spectrum; h acts on V through the annihilation maps, and no dense block,
+    sector matrix or d x d eigensolve is formed.
     """
-    if G.modes != state.modes:
-        raise ValidationError("generator mode count mismatch")
+    if h.modes != state.modes:
+        raise ValidationError("observable mode count mismatch")
     total = 0.0
     for N in state.sectors():
         if N == 0:
             continue
         V, lam = state.factor(N)
-        hv = _apply_one_body(G.h, V, G.modes, N) / math.sqrt(N)
+        hv = _apply_one_body(h.h, V, h.modes, N) / math.sqrt(N)
         total += _factor_qfi_form(hv[None], V, state.weight(N) * lam)[0, 0]
     return float(total)
 
@@ -237,8 +205,7 @@ def single_particle_variance(state: BlockDiagonalState,
 
 def qfi_minus_variance(state: BlockDiagonalState, h: SingleParticleObservable) -> float:
     """The objective F(rho, H_h) - 4 V(rho, h), not clipped at zero."""
-    G = collective_generator(h, state.modes, state.max_particles)
-    return qfi(state, G) - 4.0 * single_particle_variance(state, h)
+    return qfi(state, h) - 4.0 * single_particle_variance(state, h)
 
 
 @dataclass(frozen=True)
@@ -513,9 +480,9 @@ def negativity(state: BlockDiagonalState, partition: ModePartition) -> float:
     rho = np.zeros((da, db, da, db), dtype=complex)
     # each basis state has its own (ia, ib), and blocks of different N share
     # none, so every block fills its entries in one assignment
-    for N, (p, mat) in state.blocks.items():
+    for N in state.sectors():
         ia, ib = np.array(placements[N]).T
-        rho[ia[:, None], ib[:, None], ia, ib] = p * mat
+        rho[ia[:, None], ib[:, None], ia, ib] = state.weight(N) * state.block(N)
     return float(_partial_transpose_negativity(rho))
 
 

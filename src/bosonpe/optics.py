@@ -24,7 +24,6 @@ from .fock import (
     DeskCaps,
     DESK,
     ModePartition,
-    PureSectorState,
     ValidationError,
     _annihilation_maps,
     _complex_from_json,
@@ -48,7 +47,7 @@ class ModeUnitary:
         u = np.asarray(self.matrix, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValidationError(f"mode unitary must be square, got {u.shape}")
-        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > UNITARITY_TOL:
+        if not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= UNITARITY_TOL:
             raise ValidationError("matrix is not unitary within 1e-10")
         u.flags.writeable = False
         object.__setattr__(self, "matrix", u)
@@ -103,7 +102,7 @@ class BeamSplitterArray:
 
     def __post_init__(self):
         r = tuple(float(x) for x in self.reflectivities)
-        if any(x < 0 or x > 1 for x in r):
+        if not all(0 <= x <= 1 for x in r):
             raise ValidationError("reflectivities must lie in [0, 1]")
         object.__setattr__(self, "reflectivities", r)
 
@@ -199,15 +198,6 @@ def apply_mode_unitary(state: BlockDiagonalState, u: ModeUnitary,
     return BlockDiagonalState._factored(state.modes, factors)
 
 
-def apply_to_pure(s: PureSectorState, u: ModeUnitary) -> PureSectorState:
-    if u.modes != s.modes:
-        raise ValidationError("mode count mismatch")
-    support = np.flatnonzero(s.amplitudes)
-    amps = lift_unitary(u, s.particles, caps=UNCAPPED, columns=support) @ s.amplitudes[support]
-    amps = amps / np.linalg.norm(amps)
-    return PureSectorState(s.basis, amps)
-
-
 def append_vacuum(state: BlockDiagonalState, k: int,
                   caps: DeskCaps = DESK) -> BlockDiagonalState:
     """Append k modes in the vacuum; the rows of each block's V are re-indexed."""
@@ -232,52 +222,43 @@ def measure_total_number(state: BlockDiagonalState) -> dict:
         state.modes, {N: (1.0, *state.factor(N))})) for N in state.sectors()}
 
 
-@dataclass(frozen=True)
-class TruncatedFockSpace:
-    """All occupations of m modes with total particle number <= n_max,
-    ordered by sector then canonically within each sector."""
-
-    modes: int
-    n_max: int
-
-    @property
-    def dim(self) -> int:
-        return math.comb(self.modes + self.n_max, self.n_max)
-
-    def sector_slices(self) -> dict[int, slice]:
-        """N -> rows of sector N, after the comb(m + N - 1, m) rows below N."""
-        m = self.modes
-        return {N: slice(math.comb(m + N - 1, m), math.comb(m + N, m))
-                for N in range(self.n_max + 1)}
+def _sector_slices(modes: int, n_max: int) -> dict[int, slice]:
+    """N -> rows of sector N in the Fock space of ``modes`` modes with at most
+    n_max particles, ordered by sector then canonically within each sector:
+    sector N follows the comb(modes + N - 1, modes) rows below it."""
+    return {N: slice(math.comb(modes + N - 1, modes), math.comb(modes + N, modes))
+            for N in range(n_max + 1)}
 
 
-def validate_ssr_povm(space: TruncatedFockSpace, elements, tol: float = 1e-10) -> list:
-    """Check POVM elements are PSD, complete, and commute with the number
-    operator (no coherences between sectors).  Returns each element's number
-    blocks as factors {N: L}, E_N = L L†, from the eigh that checks PSD."""
-    dim = space.dim
+def validate_ssr_povm(modes: int, n_max: int, elements, tol: float = 1e-10) -> list:
+    """Check POVM elements on the Fock space of ``modes`` modes with at most
+    n_max particles are PSD, complete, and commute with the number operator
+    (no coherences between sectors).  Returns each element's number blocks as
+    factors {N: L}, E_N = L L†, from the eigh that checks PSD."""
+    slices = _sector_slices(modes, n_max)
+    dim = slices[n_max].stop
     total = np.zeros((dim, dim), dtype=complex)
     factors = []
     for k, E in enumerate(elements):
         E = np.asarray(E, dtype=complex)
         if E.shape != (dim, dim):
             raise ValidationError(f"POVM element {k} has shape {E.shape}, expected {(dim, dim)}")
-        if np.max(np.abs(E - E.conj().T)) > tol:
+        if not np.max(np.abs(E - E.conj().T)) <= tol:
             raise ValidationError(f"POVM element {k} not Hermitian")
         off = E.copy()
         factors.append({})
-        for N, sl in space.sector_slices().items():
+        for N, sl in slices.items():
             V, lam, evals = _eigh_factors((E[sl, sl] + E[sl, sl].conj().T) / 2)
             if evals.min(initial=0.0) < -tol:
                 raise ValidationError(f"POVM element {k} not PSD")
             factors[-1][N] = V * np.sqrt(lam)
             off[sl, sl] = 0.0
-        if np.max(np.abs(off)) > tol:
+        if not np.max(np.abs(off)) <= tol:
             raise ValidationError(
                 f"POVM element {k} has coherences between particle-number sectors"
             )
         total += E
-    if np.max(np.abs(total - np.eye(dim))) > 1e-8:
+    if not np.max(np.abs(total - np.eye(dim))) <= 1e-8:
         raise ValidationError("POVM elements do not sum to the identity")
     return factors
 
@@ -296,7 +277,7 @@ def measure_destructive(state: BlockDiagonalState, partition: ModePartition,
         raise ValidationError("destructive measurement needs at least one measured mode")
     outcomes = {}
     for k, b_factors in enumerate(validate_ssr_povm(
-            TruncatedFockSpace(mb, state.max_particles), povm_elements, tol=tol)):
+            mb, state.max_particles, povm_elements, tol=tol)):
         reduced = _local_reduction(state, partition, b_factors)
         post = _normalized_state(max(ma, 1), reduced)
         if post is not None:
@@ -308,9 +289,10 @@ def random_ssr_povm(modes: int, n_max: int, n_outcomes: int, seed) -> list[np.nd
     """Random SSR-respecting POVM built from Haar rank-1 projectors per sector,
     assigned to outcomes at random."""
     rng = np.random.default_rng(seed)
-    space = TruncatedFockSpace(modes, n_max)
-    elements = [np.zeros((space.dim, space.dim), dtype=complex) for _ in range(n_outcomes)]
-    for N, sl in space.sector_slices().items():
+    slices = _sector_slices(modes, n_max)
+    dim = slices[n_max].stop
+    elements = [np.zeros((dim, dim), dtype=complex) for _ in range(n_outcomes)]
+    for N, sl in slices.items():
         d = sl.stop - sl.start
         z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         q, _ = np.linalg.qr(z)

@@ -31,7 +31,6 @@ from .fock import (
     _desk_caps_at_least,
     _eigh_factors,
     _normalized_state,
-    canonical_phase,
     enumerate_basis,
     mix_states,
     single_particle_rdm,
@@ -362,11 +361,3 @@ def noon_state(N: int, caps: DeskCaps = DESK) -> PureSectorState:
     amps[basis.index((0, N))] = 1.0 / math.sqrt(2.0)
     return PureSectorState(basis, amps)
 
-
-def states_equal_up_to_phase(a: PureSectorState, b: PureSectorState,
-                             tol: float = 1e-10) -> bool:
-    if a.basis != b.basis:
-        return False
-    va = canonical_phase(a.amplitudes)
-    vb = canonical_phase(b.amplitudes)
-    return bool(np.max(np.abs(va - vb)) <= tol)

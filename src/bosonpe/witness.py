@@ -104,13 +104,12 @@ class SpinMoments:
         return self.axes[name]
 
 
-def estimate_moments(data: SpinShotDataset,
-                     required=("x", "y", "z")) -> SpinMoments:
+def estimate_moments(data: SpinShotDataset) -> SpinMoments:
     """Sample means and unbiased variances/covariances of the region spins."""
-    return _moments_from_spins(_spins_by_axis(data), required)
+    return _moments_from_spins(_spins_by_axis(data))
 
 
-def _moments_from_spins(spins: dict, required) -> SpinMoments:
+def _moments_from_spins(spins: dict) -> SpinMoments:
     """``estimate_moments`` on the arrays of ``_spins_by_axis``."""
     axes = {}
     for axis, (sa, sb) in spins.items():
@@ -124,11 +123,11 @@ def _moments_from_spins(spins: dict, required) -> SpinMoments:
             var_a = var_b = cov = math.nan
         axes[axis] = AxisMoments(float(np.mean(sa)), float(np.mean(sb)),
                                  var_a, var_b, cov, sa.size)
-    for axis in required:
+    for axis in AXES:
         if axis not in axes:
             raise ValidationError(f"axis {axis!r} missing from the dataset")
     for axis in ("z", "y"):
-        if axis in required and axes[axis].n_shots < 2:
+        if axes[axis].n_shots < 2:
             raise ValidationError(f"need at least 2 shots on axis {axis!r} for variances")
     return SpinMoments(axes)
 
@@ -248,7 +247,7 @@ def pe_lower_bound(data: SpinShotDataset, params: WitnessParams,
     if not 0.0 < norm < math.inf:
         raise ValidationError(f"normalization must be positive and finite, got {norm!r}")
     spins = _spins_by_axis(data)
-    moments = _moments_from_spins(spins, AXES)
+    moments = _moments_from_spins(spins)
     bound, witness = _bound_from_moments(moments, params, norm)
     if not math.isfinite(bound):
         raise ValidationError(f"witness bound is not finite at g_z={params.g_z!r}, "

@@ -3,13 +3,15 @@
 These deliberately avoid the package's own computational paths: permanents
 for lifted unitaries, an explicit first-quantized symmetric embedding for
 reduced density matrices and collective generators, a dense a_i† a_j tensor
-for one-body operators, scipy distributions for classical distances,
-pure-Python ``math.lgamma`` pmfs summed with ``math.fsum`` for the
-binomial and Poisson kernels, and per-resample and per-shot loops for the
-witness bootstrap and synthetic shot data.  The activation search oracle is
-the search loop with one full ``activate`` call per candidate.  The state
-constructors' oracles are their earlier dense bodies: every block summed as a
-d x d matrix, on {N: (p_N, dense block)} dicts.
+for one-body operators, the spectral-form QFI and operator variance of dense
+matrices, scipy distributions for classical distances, pure-Python
+``math.lgamma`` pmfs summed with ``math.fsum`` for the binomial and Poisson
+kernels, and per-resample and per-shot loops for the witness bootstrap and
+synthetic shot data.  The activation search oracle is the search loop with
+one full ``activate`` call per candidate.  The state constructors' oracles
+are their earlier dense bodies: every block summed as a d x d matrix, on
+{N: (p_N, dense block)} dicts.  ``apply_to_pure`` is no oracle: it runs the
+package's sector lift on a pure sector state, for the tests of that lift.
 """
 
 import math
@@ -17,7 +19,8 @@ from itertools import product
 
 import numpy as np
 
-from bosonpe.fock import DESK, UNCAPPED, enumerate_basis
+from bosonpe.fock import DESK, UNCAPPED, PureSectorState, ValidationError, enumerate_basis
+from bosonpe.optics import lift_unitary
 
 
 def ryser_permanent(a: np.ndarray) -> complex:
@@ -225,6 +228,56 @@ def qfi_finite_difference(rho: np.ndarray, h: np.ndarray, eps: float = 1e-4) -> 
     fp = fid_at(eps)
     fm = fid_at(-eps)
     return -4.0 * (fp - 2.0 * f0 + fm) / eps**2
+
+
+def qfi_matrix(rho: np.ndarray, H: np.ndarray) -> float:
+    """Spectral-form QFI 2 sum (l_i - l_j)^2 / (l_i + l_j) |<i|H|j>|^2 over
+    the eigenpairs of rho, leaving out pairs with l_i + l_j <= 1e-12."""
+    rho = np.asarray(rho, dtype=complex)
+    evals, evecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    mu = np.clip(evals, 0.0, None)
+    s = mu[:, None] + mu[None, :]
+    d = mu[:, None] - mu[None, :]
+    w = np.zeros_like(s)
+    mask = s > 1e-12
+    w[mask] = 2.0 * d[mask] ** 2 / s[mask]
+    Hm = evecs.conj().T @ H @ evecs
+    return float(np.sum(w * np.abs(Hm) ** 2))
+
+
+def variance_matrix(rho: np.ndarray, H: np.ndarray) -> float:
+    """Operator variance Tr[rho H^2] - Tr[rho H]^2."""
+    m1 = np.trace(rho @ H).real
+    m2 = np.trace(rho @ H @ H).real
+    return float(m2 - m1 * m1)
+
+
+def canonical_phase(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Rescale a global phase so the first non-tiny amplitude is real positive."""
+    for x in vec:
+        if abs(x) > tol:
+            return vec * (abs(x) / x)
+    return vec.copy()
+
+
+def states_equal_up_to_phase(a, b, tol: float = 1e-10) -> bool:
+    """Whether two ``PureSectorState``s share a basis and agree up to a global phase."""
+    if a.basis != b.basis:
+        return False
+    va = canonical_phase(a.amplitudes)
+    vb = canonical_phase(b.amplitudes)
+    return bool(np.max(np.abs(va - vb)) <= tol)
+
+
+def apply_to_pure(s, u):
+    """The ``PureSectorState`` s after the ``ModeUnitary`` u, through the
+    package's sector lift restricted to the support of s."""
+    if u.modes != s.modes:
+        raise ValidationError("mode count mismatch")
+    support = np.flatnonzero(s.amplitudes)
+    amps = lift_unitary(u, s.particles, caps=UNCAPPED, columns=support) @ s.amplitudes[support]
+    amps = amps / np.linalg.norm(amps)
+    return PureSectorState(s.basis, amps)
 
 
 def binomial_pmf_oracle(k: int, N: int, p: float) -> float:

@@ -36,12 +36,7 @@ from bosonpe.states import (
     random_free_state,
     random_particle_separable,
 )
-from bosonpe.measures import (
-    m_pe_f,
-    qfi_matrix,
-    second_quantized,
-    variance_matrix,
-)
+from bosonpe.measures import m_pe_f, second_quantized
 from bosonpe.activation import (
     ActivationSpec,
     activate,
@@ -63,7 +58,7 @@ from bosonpe.witness import (
     synthesize_dataset,
 )
 
-from helpers import random_density
+from helpers import qfi_matrix, random_density, variance_matrix
 from test_measures import dense_bloch_grid_mpef
 
 

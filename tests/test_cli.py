@@ -77,6 +77,40 @@ def test_mpef_subcommand(capsys):
     assert 0.0 <= doc["gap"] <= 1e-12
 
 
+MPEF_NOON2_STDOUT = """{
+  "value": 4.0,
+  "lower": 4.0,
+  "upper": 4.0,
+  "gap": 0.0,
+  "search_metadata": {
+    "objective": 4.0,
+    "theta": 0.0,
+    "phi": 0.0,
+    "search": "two_mode_exact"
+  },
+  "argmax_h": {
+    "bloch": [
+      0.0,
+      0.0,
+      1.0
+    ],
+    "theta": 0.0,
+    "phi": 0.0
+  }
+}
+"""
+
+
+def test_mpef_stdout_is_pinned(capsys):
+    """The whole document, byte for byte; the argmax angles are the two-mode
+    solver's own (theta, phi) of its Bloch vector."""
+    assert run_cli(capsys, "mpef", "--state", "noon:2") == (0, MPEF_NOON2_STDOUT, "")
+    code, out, _ = run_cli(capsys, "mpef", "--state", "fock:2,1")
+    arg = json.loads(out)["argmax_h"]
+    nx, ny, nz = arg["bloch"]
+    assert (arg["theta"], arg["phi"]) == (math.acos(nz), math.atan2(ny, nx)) != (0.0, 0.0)
+
+
 def test_witness_pipeline_files(tmp_path, capsys):
     csv_path = tmp_path / "shots.csv"
     code, out, _ = run_cli(capsys, "witness", "synth", "--model", "squeezed",
@@ -164,6 +198,11 @@ BAD_INPUTS = (
     ("activate", "--state", "css:nan,1,2"),
     ("activate", "--state", "css:0,0,2"),
     ("qfi", "--state", "noon:2", "--observable", "bloch:1,x,0"),
+    # a zero, a non-finite and a two-component Bloch vector, and a NaN reflectivity
+    ("qfi", "--state", "fock:1,1", "--observable", "bloch:0,0,0"),
+    ("qfi", "--state", "fock:1,1", "--observable", "bloch:nan,0,1"),
+    ("qfi", "--state", "fock:1,1", "--observable", "bloch:1,0"),
+    ("activate", "--state", "fock:1,1", "--r", "nan,0.5"),
     ("mpef", "--state", "noon:2", "--restarts", "-1"),
     ("definetti", "--N", "2", "--m", "2", "--l", "1", "--mixture", "{no_terms}"),
     # 9! distinct mode permutations exceed the 8! at the desk mode cap

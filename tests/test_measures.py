@@ -21,18 +21,16 @@ from bosonpe.measures import (
     SingleParticleObservable,
     bloch_observable,
     block_trace_distance,
-    collective_generator,
     distance_to_candidate_set,
     e_ssr,
     m_pe_f,
     negativity,
     qfi,
-    qfi_matrix,
     qfi_minus_variance,
     schmidt_spectrum,
+    second_quantized,
     sector_negativity,
     single_particle_variance,
-    variance_matrix,
 )
 from bosonpe.states import (
     CoherentSpinSpec,
@@ -46,11 +44,19 @@ from helpers import (
     first_quantized_sum,
     haar_unitary,
     qfi_finite_difference,
+    qfi_matrix,
     random_density,
     symmetric_embedding,
+    variance_matrix,
 )
 
 SZ = SingleParticleObservable(PAULI["z"])
+
+
+def generator_sector(h, m, n):
+    """(sum over particles of h) / sqrt(n) on the (m, n) sector, as a dense matrix."""
+    mat = second_quantized(h.h, m, n)
+    return mat / math.sqrt(n) if n else mat
 
 
 def css_plus_x(n):
@@ -87,15 +93,15 @@ def dense_bloch_grid_mpef(state, n_theta=64, n_phi=128, refine=True):
 
 
 def test_generator_sigma_z_examples():
-    g = collective_generator(SZ, 2, 2)
-    assert np.allclose(g.sector(1), np.diag([1.0, -1.0]))
-    assert np.allclose(g.sector(2), np.diag([2.0, 0.0, -2.0]) / math.sqrt(2))
+    assert np.allclose(generator_sector(SZ, 2, 1), np.diag([1.0, -1.0]))
+    assert np.allclose(generator_sector(SZ, 2, 2), np.diag([2.0, 0.0, -2.0]) / math.sqrt(2))
 
 
 def test_generator_identity_is_number():
-    g = collective_generator(SingleParticleObservable(np.eye(2)), 2, 3)
+    one = SingleParticleObservable(np.eye(2))
     for n in (1, 2, 3):
-        assert np.allclose(g.sector(n), math.sqrt(n) * np.eye(enumerate_basis(2, n).dim))
+        assert np.allclose(generator_sector(one, 2, n),
+                           math.sqrt(n) * np.eye(enumerate_basis(2, n).dim))
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
@@ -104,26 +110,24 @@ def test_generator_matches_first_quantization(m, n):
     h = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     h = (h + h.conj().T) / 2
     h /= np.max(np.abs(np.linalg.eigvalsh(h)))
-    g = collective_generator(SingleParticleObservable(h), m, n)
     embed = symmetric_embedding(m, n)
     oracle = embed.conj().T @ first_quantized_sum(h, n) @ embed / math.sqrt(n)
-    assert np.allclose(g.sector(n), oracle, atol=1e-10)
+    assert np.allclose(generator_sector(SingleParticleObservable(h), m, n), oracle, atol=1e-10)
 
 
 # --- QFI -------------------------------------------------------------------
 
 
 def test_qfi_pure_state_examples():
-    assert qfi(css_plus_x(4), collective_generator(SZ, 2, 4)) == pytest.approx(4.0)
-    assert qfi(noon_state(2).to_block_state(),
-               collective_generator(SZ, 2, 2)) == pytest.approx(8.0)
+    assert qfi(css_plus_x(4), SZ) == pytest.approx(4.0)
+    assert qfi(noon_state(2).to_block_state(), SZ) == pytest.approx(8.0)
 
 
 def test_qfi_commuting_state_is_zero():
     basis = enumerate_basis(2, 2)
     from bosonpe.fock import BlockDiagonalState
     maximally_mixed = BlockDiagonalState(2, {2: (1.0, np.eye(basis.dim) / basis.dim)})
-    assert qfi(maximally_mixed, collective_generator(SZ, 2, 2)) < 1e-12
+    assert qfi(maximally_mixed, SZ) < 1e-12
 
 
 def test_qfi_equals_four_variance_for_pure():
@@ -133,10 +137,9 @@ def test_qfi_equals_four_variance_for_pure():
     amps /= np.linalg.norm(amps)
     from bosonpe.fock import PureSectorState
     state = PureSectorState(basis, amps).to_block_state()
-    g = collective_generator(SZ, 2, 3)
-    h23 = g.sector(3)
     rho = state.block(3)
-    assert qfi(state, g) == pytest.approx(4.0 * variance_matrix(rho, h23), abs=1e-9)
+    assert qfi(state, SZ) == pytest.approx(
+        4.0 * variance_matrix(rho, generator_sector(SZ, 2, 3)), abs=1e-9)
 
 
 def test_qfi_matrix_vs_fidelity_curvature():
@@ -160,7 +163,6 @@ def test_qfi_block_additivity():
         blocks[n] = (w, random_density(dim, rng))
     from bosonpe.fock import BlockDiagonalState
     state = BlockDiagonalState(2, blocks)
-    g = collective_generator(SZ, 2, 2)
     # assemble the direct sum explicitly
     dims = [enumerate_basis(2, n).dim for n in (0, 1, 2)]
     big = np.zeros((sum(dims), sum(dims)), dtype=complex)
@@ -168,20 +170,19 @@ def test_qfi_block_additivity():
     at = 0
     for n, d in enumerate(dims):
         big[at:at + d, at:at + d] = weights[n] * blocks[n][1]
-        bigh[at:at + d, at:at + d] = g.sector(n)
+        bigh[at:at + d, at:at + d] = generator_sector(SZ, 2, n)
         at += d
-    assert qfi(state, g) == pytest.approx(qfi_matrix(big, bigh), abs=1e-9)
+    assert qfi(state, SZ) == pytest.approx(qfi_matrix(big, bigh), abs=1e-9)
 
 
 def test_qfi_convexity():
     rng = np.random.default_rng(41)
-    g = collective_generator(SZ, 2, 3)
     for trial in range(10):
         a = random_free_state(2, 3, seed=trial)
         b = random_free_state(2, 3, seed=trial + 1000)
         lam = rng.uniform()
         mixed = mix_states([(lam, a), (1 - lam, b)])
-        assert qfi(mixed, g) <= lam * qfi(a, g) + (1 - lam) * qfi(b, g) + 1e-9
+        assert qfi(mixed, SZ) <= lam * qfi(a, SZ) + (1 - lam) * qfi(b, SZ) + 1e-9
 
 
 def test_qfi_projector_identity():
@@ -323,6 +324,18 @@ def test_negativity_dephased_single_particle():
     assert negativity(dephase_local(split, part), part) < 1e-12
     # before dephasing the single particle is mode-entangled
     assert negativity(split, part) == pytest.approx(0.5, abs=1e-10)
+
+
+def test_negativity_weights_each_number_block():
+    # p (|1,0> + |0,1>)/sqrt(2) plus (1 - p) |0,0>: the partial transpose
+    # couples |0,0> and |1,1> through [[1 - p, p/2], [p/2, 0]]
+    from bosonpe.fock import PureSectorState, vacuum_state
+    basis = enumerate_basis(2, 1)
+    split = PureSectorState(basis, np.array([1.0, 1.0]) / math.sqrt(2)).to_block_state()
+    for p in (0.3, 0.5):
+        state = mix_states([(p, split), (1 - p, vacuum_state(2))])
+        want = (math.hypot(1 - p, p) - (1 - p)) / 2
+        assert negativity(state, ModePartition((0,), (1,))) == pytest.approx(want, abs=1e-12)
 
 
 def test_negativity_refuses_joint_space_above_desk_block():

@@ -7,6 +7,8 @@ import pytest
 from bosonpe.fock import (
     BlockDiagonalState,
     ModePartition,
+    PureSectorState,
+    SectorDecomposition,
     ValidationError,
     enumerate_basis,
     fock_state,
@@ -16,22 +18,24 @@ from bosonpe.fock import (
 from bosonpe.optics import (
     BeamSplitterArray,
     ModeUnitary,
-    TruncatedFockSpace,
+    _sector_slices,
     append_vacuum,
     apply_mode_unitary,
-    apply_to_pure,
     balanced_array,
     beam_splitter_unitary,
     identity_unitary,
     lift_unitary,
     measure_destructive,
     measure_total_number,
+    mode_unitary_from_json,
     random_ssr_povm,
     validate_ssr_povm,
 )
+from bosonpe.activation import fock_activation_amplitudes
+from bosonpe.measures import SingleParticleObservable, bloch_observable
 from bosonpe.states import CoherentSpinSpec, coherent_spin_state, is_coherent_spin_pure
 
-from helpers import haar_unitary, lift_oracle
+from helpers import apply_to_pure, haar_unitary, lift_oracle
 
 U50 = ModeUnitary(np.array([[1, 1], [-1, 1]]) / math.sqrt(2))
 
@@ -157,17 +161,16 @@ def test_measure_total_number():
 
 def _number_povm(modes: int, n_max: int) -> list[np.ndarray]:
     """Projectors onto each total-number sector of the measured modes."""
-    space = TruncatedFockSpace(modes, n_max)
+    dim = math.comb(modes + n_max, n_max)
     elements = []
-    for n, sl in space.sector_slices().items():
-        e = np.zeros((space.dim, space.dim), dtype=complex)
+    for n, sl in _sector_slices(modes, n_max).items():
+        e = np.zeros((dim, dim), dtype=complex)
         e[sl, sl] = np.eye(sl.stop - sl.start)
         elements.append(e)
     return elements
 
 
 def test_destructive_number_measurement_single_particle():
-    from bosonpe.fock import PureSectorState
     basis = enumerate_basis(2, 1)
     state = PureSectorState(basis, np.array([1.0, 1.0]) / math.sqrt(2)).to_block_state()
     part = ModePartition((0,), (1,))
@@ -180,7 +183,6 @@ def test_destructive_number_measurement_single_particle():
 
 
 def test_destructive_measurement_rejects_coherence():
-    space = TruncatedFockSpace(1, 1)
     coherent = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     rest = np.eye(2) - coherent
     state = fock_state((1, 0)).to_block_state()
@@ -203,7 +205,6 @@ def test_destructive_measurement_preserves_free_states():
                 mat = post.block(n)
                 evals, evecs = np.linalg.eigh(mat)
                 assert evals[-1] > 1.0 - 1e-8  # each block stays pure
-                from bosonpe.fock import PureSectorState
                 vec = evecs[:, -1]
                 s = PureSectorState(enumerate_basis(2, n), vec / np.linalg.norm(vec))
                 assert is_coherent_spin_pure(s, tol=1e-7)
@@ -211,7 +212,30 @@ def test_destructive_measurement_preserves_free_states():
 
 def test_random_ssr_povm_is_valid():
     povm = random_ssr_povm(2, 3, 4, seed=5)
-    validate_ssr_povm(TruncatedFockSpace(2, 3), povm)
+    validate_ssr_povm(2, 3, povm)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BlockDiagonalState(2, {1: (1.0, [[math.nan, 0.0], [0.0, 1.0]])}),
+    lambda: BlockDiagonalState(2, {1: (math.nan, np.eye(2) / 2)}),
+    lambda: BlockDiagonalState(2, {1: (1.0, [[0.5, math.inf], [0.0, 0.5]])}),
+    lambda: PureSectorState(enumerate_basis(2, 1), [math.nan, 0.0]),
+    lambda: ModeUnitary([[math.nan]]),
+    lambda: mode_unitary_from_json('{"modes": 1, "matrix": [[[NaN, 0.0]]]}'),
+    lambda: BeamSplitterArray((math.nan,)),
+    lambda: SingleParticleObservable([[math.nan]]),
+    lambda: bloch_observable([math.nan, 0.0, 1.0]),
+    lambda: bloch_observable([0.0, 0.0, 0.0]),
+    lambda: validate_ssr_povm(1, 1, [np.diag([math.nan, 0.0]), np.diag([0.0, 1.0])]),
+    lambda: SectorDecomposition({(1, 0): (math.nan, None)}),
+    lambda: fock_activation_amplitudes((1, 1), [[math.nan, 0.6], [0.6, 0.8]], (1, 1)),
+], ids=["block", "block_weight", "block_inf", "pure_state", "unitary", "unitary_json",
+        "splitters", "observable", "bloch_nan", "bloch_zero", "povm", "sectors",
+        "activation_alphas"])
+def test_entry_validators_reject_nan(build):
+    # inf - inf inside the checks is NaN, and numpy warns before they reject it
+    with pytest.raises(ValidationError), np.errstate(invalid="ignore"):
+        build()
 
 
 def test_mode_unitary_json_round_trip():

@@ -5,7 +5,7 @@ import pytest
 
 from bosonpe.fock import DeskCaps, ValidationError, enumerate_basis, single_particle_rdm
 from bosonpe.nonclassical import many_copy_nc_bound_check
-from bosonpe.optics import ModeUnitary, apply_to_pure
+from bosonpe.optics import ModeUnitary
 from bosonpe.states import (
     CoherentSpinSpec,
     SeparableMixtureSpec,
@@ -18,10 +18,9 @@ from bosonpe.states import (
     particle_separable_mixture,
     poisson_weights,
     random_particle_separable,
-    states_equal_up_to_phase,
 )
 
-from helpers import haar_unitary
+from helpers import apply_to_pure, haar_unitary, states_equal_up_to_phase
 
 
 def test_css_all_in_one_mode():
