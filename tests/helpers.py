@@ -4,9 +4,9 @@ These deliberately avoid the package's own computational paths: permanents
 for lifted unitaries, an explicit first-quantized symmetric embedding for
 reduced density matrices and collective generators, a dense a_i† a_j tensor
 for one-body operators, the spectral-form QFI and operator variance of dense
-matrices, scipy distributions for classical distances, pure-Python
-``math.lgamma`` pmfs summed with ``math.fsum`` for the binomial and Poisson
-kernels, and per-resample and per-shot loops for the witness bootstrap and
+matrices, 40-digit mpmath pmfs and distances for the binomial and Poisson
+kernels, pure-Python ``math.lgamma`` pmfs summed with ``math.fsum`` as a
+second check on them, and per-resample and per-shot loops for the witness bootstrap and
 synthetic shot data.  The activation search oracle is the search loop with
 one full ``activate`` call per candidate.  The state constructors' oracles
 are their earlier dense bodies: every block summed as a d x d matrix, on
@@ -17,6 +17,7 @@ package's sector lift on a pure sector state, for the tests of that lift.
 import math
 from itertools import product
 
+import mpmath
 import numpy as np
 
 from bosonpe.fock import DESK, UNCAPPED, PureSectorState, ValidationError, enumerate_basis
@@ -306,6 +307,75 @@ def binomial_poisson_oracle(N: int, p: float) -> float:
     q = [poisson_pmf_oracle(k, mu) for k in ks]
     diff = math.fsum(abs(binomial_pmf_oracle(k, N, p) - qk) for k, qk in zip(ks, q))
     return 0.5 * diff + 0.5 * max(1.0 - math.fsum(q), 0.0)
+
+
+# fixed-point unit of the 40-digit binomial-Poisson oracle: 2**-256, about 1e-77
+_FIX = 256
+
+
+def _binomial_poisson_fixed(N: int, p: float) -> tuple[int, list, list]:
+    """Binomial(N, p) and Poisson(Np) pmfs, for N >= 1 and 0 < p < 1 exactly
+    as given, on a window k = lo..hi that holds both masses to 40 digits:
+    (lo, b, q) with b and q lists of integers in units of 2**-256.
+
+    The start values at k0 = floor(Np) are mpmath numbers at 60 digits.
+    The walk out from k0 multiplies by the exact rational ratios
+    b_{k+1}/b_k = (N-k) p / ((k+1)(1-p)) and q_{k+1}/q_k = Np / (k+1), each
+    floor division losing under one unit, and stops past both modes once
+    both pmfs are below 2**-160."""
+    a, d = float(p).as_integer_ratio()
+    unit, tiny = 1 << _FIX, 1 << (_FIX - 160)
+    k0 = N * a // d
+    with mpmath.workdps(60):
+        big_p, mu = mpmath.mpf(a) / d, mpmath.mpf(N * a) / d
+        b0 = int(mpmath.binomial(N, k0) * big_p**k0 * (1 - big_p)**(N - k0) * unit)
+        q0 = int(mpmath.exp(-mu) * mu**k0 / mpmath.factorial(k0) * unit)
+    up_b, up_q, k = [b0], [q0], k0
+    while k <= k0 + 1 or up_b[-1] > tiny or up_q[-1] > tiny:
+        up_b.append(up_b[-1] * (N - k) * a // ((k + 1) * (d - a)))
+        up_q.append(up_q[-1] * N * a // ((k + 1) * d))
+        k += 1
+    down_b, down_q, k = [b0], [q0], k0
+    while k > 0 and (down_b[-1] > tiny or down_q[-1] > tiny):
+        down_b.append(down_b[-1] * k * (d - a) // ((N - k + 1) * a))
+        down_q.append(down_q[-1] * k * d // (N * a))
+        k -= 1
+    return k, down_b[:0:-1] + up_b, down_q[:0:-1] + up_q
+
+
+def binomial_poisson_pmfs_mp(N: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Binomial(N, p) and Poisson(Np) pmfs over k = 0..hi, each entry
+    the float nearest its 40-digit value (``_binomial_poisson_fixed``); both
+    pmfs are below 1e-40 past hi."""
+    lo, b, q = _binomial_poisson_fixed(N, p)
+    pmfs = np.zeros((2, lo + len(b)))
+    pmfs[0, lo:] = [x / (1 << _FIX) for x in b]
+    pmfs[1, lo:] = [x / (1 << _FIX) for x in q]
+    return pmfs[0], pmfs[1]
+
+
+def binomial_poisson_tv_mp(N: int, p: float) -> float:
+    """d_TV(Binomial(N, p), Poisson(Np)) to 40 digits, rounded to a float:
+    0 at p = 0 or N = 0, 1 - Poisson_N(N) at p = 1, and otherwise half the
+    exact sum of |b_k - q_k| over ``_binomial_poisson_fixed``'s window."""
+    if p == 0.0 or N == 0:
+        return 0.0
+    if p == 1.0:
+        return float(1 - poisson_pmf_mp(N, N)[N])
+    _, b, q = _binomial_poisson_fixed(N, p)
+    return sum(abs(x - y) for x, y in zip(b, q)) / (1 << (_FIX + 1))
+
+
+def poisson_pmf_mp(mu, n_max: int) -> list:
+    """Poisson(mu) pmf at n = 0..n_max as 40-digit mpmath numbers, by
+    q_n = q_{n-1} mu / n from q_0 = exp(-mu); ``mu`` may be an mpmath
+    number."""
+    with mpmath.workdps(40):
+        mu = mpmath.mpf(mu)
+        q = [mpmath.exp(-mu)]
+        for n in range(1, n_max + 1):
+            q.append(q[-1] * mu / n)
+    return q
 
 
 def bootstrap_se_oracle(data, params, normalization: float, n_bootstrap: int,

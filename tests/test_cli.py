@@ -219,6 +219,8 @@ BAD_INPUTS = (
     ("witness", "synth", "--model", "css", "--shots", "-1", "--out", "{unwritten}"),
     ("witness", "synth", "--model", "css", "--atoms", "-5", "--out", "{unwritten}"),
     ("witness", "synth", "--model", "css", "--eta", "nan", "--out", "{unwritten}"),
+    # a billion shots, above the 1e6 shot cap, refused before drawing
+    ("witness", "synth", "--model", "squeezed", "--shots", "1000000000", "--out", "{unwritten}"),
 )
 
 

@@ -7,11 +7,10 @@ import tracemalloc
 from collections import Counter
 from itertools import permutations, product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import stats
-from scipy.special import pdtrc
 
 import bosonpe
 from bosonpe.fock import (
@@ -35,6 +34,7 @@ from bosonpe.nonclassical import (
     two_copy_pe_check,
 )
 from bosonpe.states import (
+    _log_factorials,
     classical_nd_state,
     classical_truncation_mass,
     css_density,
@@ -43,16 +43,21 @@ from bosonpe.states import (
     poisson_weights,
 )
 
-from helpers import binomial_pmf_oracle, binomial_poisson_oracle, poisson_pmf_oracle
+from helpers import (
+    binomial_pmf_oracle,
+    binomial_poisson_oracle,
+    binomial_poisson_pmfs_mp,
+    binomial_poisson_tv_mp,
+    poisson_pmf_mp,
+    poisson_pmf_oracle,
+)
 
 FEW = settings(max_examples=15, deadline=None)
 
 
-def scipy_tv_distance(N, p, hi=400):
-    k = np.arange(hi + 1)
-    b = stats.binom.pmf(k, N, p)
-    q = stats.poisson.pmf(k, N * p)
-    return 0.5 * np.sum(np.abs(b - q)) + 0.5 * stats.poisson.sf(hi, N * p)
+def strict():
+    """No NaN and no log of zero in the kernels, even at p = 0 or 1, mu = 0."""
+    return np.errstate(divide="raise", invalid="raise")
 
 
 def test_binpois_zero_p():
@@ -61,11 +66,79 @@ def test_binpois_zero_p():
     assert res.satisfied
 
 
-def test_binpois_examples_vs_scipy():
+def test_binpois_examples_vs_mpmath():
     for N, p in ((20, 0.1), (100, 0.05), (7, 0.5), (1, 0.3)):
         res = binomial_poisson_distance(N, p)
-        assert res.distance == pytest.approx(scipy_tv_distance(N, p), abs=1e-12)
+        assert res.distance == pytest.approx(binomial_poisson_tv_mp(N, p), abs=1e-14)
         assert res.distance <= p + 1e-12
+
+
+# error ceilings against the 40-digit oracle: distance, binomial pmf, Poisson pmf
+MP_CELLS = {
+    (10**5, 0.003): (2.0e-11, 1e-11, 2e-14),
+    (10**5, 0.5): (4.0e-11, 1e-12, 5e-13),
+    (1000, 0.003): (1e-14, 2.5e-13, 2e-16),
+    (1000, 0.5): (2.5e-13, 5e-14, 2e-14),
+    (100, 0.05): (5e-15, 1e-14, 5e-16),
+}
+
+
+def test_log_factorials_match_mpmath():
+    table = _log_factorials(10**6)
+    assert not table.flags.writeable
+    with mpmath.workdps(40):
+        for k in [*range(70), 100, 1000, 12345, 10**5, 2**17, 10**6]:
+            want = mpmath.loggamma(k + 1)
+            assert abs(table[k] - want) <= 2 * math.ulp(float(want)), k
+    assert np.array_equal(_log_factorials(40), table[:41])
+
+
+@pytest.mark.parametrize("N, p", list(MP_CELLS))
+def test_binomial_and_poisson_pmfs_match_mpmath(N, p):
+    b_mp, q_mp = binomial_poisson_pmfs_mp(N, p)
+    k = np.arange(b_mp.size + 100)  # 100 points past the window, where both are below 1e-40
+    want_b, want_q = (np.pad(x, (0, 100)) for x in (b_mp, q_mp))
+    with strict():
+        b = np.exp(_binomial_logpmf(k, N, p))
+        q = poisson_weights(N * p, k[-1])
+    _, b_tol, q_tol = MP_CELLS[N, p]
+    assert np.max(np.abs(b - want_b)) <= b_tol
+    assert np.max(np.abs(q - want_q)) <= q_tol
+
+
+@pytest.mark.parametrize("N, p", list(MP_CELLS))
+def test_binpois_matches_mpmath_on_cells(N, p):
+    with strict():
+        d = binomial_poisson_distance(N, p).distance
+    assert abs(d - binomial_poisson_tv_mp(N, p)) <= MP_CELLS[N, p][0]
+
+
+def test_binpois_matches_mpmath_on_criterion_06_grid():
+    worst = max(abs(binomial_poisson_distance(N, float(p)).distance
+                    - binomial_poisson_tv_mp(N, float(p)))
+                for N in range(1, 101) for p in np.linspace(0.005, 0.5, 20))
+    assert worst <= 3e-14
+
+
+def test_kernels_at_point_masses():
+    k = np.arange(8)
+    with strict():
+        for N in (0, 5):
+            for p in (0.0, 0.3, 1.0):
+                pmf = np.exp(_binomial_logpmf(k, N, p))
+                assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-15)
+                if p in (0.0, 1.0) or N == 0:
+                    assert pmf.tolist() == (k == (N if p == 1.0 else 0)).tolist()
+            assert binomial_poisson_distance(N, 0.0).distance == 0.0
+        assert binomial_poisson_distance(0, 0.7).distance == 0.0
+        # p = 1: the point mass at N against Poisson(N)
+        assert binomial_poisson_distance(5, 1.0).distance == pytest.approx(
+            binomial_poisson_tv_mp(5, 1.0), abs=1e-15)
+        assert poisson_weights(0.0, 7).tolist() == (k == 0).tolist()
+        rows = poisson_weights(np.array([0.0, 2.5, 0.0, 40.0]), 7)
+    assert rows.shape == (4, 8)
+    for row, mu in zip(rows, (0.0, 2.5, 0.0, 40.0)):
+        assert np.array_equal(row, poisson_weights(mu, 7))
 
 
 def test_binpois_bound_on_grid():
@@ -111,7 +184,9 @@ def test_poisson_kernel_matches_oracle(mu, n_max):
 @given(MEANS, st.integers(0, 400))
 @example(0.0, 0)
 def test_truncated_poisson_mass_plus_tail_is_one(mu, n_max):
-    assert abs(math.fsum(poisson_weights(mu, n_max)) + pdtrc(n_max, mu) - 1.0) <= 1e-12
+    with mpmath.workdps(40):  # P(X > n_max) = P(n_max + 1, mu), the regularised gamma
+        tail = float(mpmath.gammainc(n_max + 1, 0, mu, regularized=True))
+    assert abs(math.fsum(poisson_weights(mu, n_max)) + tail - 1.0) <= 1e-12
 
 
 @FEW
@@ -161,13 +236,12 @@ def test_explicit_poisson_cutoff_refused_before_allocation(build):
     assert peak < 2**20
 
 
-def test_import_leaves_scipy_stats_and_optimize_unloaded():
+def test_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(bosonpe.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = ("import sys, bosonpe; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.optimize'))))")
+    code = ("import sys, bosonpe, bosonpe.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out.strip() == "[]"
@@ -221,8 +295,21 @@ def test_definetti_uniform_example():
     assert res.bound == pytest.approx(0.25)
     assert res.satisfied
     # single mode, diagonal in number: distance equals the classical TV
-    oracle = scipy_tv_distance(4, 0.25)
+    oracle = binomial_poisson_tv_mp(4, 0.25)
     assert res.distance == pytest.approx(oracle, abs=1e-5)
+
+
+def test_definetti_point_mass_rows():
+    # e_0 symmetrised keeps p = 1 on l directions, where the binomial is the
+    # point mass at N, and p = 0 on the m - l others, which retain nothing:
+    # the distance is (l / m)(1 - Poisson_N(N)), up to the 1e-30 tail past n_max
+    N, m = 3, 4
+    spec = ExchangeableSeparableSpec(N, m, ((1.0, np.eye(m)[0].astype(complex)),))
+    gap = 1.0 - float(poisson_pmf_mp(N, N)[N])
+    with strict():
+        for l in range(1, m + 1):
+            res = definetti_classical_approx(spec, l, n_max=N + 40)
+            assert res.distance == pytest.approx(l / m * gap, abs=1e-14)
 
 
 def test_definetti_all_l_small_grid():
@@ -287,19 +374,23 @@ def test_definetti_distance_matches_dense_states(spec):
 
 def dense_many_copy_sigma(terms, k, n_max):
     """The many-copy classical approximation, assembled block by block from
-    coherent-spin densities with scipy's Poisson pmf."""
+    coherent-spin densities with 40-digit mpmath Poisson pmfs."""
     mus = [float(np.vdot(a, a).real) for _, a in terms]
     joint_cap = max(default_poisson_truncation(k * max(mus)), n_max)
     acc = {}
     for combo in product(range(len(terms)), repeat=k):
         w = math.prod(terms[j][0] for j in combo)
         big_m, mu1 = sum(mus[j] for j in combo), mus[combo[0]]
-        for n in range(n_max + 1):
-            if big_m == 0:
-                q = float(n == 0)
-            else:
-                q = sum(stats.poisson.pmf(L, big_m) * stats.poisson.pmf(n, L * mu1 / big_m)
-                        for L in range(joint_cap + 1))
+        if big_m == 0:
+            qs = [float(n == 0) for n in range(n_max + 1)]
+        else:
+            with mpmath.workdps(40):
+                joint = poisson_pmf_mp(big_m, joint_cap)
+                split = [poisson_pmf_mp(mpmath.mpf(L) * mu1 / big_m, n_max)
+                         for L in range(joint_cap + 1)]
+                qs = [float(mpmath.fsum(joint[L] * split[L][n] for L in range(joint_cap + 1)))
+                      for n in range(n_max + 1)]
+        for n, q in enumerate(qs):
             if w * q < 1e-16:
                 continue
             a1 = terms[combo[0]][1]

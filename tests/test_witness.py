@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bosonpe.fock import ValidationError
+import bosonpe.witness
+from bosonpe.fock import DeskScaleError, ValidationError
 from bosonpe.witness import (
     AxisMoments,
     ShotRecord,
@@ -302,6 +303,30 @@ def test_optimizer_skips_overflowing_candidates():
 def test_synthesize_rejects_bad_sizes_and_efficiency(bad):
     with pytest.raises(ValidationError):
         synthesize_dataset("css", **bad)
+
+
+def test_synthesize_refuses_shots_above_cap_before_drawing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DeskScaleError):
+            synthesize_dataset("squeezed", n_shots=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(DeskScaleError):
+        synthesize_dataset("css", n_shots=10**6 + 1)
+
+
+def test_csv_shot_cap_fires_as_rows_pass_it(monkeypatch):
+    data = synthesize_dataset("squeezed", n_atoms=40, n_shots=6, seed=2)
+    text, meta = dataset_to_csv(data), dataset_metadata_json(data)
+    monkeypatch.setattr(bosonpe.witness, "_MAX_DENSE_SUPPORT", 6)
+    assert len(dataset_from_csv(text, meta).shots) == 6
+    monkeypatch.setattr(bosonpe.witness, "_MAX_DENSE_SUPPORT", 5)
+    # the sixth row trips the cap before the malformed seventh is read
+    with pytest.raises(DeskScaleError):
+        dataset_from_csv(text + "z,1,2\n", meta)
 
 
 def test_axis_spins_rejects_unknown_axis():
