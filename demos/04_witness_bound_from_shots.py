@@ -21,7 +21,7 @@ for model in ("css", "squeezed"):
     ratio = separability_ratio(data, params)
     result = pe_lower_bound(data, params, n_bootstrap=500, seed=1)
     sig = result.bound / result.bootstrap_se
-    print(f"{model} model ({len(data.shots)} shots):")
+    print(f"{model} model ({len(data)} shots):")
     print(f"   optimized g_z = {params.g_z:+.3f}, g_y = {params.g_y:+.3f}")
     print(f"   separability ratio = {ratio:.4f}  (< 1 witnesses entanglement)")
     print(f"   bound = {result.bound:.6f} +- {result.bootstrap_se:.6f}"

@@ -260,7 +260,7 @@ def cmd_witness_synth(args) -> int:
     meta_path = args.meta or (args.out.rsplit(".", 1)[0] + "_meta.json")
     with open(meta_path, "w") as fh:
         fh.write(dataset_metadata_json(data))
-    emit({"shots": len(data.shots), "csv": args.out, "meta": meta_path,
+    emit({"shots": len(data), "csv": args.out, "meta": meta_path,
           "description": data.description})
     return 0
 

@@ -55,6 +55,14 @@ UNCAPPED = DeskCaps(max_particles=10**9, max_modes=10**9)
 _MAX_BLOCK_DIM = math.comb(DESK.max_modes + DESK.max_particles - 1, DESK.max_particles)
 
 
+def _gate_dense(dim: int, what: str) -> None:
+    """Raise DeskScaleError, before a dense dim x dim matrix of ``what`` is
+    allocated, when dim exceeds the desk block size."""
+    if dim > _MAX_BLOCK_DIM:
+        raise DeskScaleError(f"{what} of dimension {dim} exceeds the desk block size "
+                             f"{_MAX_BLOCK_DIM}")
+
+
 def _desk_caps_at_least(particles: int, modes: int) -> DeskCaps:
     """The desk caps, raised where needed to admit (particles, modes)."""
     return DeskCaps(max_particles=max(particles, DESK.max_particles),
@@ -289,9 +297,7 @@ class BlockDiagonalState:
         """Dense density matrix of sector N, built from the factors on first use."""
         if N not in self._dense:
             V, lam = self._factors[N]
-            if V.shape[0] > _MAX_BLOCK_DIM:
-                raise DeskScaleError(f"block N={N} of dimension {V.shape[0]} exceeds the "
-                                     f"desk block size {_MAX_BLOCK_DIM}; use its factors")
+            _gate_dense(V.shape[0], f"block N={N} (use its factors)")
             # symmetrised in place: at most two d x d arrays are alive at once
             mat = (V * lam) @ V.conj().T
             mat += mat.conj().T

@@ -29,14 +29,13 @@ import numpy as np
 from .fock import (
     UNCAPPED,
     BlockDiagonalState,
-    DeskScaleError,
     ModePartition,
     SectorState,
     ValidationError,
-    _MAX_BLOCK_DIM,
     _annihilate,
     _annihilation_maps,
     _create,
+    _gate_dense,
     enumerate_basis,
     project_local_number,
     split_occupation,
@@ -90,9 +89,11 @@ def second_quantized(f: np.ndarray, m: int, N: int) -> np.ndarray:
 
     Each pair (i, j) moves the amplitude of basis state t + e_j of sector
     N - 1 onto t + e_i with sqrt((t_i + 1)(t_j + 1)), read off the
-    annihilation maps; the largest intermediate is d_{N-1} x m."""
+    annihilation maps; the largest intermediate is d_{N-1} x m.  A sector
+    above the desk block size (1716) raises DeskScaleError before allocating."""
     f = np.asarray(f, dtype=complex)
     dim = enumerate_basis(m, N, UNCAPPED).dim
+    _gate_dense(dim, f"second-quantized operator on (m={m}, N={N})")
     out = np.zeros((dim, dim), dtype=complex)
     if N == 0:
         return out
@@ -473,10 +474,7 @@ def negativity(state: BlockDiagonalState, partition: ModePartition) -> float:
     than the largest desk block (1716), before building the dense matrix."""
     a_occs, b_occs, placements = _joint_layout(state, partition)
     da, db = len(a_occs), len(b_occs)
-    if da * db > _MAX_BLOCK_DIM:
-        raise DeskScaleError(
-            f"joint space d_A x d_B = {da} x {db} exceeds the desk block size "
-            f"{_MAX_BLOCK_DIM}; use the sector measures")
+    _gate_dense(da * db, f"joint space d_A x d_B = {da} x {db} (use the sector measures)")
     rho = np.zeros((da, db, da, db), dtype=complex)
     # each basis state has its own (ia, ib), and blocks of different N share
     # none, so every block fills its entries in one assignment

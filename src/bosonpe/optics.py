@@ -29,6 +29,7 @@ from .fock import (
     _complex_from_json,
     _complex_to_json,
     _eigh_factors,
+    _gate_dense,
     _local_reduction,
     _normalized_state,
     enumerate_basis,
@@ -145,12 +146,16 @@ def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
     (the scatter of the cached annihilation maps) to the column one sector
     below; columns go in batches whose stacked creation terms are no larger
     than the result.  ``columns``, a sequence of basis indices in [0, dim),
-    restricts the result to those columns (shape dim x len(columns)).
+    restricts the result to those columns (shape dim x len(columns)).  A full
+    lift above the desk block size (1716) raises DeskScaleError before
+    allocating.
     """
     if N < 0:
         raise ValidationError("sector index must be nonnegative")
     m = u.modes
     basis = enumerate_basis(m, N, caps)
+    if columns is None:
+        _gate_dense(basis.dim, f"full lift on (m={m}, N={N})")
     chains, norms = [], []
     for c in range(basis.dim) if columns is None else columns:
         if not (isinstance(c, (int, np.integer)) and 0 <= c < basis.dim):

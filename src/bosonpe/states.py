@@ -29,6 +29,7 @@ from .fock import (
     _column_factors,
     _desk_caps_at_least,
     _eigh_factors,
+    _gate_dense,
     _normalized_state,
     enumerate_basis,
     mix_states,
@@ -126,10 +127,12 @@ def _css_block(dirs: np.ndarray, coef: np.ndarray, n: int, caps: DeskCaps) -> np
     with A = ``_css_amplitudes``; the 1 x 1 block [[sum coef]] at n = 0.
     Rows of zero coefficient are skipped, and A is built a chunk of rows at
     a time so that its (rows, dim, modes) power temporary stays at 2**20
-    entries."""
+    entries.  A sector above the desk block size (1716) raises DeskScaleError
+    before allocating."""
     keep = coef != 0
     dirs, coef = dirs[keep], coef[keep]
     dim = enumerate_basis(dirs.shape[1], n, caps).dim
+    _gate_dense(dim, f"coherent-spin block on (m={dirs.shape[1]}, N={n})")
     mat = np.zeros((dim, dim), dtype=complex)
     chunk = max(1, 2**20 // (dim * dirs.shape[1]))
     for s in range(0, coef.size, chunk):

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DeskScaleError, ValidationError
+from .fock import DeskScaleError, ValidationError, _freeze
 from .states import _MAX_DENSE_SUPPORT
 
 AXES = ("x", "y", "z")
@@ -32,6 +33,8 @@ AXES = ("x", "y", "z")
 
 @dataclass(frozen=True)
 class ShotRecord:
+    """One shot: its axis and the detected counts n1, n2 of regions A and B."""
+
     setting: str
     n1a: float
     n2a: float
@@ -46,19 +49,63 @@ class ShotRecord:
                 raise ValidationError(f"counts must be finite and nonnegative, got {v!r}")
 
 
-@dataclass(frozen=True)
 class SpinShotDataset:
-    shots: tuple
-    eta_a: float
-    eta_b: float
-    n1_a_mean: float
-    n1_b_mean: float
-    description: str = ""
+    """Spin shots held as columns: ``axis_codes``, an int8 array of indices
+    into ``AXES``, and ``counts``, an (n, 4) float array of n1a, n2a, n1b,
+    n2b per shot; both read-only and validated once, where they enter.
 
-    def __post_init__(self):
-        if not 0.0 < self.eta_a <= 1.0 or not 0.0 < self.eta_b <= 1.0:
+    ``SpinShotDataset(shots, eta_a, eta_b, n1_a_mean, n1_b_mean)`` takes a
+    sequence of ``ShotRecord`` and converts it to columns once, and
+    ``.shots`` builds the records back on first read.  Both stay only for
+    the benchmark's calling convention, until its next change (ROADMAP
+    item 1); every computation reads the columns."""
+
+    def __init__(self, shots, eta_a: float, eta_b: float, n1_a_mean: float,
+                 n1_b_mean: float, description: str = ""):
+        shots = tuple(shots)
+        if not all(isinstance(s, ShotRecord) for s in shots):
+            raise ValidationError("shots must be ShotRecords")
+        counts = np.array([(s.n1a, s.n2a, s.n1b, s.n2b) for s in shots], dtype=float)
+        self._set(_axis_codes([s.setting for s in shots]), counts.reshape(-1, 4),
+                  eta_a, eta_b, n1_a_mean, n1_b_mean, description)
+
+    @classmethod
+    def _from_columns(cls, axis_codes: np.ndarray, counts: np.ndarray, eta_a: float,
+                      eta_b: float, n1_a_mean: float, n1_b_mean: float,
+                      description: str = "") -> SpinShotDataset:
+        data = cls.__new__(cls)
+        data._set(axis_codes, counts, eta_a, eta_b, n1_a_mean, n1_b_mean, description)
+        return data
+
+    def _set(self, axis_codes, counts, eta_a, eta_b, n1_a_mean, n1_b_mean, description):
+        if not 0.0 < eta_a <= 1.0 or not 0.0 < eta_b <= 1.0:
             raise ValidationError("detection efficiencies must lie in (0, 1]")
-        object.__setattr__(self, "shots", tuple(self.shots))
+        axis_codes = _freeze(np.array(axis_codes, dtype=np.int8))
+        counts = _freeze(np.array(counts, dtype=float))
+        if not np.all((0 <= axis_codes) & (axis_codes < len(AXES))):
+            raise ValidationError(f"axis codes must index {AXES}")
+        ok = (0.0 <= counts) & (counts < math.inf)
+        if not ok.all():
+            raise ValidationError("counts must be finite and nonnegative, "
+                                  f"got {float(counts[~ok][0])!r}")
+        self.__dict__.update(axis_codes=axis_codes, counts=counts, eta_a=eta_a, eta_b=eta_b,
+                             n1_a_mean=n1_a_mean, n1_b_mean=n1_b_mean,
+                             description=description, _shots=None)
+
+    def __setattr__(self, *_):
+        raise AttributeError("SpinShotDataset is immutable")
+
+    def __len__(self) -> int:
+        return self.axis_codes.size
+
+    @property
+    def shots(self) -> tuple:
+        """The shots as a tuple of ``ShotRecord``, built on first read."""
+        if self._shots is None:
+            self.__dict__["_shots"] = tuple(
+                ShotRecord(AXES[c], *row)
+                for c, row in zip(self.axis_codes.tolist(), self.counts.tolist()))
+        return self._shots
 
     def axis_spins(self, axis: str) -> tuple[np.ndarray, np.ndarray]:
         """Per-shot spin values (S_A, S_B) for one measurement axis."""
@@ -67,17 +114,28 @@ class SpinShotDataset:
         return _spins_by_axis(self)[axis]
 
 
+_AXIS_CODE = {axis: code for code, axis in enumerate(AXES)}
+
+
+def _axis_codes(settings: list) -> np.ndarray:
+    """Indices into ``AXES`` of setting names; raises ValidationError naming
+    the first that is not an axis."""
+    codes = np.fromiter((_AXIS_CODE.get(s, -1) for s in settings), np.int8, len(settings))
+    bad = np.flatnonzero(codes < 0)
+    if bad.size:
+        raise ValidationError(f"setting must be one of {AXES}, got {settings[bad[0]]!r}")
+    return codes
+
+
 def _spins_by_axis(data: SpinShotDataset) -> dict:
-    """axis -> (S_A, S_B) arrays for every axis; one pass over the shots
-    groups them by axis."""
-    on_axis = {axis: [] for axis in AXES}
-    for rec in data.shots:
-        on_axis[rec.setting].append(rec)
+    """axis -> (S_A, S_B) arrays for every axis, in shot order."""
+    c = data.counts
+    s_a = (c[:, 0] - c[:, 1]) / (2.0 * data.eta_a)
+    s_b = (c[:, 2] - c[:, 3]) / (2.0 * data.eta_b)
     spins = {}
-    for axis, recs in on_axis.items():
-        spins[axis] = (
-            np.fromiter((r.n1a - r.n2a for r in recs), float, len(recs)) / (2.0 * data.eta_a),
-            np.fromiter((r.n1b - r.n2b for r in recs), float, len(recs)) / (2.0 * data.eta_b))
+    for code, axis in enumerate(AXES):
+        on_axis = data.axis_codes == code
+        spins[axis] = (s_a[on_axis], s_b[on_axis])
     return spins
 
 
@@ -322,34 +380,29 @@ def _optimal_params(m: SpinMoments) -> WitnessParams:
 # synthetic datasets
 
 
-def _counts_from_spin(spin: np.ndarray, atoms: float, eta: float) -> tuple[list, list]:
+def _counts_from_spin(spin: np.ndarray, atoms: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Invert S = (n1 - n2) / (2 eta) with n1 + n2 = detected atoms, per shot.
     ``np.rint`` and ``round`` both round half to even."""
     detected = round(atoms * eta)
     # through integers, as int(round(...)) went, so that no count is -0.0
     n1 = np.clip(np.rint(detected / 2.0 + eta * spin).astype(np.int64), 0, detected)
-    return n1.astype(float).tolist(), (detected - n1).astype(float).tolist()
+    return n1.astype(float), (detected - n1).astype(float)
 
 
 def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0.5,
                        eta: float = 1.0, n_shots: int = 1000, seed=0,
                        xi2: float = 0.25) -> SpinShotDataset:
-    """Gaussian collective-spin model datasets.
+    """Gaussian collective-spin model datasets, built as columns: the z
+    shots, then the y shots, then the x shots.
 
     ``css`` targets the separability boundary (ratio about 1); ``squeezed``
     reduces the z variance of the total spin by xi2 (and inflates y by 1/xi2)
     so the witness fires; ``constant`` emits the fixed zero-variance dataset
-    whose bound is pure arithmetic (10/220 with defaults).  Raises
+    whose bound is pure arithmetic (10/220 with defaults), whatever the
+    sizes, split and efficiency, which are still checked.  Raises
     DeskScaleError, before drawing, for more than 1e6 shots.
     """
-    if model == "constant":
-        shots = []
-        for axis, (n1, n2) in (("x", (10.0, 0.0)), ("z", (5.0, 5.0)), ("y", (5.0, 5.0))):
-            for _ in range(2):
-                shots.append(ShotRecord(axis, n1, n2, n1, n2))
-        return SpinShotDataset(tuple(shots), 1.0, 1.0, 10.0, 10.0,
-                               "constant shots: Sx=5 per region, zero variances")
-    if model not in ("css", "squeezed"):
+    if model not in ("constant", "css", "squeezed"):
         raise ValidationError(f"unknown model {model!r}")
     if not 0.0 < split_fraction < 1.0:
         raise ValidationError("split fraction must lie strictly between 0 and 1")
@@ -359,6 +412,13 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
         raise DeskScaleError(f"n_shots={n_shots} exceeds the shot cap {_MAX_DENSE_SUPPORT}")
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"detection efficiency must lie in (0, 1], got {eta!r}")
+    if model == "constant":
+        # two shots each on x, z and y
+        counts = np.repeat([[10.0, 0.0, 10.0, 0.0], [5.0, 5.0, 5.0, 5.0], [5.0, 5.0, 5.0, 5.0]],
+                           2, axis=0)
+        return SpinShotDataset._from_columns(np.repeat([0, 2, 1], 2), counts, 1.0, 1.0, 10.0,
+                                             10.0, "constant shots: Sx=5 per region, "
+                                             "zero variances")
     if model == "css":
         xi_z = xi_y = 1.0
     else:
@@ -375,9 +435,9 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
     per_axis = n_shots // 3
     # the remainder goes to x, which draws no random numbers, so the z and y
     # draws do not depend on n_shots mod 3
-    shots = []
-    for axis, xi, k in (("z", xi_z, per_axis), ("y", xi_y, per_axis),
-                        ("x", None, n_shots - 2 * per_axis)):
+    plan = (("z", xi_z, per_axis), ("y", xi_y, per_axis), ("x", None, n_shots - 2 * per_axis))
+    blocks = []
+    for axis, xi, k in plan:
         if xi is None:
             # polarization axis: fully stretched spins, no model noise
             s_a, s_b = np.full(k, n_a / 2.0), np.full(k, n_b / 2.0)
@@ -387,12 +447,12 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
             total, g = rng.normal(0.0, [math.sqrt(xi * base_var), part_sd], size=(k, 2)).T
             s_a = f * total + g
             s_b = (1.0 - f) * total - g
-        n1a, n2a = _counts_from_spin(s_a, n_a, eta)
-        n1b, n2b = _counts_from_spin(s_b, n_b, eta)
-        shots += [ShotRecord(axis, *c) for c in zip(n1a, n2a, n1b, n2b)]
-    return SpinShotDataset(tuple(shots), eta, eta,
-                           n_a * eta, n_b * eta,
-                           f"{model} model, N={n_atoms}, split={f}, xi2={xi2}, eta={eta}")
+        blocks.append(np.column_stack(_counts_from_spin(s_a, n_a, eta)
+                                      + _counts_from_spin(s_b, n_b, eta)))
+    codes = np.repeat([_AXIS_CODE[axis] for axis, _, _ in plan], [k for _, _, k in plan])
+    return SpinShotDataset._from_columns(
+        codes, np.concatenate(blocks), eta, eta, n_a * eta, n_b * eta,
+        f"{model} model, N={n_atoms}, split={f}, xi2={xi2}, eta={eta}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +462,13 @@ CSV_HEADER = ["setting", "n1a", "n2a", "n1b", "n2b"]
 
 
 def dataset_to_csv(data: SpinShotDataset) -> str:
+    """The shots under ``CSV_HEADER``, one row per shot, each count written
+    as its Python float."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
-    for rec in data.shots:
-        writer.writerow([rec.setting, rec.n1a, rec.n2a, rec.n1b, rec.n2b])
+    settings = [AXES[c] for c in data.axis_codes.tolist()]
+    writer.writerows(zip(settings, *data.counts.T.tolist()))
     return buf.getvalue()
 
 
@@ -421,8 +483,11 @@ def dataset_metadata_json(data: SpinShotDataset) -> str:
 
 
 def dataset_from_csv(csv_text: str, meta_json: str) -> SpinShotDataset:
-    """A dataset from CSV rows under ``CSV_HEADER`` and its metadata JSON;
-    raises DeskScaleError at the first row past 1e6 shots."""
+    """A dataset from CSV rows under ``CSV_HEADER`` and its metadata JSON,
+    each count parsed by ``float()``.  Raises DeskScaleError at the first row
+    past 1e6 shots, and ValidationError for a row of another length, a count
+    that does not parse or is negative or not finite, and a setting that is
+    no axis."""
     try:
         meta = json.loads(meta_json)
         eta_a = float(meta["eta_a"])
@@ -435,17 +500,19 @@ def dataset_from_csv(csv_text: str, meta_json: str) -> SpinShotDataset:
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != CSV_HEADER:
         raise ValidationError(f"CSV header must be {','.join(CSV_HEADER)}")
-    shots = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ValidationError(f"bad CSV row: {row}")
-        if len(shots) == _MAX_DENSE_SUPPORT:
-            raise DeskScaleError(f"CSV has more than {_MAX_DENSE_SUPPORT} shots, the shot cap")
-        shots.append(ShotRecord(row[0].strip(), float(row[1]), float(row[2]),
-                                float(row[3]), float(row[4])))
-    if not shots:
+    # blank lines are skipped; reading stops at the first row past the cap
+    rows = list(itertools.islice(filter(None, reader), _MAX_DENSE_SUPPORT + 1))
+    if set(map(len, rows)) - {5}:
+        raise ValidationError(f"bad CSV row: {next(r for r in rows if len(r) != 5)}")
+    if len(rows) > _MAX_DENSE_SUPPORT:
+        raise DeskScaleError(f"CSV has more than {_MAX_DENSE_SUPPORT} shots, the shot cap")
+    if not rows:
         raise ValidationError("no shots in CSV")
-    return SpinShotDataset(tuple(shots), eta_a, eta_b, n1_a, n1_b,
-                           str(meta.get("description", "")))
+    settings, *columns = zip(*rows)
+    try:
+        counts = np.column_stack([np.fromiter(map(float, c), float, len(c)) for c in columns])
+    except ValueError as exc:
+        raise ValidationError(f"bad count in CSV: {exc}") from exc
+    return SpinShotDataset._from_columns(_axis_codes([s.strip() for s in settings]), counts,
+                                         eta_a, eta_b, n1_a, n1_b,
+                                         str(meta.get("description", "")))

@@ -6,14 +6,16 @@ reduced density matrices and collective generators, a dense a_i† a_j tensor
 for one-body operators, the spectral-form QFI and operator variance of dense
 matrices, 40-digit mpmath pmfs and distances for the binomial and Poisson
 kernels, pure-Python ``math.lgamma`` pmfs summed with ``math.fsum`` as a
-second check on them, and per-resample and per-shot loops for the witness bootstrap and
-synthetic shot data.  The activation search oracle is the search loop with
+second check on them, and per-resample and per-shot loops for the witness bootstrap,
+synthetic shot data and CSV text.  The activation search oracle is the search loop with
 one full ``activate`` call per candidate.  The state constructors' oracles
 are their earlier dense bodies: every block summed as a d x d matrix, on
 {N: (p_N, dense block)} dicts.  ``apply_to_pure`` is no oracle: it runs the
 package's sector lift on a pure sector state, for the tests of that lift.
 """
 
+import csv
+import io
 import math
 from itertools import product
 
@@ -435,6 +437,18 @@ def synthesize_shots_oracle(model: str, n_atoms: int = 100, split_fraction: floa
                 s_a, s_b = f * total + g, (1.0 - f) * total - g
             shots.append(ShotRecord(axis, *counts(s_a, n_a), *counts(s_b, n_b)))
     return tuple(shots)
+
+
+def dataset_to_csv_oracle(records) -> str:
+    """CSV text of shot records, one ``writer.writerow`` per record: the
+    per-record writer that ``dataset_to_csv`` had before datasets were held
+    as columns."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["setting", "n1a", "n2a", "n1b", "n2b"])
+    for rec in records:
+        writer.writerow([rec.setting, rec.n1a, rec.n2a, rec.n1b, rec.n2b])
+    return buf.getvalue()
 
 
 def m_pe_from_activation_oracle(state, n_va_restarts: int = 4, seed=0,

@@ -221,6 +221,11 @@ BAD_INPUTS = (
     ("witness", "synth", "--model", "css", "--eta", "nan", "--out", "{unwritten}"),
     # a billion shots, above the 1e6 shot cap, refused before drawing
     ("witness", "synth", "--model", "squeezed", "--shots", "1000000000", "--out", "{unwritten}"),
+    # the constant model ignores the sizes, but still checks them
+    ("witness", "synth", "--model", "constant", "--shots", "1000000000", "--out", "{unwritten}"),
+    ("witness", "synth", "--model", "constant", "--atoms", "-5", "--out", "{unwritten}"),
+    # a count that is no number
+    ("witness", "bound", "--data", "{bad_counts}", "--meta", "{meta}", "--optimize"),
 )
 
 
@@ -238,6 +243,8 @@ def test_validation_error_exit_code(capsys, tmp_path):
     paths["shots"] = tmp_path / "shots.csv"
     paths["meta"] = tmp_path / "shots_meta.json"
     paths["unwritten"] = tmp_path / "unwritten.csv"
+    paths["bad_counts"] = tmp_path / "bad_counts.csv"
+    paths["bad_counts"].write_text("setting,n1a,n2a,n1b,n2b\nz,1,abc,1,1\n")
     code, _, _ = run_cli(capsys, "witness", "synth", "--model", "squeezed", "--shots", "300",
                          "--seed", "3", "--out", str(paths["shots"]))
     assert code == 0

@@ -240,11 +240,48 @@ print(main(["activate", "--state", "classical:" + ",".join(["0.4242640687"] * 8)
 """
 
 
-def test_large_factored_blocks_are_never_made_dense():
+def _run_under_address_limit(script: str) -> list:
+    """Run ``script``, which sets its own address-space limit first, in a
+    child interpreter on this checkout; the words it prints."""
     src = os.path.dirname(os.path.dirname(bosonpe.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", DENSE_GATE_SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["10", "19448", "1", "True", "refused", "2"]
+    return proc.stdout.split()
+
+
+def test_large_factored_blocks_are_never_made_dense():
+    assert _run_under_address_limit(DENSE_GATE_SCRIPT) == \
+        ["10", "19448", "1", "True", "refused", "2"]
+
+
+# Each dense constructor at (8 modes, 10 particles), with caps raised to admit
+# the sector, would ask for one 19448 x 19448 complex matrix (5.6 GiB); at
+# (8, 6), the cap corner, the matrix is 1716 x 1716 and is built.
+DENSE_MATRICES_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from bosonpe.fock import DeskCaps, DeskScaleError
+from bosonpe.measures import second_quantized
+from bosonpe.optics import ModeUnitary, lift_unitary
+from bosonpe.states import css_density
+caps = DeskCaps(max_particles=10, max_modes=8)
+rng = np.random.default_rng(3)
+u = ModeUnitary(np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0])
+for call in (lambda: second_quantized(np.eye(8), 8, 10),
+             lambda: lift_unitary(u, 10, caps=caps),
+             lambda: css_density(np.ones(8), 10, caps=caps)):
+    try:
+        call()
+    except DeskScaleError:
+        print("refused")
+print(*second_quantized(np.eye(8), 8, 6).shape, *css_density(np.ones(8), 6).shape)
+"""
+
+
+def test_dense_matrices_above_the_desk_size_are_refused():
+    assert _run_under_address_limit(DENSE_MATRICES_SCRIPT) == \
+        ["refused"] * 3 + ["1716"] * 4

@@ -1,18 +1,21 @@
-import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bosonpe.witness
 from bosonpe.fock import DeskScaleError, ValidationError
 from bosonpe.witness import (
+    AXES,
+    CSV_HEADER,
     AxisMoments,
     ShotRecord,
     SpinMoments,
     SpinShotDataset,
     WitnessParams,
+    _spins_by_axis,
     dataset_from_csv,
     dataset_metadata_json,
     dataset_to_csv,
@@ -24,7 +27,7 @@ from bosonpe.witness import (
     synthesize_dataset,
     witness_normalization,
 )
-from helpers import bootstrap_se_oracle, synthesize_shots_oracle
+from helpers import bootstrap_se_oracle, dataset_to_csv_oracle, synthesize_shots_oracle
 
 
 def make_dataset(rows, eta_a=1.0, eta_b=1.0, n1a=10.0, n1b=10.0):
@@ -217,7 +220,39 @@ def test_synthesize_matches_per_shot_loop(model, n_atoms, n_shots, seed, eta, sp
                                      n_shots=n_shots, seed=seed, xi2=0.25)
     assert data.shots == oracle
     # the same text too: Python floats, and no negative zeros
-    assert dataset_to_csv(data) == dataset_to_csv(dataclasses.replace(data, shots=oracle))
+    assert dataset_to_csv(data) == dataset_to_csv(
+        SpinShotDataset(oracle, data.eta_a, data.eta_b, data.n1_a_mean, data.n1_b_mean))
+    assert dataset_to_csv(data) == dataset_to_csv_oracle(oracle)
+    assert_csv_round_trip_is_exact(data)
+
+
+def assert_csv_round_trip_is_exact(data):
+    back = dataset_from_csv(dataset_to_csv(data), dataset_metadata_json(data))
+    assert back.axis_codes.tobytes() == data.axis_codes.tobytes()
+    assert back.counts.tobytes() == data.counts.tobytes()
+    spins, back_spins = _spins_by_axis(data), _spins_by_axis(back)
+    for axis in AXES:
+        for s, t in zip(spins[axis], back_spins[axis]):
+            assert s.tobytes() == t.tobytes()
+
+
+# nonnegative finite counts, with a negative zero, integers and huge values
+COUNTS = st.one_of(st.just(-0.0), st.integers(0, 10**6).map(float),
+                   st.floats(0.0, 1e300, allow_nan=False))
+RECORDS = st.lists(st.builds(ShotRecord, st.sampled_from(AXES), COUNTS, COUNTS, COUNTS, COUNTS),
+                   max_size=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(RECORDS, st.sampled_from([1.0, 0.35]))
+def test_records_round_trip_through_columns(records, eta):
+    data = SpinShotDataset(records, eta, 1.0, 10.0, 10.0)
+    assert len(data) == len(records)
+    assert data.shots == tuple(records)
+    assert all(type(v) is float for rec in data.shots for v in (rec.n1a, rec.n2a, rec.n1b, rec.n2b))
+    assert dataset_to_csv(data) == dataset_to_csv_oracle(records)
+    if records:
+        assert_csv_round_trip_is_exact(data)
 
 
 @pytest.mark.parametrize("model, n_atoms, n_shots, seed, eta, split", SYNTH_CASES)
@@ -305,6 +340,15 @@ def test_synthesize_rejects_bad_sizes_and_efficiency(bad):
         synthesize_dataset("css", **bad)
 
 
+@pytest.mark.parametrize("bad", [{"n_shots": -1}, {"n_atoms": -5}, {"eta": math.nan},
+                                 {"split_fraction": 1.0}, {"n_shots": 10**9}])
+def test_constant_model_checks_the_arguments_it_ignores(bad):
+    error = DeskScaleError if bad == {"n_shots": 10**9} else ValidationError
+    with pytest.raises(error):
+        synthesize_dataset("constant", **bad)
+    assert len(synthesize_dataset("constant", n_shots=10**6, n_atoms=0)) == 6
+
+
 def test_synthesize_refuses_shots_above_cap_before_drawing():
     tracemalloc.start()
     try:
@@ -327,6 +371,38 @@ def test_csv_shot_cap_fires_as_rows_pass_it(monkeypatch):
     # the sixth row trips the cap before the malformed seventh is read
     with pytest.raises(DeskScaleError):
         dataset_from_csv(text + "z,1,2\n", meta)
+
+
+def test_csv_shot_cap_is_one_million_rows():
+    # the real cap: the row past 1e6 is refused (about 1.5 s of CSV parsing)
+    text = ",".join(CSV_HEADER) + "\n" + "z,0,0,0,0\n" * (10**6 + 1)
+    with pytest.raises(DeskScaleError):
+        dataset_from_csv(text, META_JSON)
+
+
+META_JSON = '{"eta_a": 1, "eta_b": 1, "n1_a_mean": 10, "n1_b_mean": 10}'
+GOOD_ROWS = [("x", 10.0, 0.0, 10.0, 0.0)] * 2 + [("y", 5.0, 5.0, 5.0, 5.0)] * 2 \
+    + [("z", 6.0, 4.0, 4.0, 6.0), ("z", 4.0, 6.0, 6.0, 4.0)]
+
+
+@pytest.mark.parametrize("row", [("w", 1.0, 1.0, 1.0, 1.0), ("z", 1.0, math.nan, 1.0, 1.0),
+                                 ("z", 1.0, 1.0, math.inf, 1.0), ("z", 1.0, 1.0, 1.0, -1.0),
+                                 ("z", 1.0, 1.0, 1.0), None],
+                         ids=["setting", "nan", "inf", "negative", "four_columns", "empty"])
+def test_bad_shots_rejected_from_records_and_csv(row):
+    def csv_text(rows):
+        return ",".join(CSV_HEADER) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
+
+    # the good rows alone pass both paths
+    estimate_moments(SpinShotDataset([ShotRecord(*r) for r in GOOD_ROWS], 1.0, 1.0, 10.0, 10.0))
+    estimate_moments(dataset_from_csv(csv_text(GOOD_ROWS), META_JSON))
+    rows = [] if row is None else GOOD_ROWS + [row]
+    with pytest.raises(ValidationError):
+        # a row of the wrong length reaches the constructor as it is
+        records = [ShotRecord(*r) if len(r) == 5 else r for r in rows]
+        estimate_moments(SpinShotDataset(records, 1.0, 1.0, 10.0, 10.0))
+    with pytest.raises(ValidationError):
+        estimate_moments(dataset_from_csv(csv_text(rows), META_JSON))
 
 
 def test_axis_spins_rejects_unknown_axis():
