@@ -192,6 +192,12 @@ def exchangeable_state(spec: ExchangeableSeparableSpec,
     return _direction_mixture_state(_unit_rows(vectors), rows, spec.m, caps)
 
 
+# Largest stack of sector Gram powers, in entries, that one batched
+# eigensolve takes (the bound _css_block keeps on its power temporary); a
+# single t x t power above it is solved alone
+_STACK_ENTRIES = 2**20
+
+
 def _css_trace_distance(directions, rho_weights: np.ndarray, sigma_weights: np.ndarray,
                         caps: DeskCaps) -> tuple[float, float, float]:
     """Trace distance between the states ``_direction_mixture_state`` builds
@@ -200,10 +206,16 @@ def _css_trace_distance(directions, rho_weights: np.ndarray, sigma_weights: np.n
 
     Block n of the difference is sum_t c_t |css_t^n><css_t^n|, summed over
     the T distinct directions.  Its trace norm is that of G^{1/2} C G^{1/2}
-    with G_st = (d_s^dag d_t)^n, a T x T problem, or, when the sector is
-    smaller than T, of the block itself built from Fock amplitudes.  A
-    direction may be None (nothing on the retained modes) only where its
-    weights vanish above n = 0; the vacuum block is a scalar."""
+    with G_st = (d_s^dag d_t)^n over the t terms kept at n, a t x t problem,
+    or, when the sector is smaller than t, of the block itself built from
+    Fock amplitudes.  Sectors that keep the same terms share the Gram matrix
+    of their directions: its elementwise powers are stacked, a chunk of
+    sectors at a time with at most 2**20 entries in the stack (one sector
+    when a single power is larger), and each chunk takes one batched eigh,
+    batched square roots and one batched eigvalsh.  Each sector's sum is
+    added to the norm in order of n.  A direction may be None (nothing on
+    the retained modes) only where its weights vanish above n = 0; the
+    vacuum block is a scalar."""
     rho_c, rho_mass = _block_coefficients(rho_weights)
     sigma_c, sigma_mass = _block_coefficients(sigma_weights)
     merged: dict = {}
@@ -224,19 +236,27 @@ def _css_trace_distance(directions, rho_weights: np.ndarray, sigma_weights: np.n
             raise DeskScaleError(
                 f"block n={n} has {t} directions in a {dims[n]}-dimensional "
                 f"sector; both exceed the desk block size {_MAX_BLOCK_DIM}")
+    sums = np.zeros(coef.shape[1])
+    groups: dict = {}
     for n in range(1, coef.shape[1]):
         keep = coef[:, n] != 0
-        c, d = coef[keep, n], dirs[keep]
-        if c.size == 0:
-            continue
-        if c.size <= dims[n]:
-            lam, u = np.linalg.eigh((d.conj() @ d.T) ** n)
-            root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
-            mat = root @ (c[:, None] * root)
-        else:
-            mat = _css_block(d, c, n, caps)
-        norm += np.sum(np.abs(np.linalg.eigvalsh(mat)))
-    return 0.5 * float(norm), rho_mass, sigma_mass
+        t = np.count_nonzero(keep)
+        if t > dims[n]:
+            mat = _css_block(dirs[keep], coef[keep, n], n, caps)
+            sums[n] = np.sum(np.abs(np.linalg.eigvalsh(mat)))
+        elif t:
+            groups.setdefault(keep.tobytes(), (keep, []))[1].append(n)
+    for keep, sectors in groups.values():
+        d, c = dirs[keep], coef[keep]
+        gram = d.conj() @ d.T
+        step = max(1, _STACK_ENTRIES // gram.size)
+        for s in range(0, len(sectors), step):
+            ns = np.array(sectors[s:s + step])
+            lam, u = np.linalg.eigh(gram ** ns[:, None, None])
+            root = (u * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]) @ u.conj().swapaxes(1, 2)
+            mats = root @ (c[:, ns].T[:, :, None] * root)
+            sums[ns] = np.sum(np.abs(np.linalg.eigvalsh(mats)), axis=1)
+    return 0.5 * float(sum(sums[1:].tolist(), norm)), rho_mass, sigma_mass
 
 
 @dataclass(frozen=True)
@@ -287,7 +307,7 @@ def definetti_classical_approx(spec: ExchangeableSeparableSpec, l: int,
         directions.append(c[:l] / math.sqrt(p_ret) if p_ret > 1e-15 else None)
         p_rets.append(p_ret)
     if n_max is None:
-        n_max = max(spec.N, max(default_poisson_truncation(spec.N * p) for p in p_rets))
+        n_max = max(spec.N, *map(default_poisson_truncation, {spec.N * p for p in p_rets}))
     if n_max > _MAX_DENSE_SUPPORT:
         raise DeskScaleError(
             f"n_max={n_max} exceeds the dense support cap {_MAX_DENSE_SUPPORT}")

@@ -287,8 +287,10 @@ def poisson_weights(mu, n_max: int) -> np.ndarray:
             f"n_max={n_max} exceeds the dense support cap {_MAX_DENSE_SUPPORT}")
     rate = np.asarray(mu, dtype=float)[..., None]
     n = np.arange(n_max + 1)
-    logs = n * np.log(np.where(rate > 0, rate, 1.0)) - _log_factorials(n_max) - rate
-    return np.where(rate > 0, np.exp(logs), n == 0)
+    positive = bool(np.all(rate > 0))
+    safe = rate if positive else np.where(rate > 0, rate, 1.0)
+    weights = np.exp(n * np.log(safe) - _log_factorials(n_max) - rate)
+    return weights if positive else np.where(rate > 0, weights, n == 0)
 
 
 def default_poisson_truncation(mu: float) -> int:

@@ -380,6 +380,13 @@ def _optimal_params(m: SpinMoments) -> WitnessParams:
 # synthetic datasets
 
 
+# Largest atom number: below it every count is an exact float and the
+# detected total round(atoms * eta) fits in int64
+_MAX_ATOMS = 2**53
+# Fewest shots that put two on each of z and y, the least a bound needs
+_MIN_SHOTS = 6
+
+
 def _counts_from_spin(spin: np.ndarray, atoms: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Invert S = (n1 - n2) / (2 eta) with n1 + n2 = detected atoms, per shot.
     ``np.rint`` and ``round`` both round half to even."""
@@ -400,14 +407,19 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
     so the witness fires; ``constant`` emits the fixed zero-variance dataset
     whose bound is pure arithmetic (10/220 with defaults), whatever the
     sizes, split and efficiency, which are still checked.  Raises
-    DeskScaleError, before drawing, for more than 1e6 shots.
+    ValidationError for fewer than 6 shots (the bound needs two on each of z
+    and y) or more than 2**53 atoms, and DeskScaleError, before drawing, for
+    more than 1e6 shots.
     """
     if model not in ("constant", "css", "squeezed"):
         raise ValidationError(f"unknown model {model!r}")
     if not 0.0 < split_fraction < 1.0:
         raise ValidationError("split fraction must lie strictly between 0 and 1")
-    if n_shots < 0 or n_atoms < 0:
-        raise ValidationError(f"n_shots and n_atoms must be nonnegative, got {n_shots}, {n_atoms}")
+    if not 0 <= n_atoms <= _MAX_ATOMS:
+        raise ValidationError(f"n_atoms must lie in [0, 2**53], got {n_atoms}")
+    if n_shots < _MIN_SHOTS:
+        raise ValidationError(f"need at least {_MIN_SHOTS} shots, two on each of z and y, "
+                              f"for a bound; got {n_shots}")
     if n_shots > _MAX_DENSE_SUPPORT:
         raise DeskScaleError(f"n_shots={n_shots} exceeds the shot cap {_MAX_DENSE_SUPPORT}")
     if not 0.0 < eta <= 1.0:

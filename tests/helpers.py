@@ -10,7 +10,9 @@ second check on them, and per-resample and per-shot loops for the witness bootst
 synthetic shot data and CSV text.  The activation search oracle is the search loop with
 one full ``activate`` call per candidate.  The state constructors' oracles
 are their earlier dense bodies: every block summed as a d x d matrix, on
-{N: (p_N, dense block)} dicts.  ``apply_to_pure`` is no oracle: it runs the
+{N: (p_N, dense block)} dicts.  The oracle of the stacked de Finetti and
+many-copy trace distance is its earlier loop, one Gram eigenproblem per
+number sector.  ``apply_to_pure`` is no oracle: it runs the
 package's sector lift on a pure sector state, for the tests of that lift.
 """
 
@@ -22,8 +24,18 @@ from itertools import product
 import mpmath
 import numpy as np
 
-from bosonpe.fock import DESK, UNCAPPED, PureSectorState, ValidationError, enumerate_basis
+from bosonpe.fock import (
+    DESK,
+    UNCAPPED,
+    DeskCaps,
+    DeskScaleError,
+    PureSectorState,
+    ValidationError,
+    _MAX_BLOCK_DIM,
+    enumerate_basis,
+)
 from bosonpe.optics import lift_unitary
+from bosonpe.states import _block_coefficients, _css_block, _log_factorials
 
 
 def ryser_permanent(a: np.ndarray) -> complex:
@@ -600,3 +612,60 @@ def css_mixture_oracle(directions, weights: np.ndarray, l: int) -> dict:
             amps = np.ones(1) if d is None else coherent_spin_amplitudes(d, n)
             acc[n] = acc.get(n, 0) + w * np.outer(amps, amps.conj())
     return normalized_dense_blocks(acc)[0]
+
+
+def css_trace_distance_loop(directions, rho_weights: np.ndarray, sigma_weights: np.ndarray,
+                            caps: DeskCaps) -> tuple[float, float, float]:
+    """Trace distance between the states ``_direction_mixture_state`` builds
+    from ``rho_weights`` and ``sigma_weights`` (per-term rows over n = 0..n_hi,
+    term t along ``directions[t]``), with the kept mass of each.
+
+    Block n of the difference is sum_t c_t |css_t^n><css_t^n|, summed over
+    the T distinct directions.  Its trace norm is that of G^{1/2} C G^{1/2}
+    with G_st = (d_s^dag d_t)^n, a T x T problem, or, when the sector is
+    smaller than T, of the block itself built from Fock amplitudes.  A
+    direction may be None (nothing on the retained modes) only where its
+    weights vanish above n = 0; the vacuum block is a scalar."""
+    rho_c, rho_mass = _block_coefficients(rho_weights)
+    sigma_c, sigma_mass = _block_coefficients(sigma_weights)
+    merged: dict = {}
+    for d, row in zip(directions, rho_c - sigma_c):
+        key = None if d is None else d.tobytes()
+        merged[key] = (d, merged[key][1] + row) if key in merged else (d, row)
+    norm = abs(sum(row[0] for _, row in merged.values()))
+    live = [(d, row) for d, row in merged.values() if d is not None]
+    if not live:
+        return 0.5 * float(norm), rho_mass, sigma_mass
+    dirs = np.array([d for d, _ in live])
+    coef = np.array([row for _, row in live])
+    l = dirs.shape[1]
+    dims = [math.comb(n + l - 1, n) for n in range(coef.shape[1])]
+    for n in range(1, coef.shape[1]):
+        t = np.count_nonzero(coef[:, n])
+        if min(t, dims[n]) > _MAX_BLOCK_DIM:
+            raise DeskScaleError(
+                f"block n={n} has {t} directions in a {dims[n]}-dimensional "
+                f"sector; both exceed the desk block size {_MAX_BLOCK_DIM}")
+    for n in range(1, coef.shape[1]):
+        keep = coef[:, n] != 0
+        c, d = coef[keep, n], dirs[keep]
+        if c.size == 0:
+            continue
+        if c.size <= dims[n]:
+            lam, u = np.linalg.eigh((d.conj() @ d.T) ** n)
+            root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
+            mat = root @ (c[:, None] * root)
+        else:
+            mat = _css_block(d, c, n, caps)
+        norm += np.sum(np.abs(np.linalg.eigvalsh(mat)))
+    return 0.5 * float(norm), rho_mass, sigma_mass
+
+
+def poisson_weights_masked(mu, n_max: int) -> np.ndarray:
+    """The Poisson kernel with its zero-mean masks always applied, as
+    ``poisson_weights`` computed it before it skipped them for positive
+    means: the reference it must match bit for bit."""
+    rate = np.asarray(mu, dtype=float)[..., None]
+    n = np.arange(n_max + 1)
+    logs = n * np.log(np.where(rate > 0, rate, 1.0)) - _log_factorials(n_max) - rate
+    return np.where(rate > 0, np.exp(logs), n == 0)

@@ -219,6 +219,11 @@ BAD_INPUTS = (
     ("witness", "synth", "--model", "css", "--shots", "-1", "--out", "{unwritten}"),
     ("witness", "synth", "--model", "css", "--atoms", "-5", "--out", "{unwritten}"),
     ("witness", "synth", "--model", "css", "--eta", "nan", "--out", "{unwritten}"),
+    # four shots leave one on each of z and y, too few for a bound
+    ("witness", "synth", "--model", "css", "--shots", "4", "--out", "{unwritten}"),
+    # 1e20 atoms, above 2**53, where counts stop being exact floats
+    ("witness", "synth", "--model", "css", "--shots", "6", "--atoms", "100000000000000000000",
+     "--out", "{unwritten}"),
     # a billion shots, above the 1e6 shot cap, refused before drawing
     ("witness", "synth", "--model", "squeezed", "--shots", "1000000000", "--out", "{unwritten}"),
     # the constant model ignores the sizes, but still checks them

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bosonpe
+from bosonpe import nonclassical
 from bosonpe.fock import (
     BlockDiagonalState,
     DeskCaps,
@@ -27,6 +28,7 @@ from bosonpe.measures import block_trace_distance
 from bosonpe.nonclassical import (
     ExchangeableSeparableSpec,
     _binomial_logpmf,
+    _css_trace_distance,
     binomial_poisson_distance,
     definetti_classical_approx,
     exchangeable_state,
@@ -48,8 +50,10 @@ from helpers import (
     binomial_poisson_oracle,
     binomial_poisson_pmfs_mp,
     binomial_poisson_tv_mp,
+    css_trace_distance_loop,
     poisson_pmf_mp,
     poisson_pmf_oracle,
+    poisson_weights_masked,
 )
 
 FEW = settings(max_examples=15, deadline=None)
@@ -139,6 +143,23 @@ def test_kernels_at_point_masses():
     assert rows.shape == (4, 8)
     for row, mu in zip(rows, (0.0, 2.5, 0.0, 40.0)):
         assert np.array_equal(row, poisson_weights(mu, 7))
+
+
+def test_poisson_and_binpois_bit_identical_to_masked_kernel(monkeypatch):
+    # the criterion 06 grid and the mpmath cells, at the support each distance
+    # uses; weights compare as raw bytes, distances as float hex
+    cells = [(N, float(p)) for N in range(1, 101) for p in np.linspace(0.005, 0.5, 20)]
+    cells += list(MP_CELLS)
+    distances = [binomial_poisson_distance(N, p).distance for N, p in cells]
+    for N, p in cells:
+        mu = N * p
+        hi = max(N, int(math.ceil(mu + 20.0 * math.sqrt(mu + 1.0) + 25.0)))
+        assert poisson_weights(mu, hi).tobytes() == poisson_weights_masked(mu, hi).tobytes()
+    means = np.array([0.0, 2.5, 0.0, 40.0])
+    assert poisson_weights(means, 60).tobytes() == poisson_weights_masked(means, 60).tobytes()
+    monkeypatch.setattr(nonclassical, "poisson_weights", poisson_weights_masked)
+    masked = [binomial_poisson_distance(N, p).distance for N, p in cells]
+    assert list(map(float.hex, distances)) == list(map(float.hex, masked))
 
 
 def test_binpois_bound_on_grid():
@@ -422,6 +443,80 @@ def test_many_copy_construction_matches_dense_states(terms, k):
     dense = block_trace_distance(classical_nd_state(terms, n_max),
                                  dense_many_copy_sigma(terms, k, n_max))
     assert report.construction_distance == pytest.approx(dense, abs=1e-12)
+
+
+def compared_with_loop(gaps):
+    """``_css_trace_distance`` that also runs the per-sector loop oracle on
+    the same rows and records the distance gap; the masses must agree."""
+    def compare(*args):
+        got, want = _css_trace_distance(*args), css_trace_distance_loop(*args)
+        assert got[1:] == want[1:]
+        gaps.append(abs(got[0] - want[0]))
+        return got
+    return compare
+
+
+@FEW
+@given(exchangeable_specs(), classical_mixtures(), st.integers(1, 3))
+def test_stacked_trace_distance_matches_loop_oracle(spec, terms, k):
+    # l = 1 can put several phases in a one-dimensional sector (the
+    # _css_block side), empty retained modes a None direction, and Poisson
+    # rows that fall below 1e-16 at different n kept terms that change with n
+    gaps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonclassical, "_css_trace_distance", compared_with_loop(gaps))
+        for l in range(1, spec.m + 1):
+            definetti_classical_approx(spec, l)
+        many_copy_nc_bound_check(terms, k)
+    assert len(gaps) == spec.m + 1
+    assert max(gaps) <= 1e-15
+
+
+@pytest.mark.parametrize("entries", [1, 16, 500])
+def test_stacked_trace_distance_split_across_chunks(monkeypatch, entries):
+    # kept terms: 2 at every l = 1 sector (the _css_block side, next to a
+    # None direction); at l = 2, 9 then 8 (8 x 8 powers over 11 sectors); at
+    # l = 3, 16 then 15 (13 sectors); at l = 4, 16 (15 sectors); 2 over 6
+    # sectors in the many-copy rows.  A stack of 16 entries holds 4 sectors
+    # at t = 2, one of 500 holds 7 at t = 8 and 2 at t = 15, so groups split
+    # across chunk boundaries
+    m = 4
+    v = np.array([0.01, 0.01, 0.01, 1.0]) / math.sqrt(1.0003)
+    spec = ExchangeableSeparableSpec(4, m, ((0.7, v), (0.3, np.array([0.6, 0.8j, 0.0, 0.0]))))
+    mixture = [(0.5, np.array([0.5, 0.3j])), (0.2, np.array([0.0, 0.0])),
+               (0.3, np.array([1e-3, 0.0]))]
+
+    def distances():
+        return ([definetti_classical_approx(spec, l).distance for l in range(1, m + 1)]
+                + [many_copy_nc_bound_check(mixture, k).construction_distance
+                   for k in (1, 2, 3)])
+
+    gaps, shapes, whole = [], [], distances()
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    monkeypatch.setattr(nonclassical, "_STACK_ENTRIES", entries)
+    monkeypatch.setattr(nonclassical, "_css_trace_distance", compared_with_loop(gaps))
+    assert distances() == whole
+    assert max(gaps) <= 1e-15
+    # no stack above the bound, unless it is a single power
+    assert all(math.prod(s) <= max(entries, s[-1] ** 2) for s in shapes)
+    assert entries == 1 or any(len(s) == 3 and s[0] > 1 for s in shapes)
+
+
+def test_stacked_trace_distance_groups_by_kept_terms():
+    # two kept terms at every n, but terms 0 and 2 at n = 1..2 and terms 1
+    # and 2 at n = 3..4: equal counts, different Gram matrices
+    dirs = [np.array([1.0, 0.0]), np.array([0.6, 0.8j]), np.ones(2) / math.sqrt(2.0)]
+    rho = np.array([[0.0, 0.2, 0.1, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.2, 0.1],
+                    [0.1, 0.1, 0.1, 0.05, 0.05]])
+    sigma = np.array([[0.0, 0.1, 0.2, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.1, 0.2],
+                      [0.1, 0.05, 0.05, 0.1, 0.1]])
+    args = (dirs, rho, sigma, DeskCaps(max_particles=4, max_modes=2))
+    got, want = _css_trace_distance(*args), css_trace_distance_loop(*args)
+    assert got[1:] == want[1:]
+    assert abs(got[0] - want[0]) <= 1e-15
 
 
 def test_definetti_eight_modes_feasible():

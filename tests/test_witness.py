@@ -334,19 +334,28 @@ def test_optimizer_skips_overflowing_candidates():
 
 
 @pytest.mark.parametrize("bad", [{"n_shots": -1}, {"n_atoms": -5}, {"eta": math.nan},
-                                 {"eta": math.inf}])
+                                 {"eta": math.inf}, {"n_shots": 0}, {"n_shots": 5},
+                                 {"n_atoms": 2**53 + 1}])
 def test_synthesize_rejects_bad_sizes_and_efficiency(bad):
     with pytest.raises(ValidationError):
         synthesize_dataset("css", **bad)
 
 
 @pytest.mark.parametrize("bad", [{"n_shots": -1}, {"n_atoms": -5}, {"eta": math.nan},
-                                 {"split_fraction": 1.0}, {"n_shots": 10**9}])
+                                 {"split_fraction": 1.0}, {"n_shots": 10**9},
+                                 {"n_shots": 0}, {"n_shots": 5}])
 def test_constant_model_checks_the_arguments_it_ignores(bad):
     error = DeskScaleError if bad == {"n_shots": 10**9} else ValidationError
     with pytest.raises(error):
         synthesize_dataset("constant", **bad)
     assert len(synthesize_dataset("constant", n_shots=10**6, n_atoms=0)) == 6
+
+
+def test_synthesize_at_the_atom_cap():
+    # 2**53 atoms: each region's detected total, 2**52, is still an exact count
+    counts = synthesize_dataset("css", n_atoms=2**53, n_shots=6).counts
+    assert np.all(counts[:, 0] + counts[:, 1] == 2**52)
+    assert np.all(counts[:, 2] + counts[:, 3] == 2**52)
 
 
 def test_synthesize_refuses_shots_above_cap_before_drawing():
