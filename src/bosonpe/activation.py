@@ -28,6 +28,7 @@ from .fock import (
     SectorDecomposition,
     ValidationError,
     _MAX_BLOCK_DIM,
+    _check_seed,
     _local_number_layout,
     enumerate_basis,
     project_local_number,
@@ -301,6 +302,7 @@ def activation_inequality_check(state: BlockDiagonalState,
     upper-bounds the input's distance-based measure via a seeded candidate
     set; flags inconsistency only when the lower bound exceeds the upper.
     """
+    _check_seed(seed)
     if spec is None:
         spec = ActivationSpec(state)
     report = activate(spec)
@@ -329,10 +331,16 @@ def _balanced_sectors(state: BlockDiagonalState, va: ModeUnitary,
                       caps: DeskCaps) -> list:
     """The balanced-array activation of ``state`` after V_A = ``va``, split
     for ``_filtered_negativities``: per block N, (p_N, occupations of the
-    2m-mode basis, [(rows, F[rows], d_A, d_B)] per (N_A, N_B) sector), where
-    F = V sqrt(lam) is the block's factor and ``rows`` lists the sector's
-    basis indices in the product order i_A * d_B + i_B (every (n_A, n_B)
-    pair occurs, so the layout's positions are a permutation)."""
+    2m-mode basis rows the sectors use, [(rows, F_s, d_A, d_B)] per
+    (N_A, N_B) sector), where F_s holds the sector's rows of the block's
+    factor F = V sqrt(lam) in the product order i_A * d_B + i_B (every
+    (n_A, n_B) pair occurs, so the layout's positions are a permutation)
+    and the slice ``rows`` picks the same rows out of those occupations.
+
+    A sector with d_A = 1 or d_B = 1 (N_A = 0, N_B = 0 or m = 1) is left out:
+    every state on it, pure or mixed, is a product state with negativity
+    zero (Vidal & Werner, PRA 65, 032314 (2002)).  A block with no other
+    sector is left out as well."""
     m = state.modes
     out = apply_mode_unitary(append_vacuum(state, m, caps=caps),
                              _activation_unitary(m, balanced_array(m), va), caps=caps)
@@ -341,13 +349,19 @@ def _balanced_sectors(state: BlockDiagonalState, va: ModeUnitary,
     for N in out.sectors():
         V, lam = out.factor(N)
         factor = V * np.sqrt(lam)
-        sectors = []
+        used, sectors, start = [], [], 0
         for rows, pos, ba, bb in _local_number_layout(2 * m, N, partition).values():
+            if ba.dim == 1 or bb.dim == 1:
+                continue
             ordered = np.empty_like(rows)
             ordered[pos] = rows
-            sectors.append((ordered, factor[ordered], ba.dim, bb.dim))
-        occupations = np.array(enumerate_basis(2 * m, N, UNCAPPED).states)
-        blocks.append((out.weight(N), occupations, sectors))
+            used.append(ordered)
+            sectors.append((slice(start, start + len(rows)), factor[ordered],
+                            ba.dim, bb.dim))
+            start += len(rows)
+        if sectors:
+            occupations = np.array(enumerate_basis(2 * m, N, UNCAPPED).states)
+            blocks.append((out.weight(N), occupations[np.concatenate(used)], sectors))
     return blocks
 
 
@@ -364,6 +378,19 @@ def _chunk_size(blocks: list) -> int:
     return max(1, _MAX_BLOCK_DIM**2 // per_vector)
 
 
+def _two_row_negativity(amps: np.ndarray) -> np.ndarray:
+    """Negativity sigma_1 sigma_2 of unit vectors from their amplitude
+    matrices M, a stack (B, 2, n) or (B, n, 2) (transposed to two rows):
+    sqrt(sum_{i<j} |M_0i M_1j - M_0j M_1i|^2), which is sqrt(det M M^dag) by
+    Cauchy-Binet and has no cancellation near rank one.  The minors are
+    taken over all (i, j), which counts each pair twice."""
+    if amps.shape[1] != 2:
+        amps = np.swapaxes(amps, 1, 2)
+    x = amps[:, 0, :, None] * amps[:, 1, None, :]
+    minors = x - np.swapaxes(x, 1, 2)
+    return np.sqrt((minors.real**2 + minors.imag**2).sum(axis=(1, 2)) / 2)
+
+
 def _filtered_negativities(blocks: list, r: np.ndarray) -> np.ndarray:
     """E_SSR negativity of the activation at each reflectivity vector of the
     stack r (B, m), from the balanced output of ``_balanced_sectors``.
@@ -373,6 +400,10 @@ def _filtered_negativities(blocks: list, r: np.ndarray) -> np.ndarray:
     then scored as ``activate`` scores it: dropped below BLOCK_DROP_TOL,
     a one-column factor through its Schmidt values, a wider one through its
     partial transpose, and the weighted negativities summed in sector order.
+    A one-column factor with min(d_A, d_B) = 2 needs no SVD: its negativity
+    ((s_1 + s_2)^2 - 1) / 2 is s_1 s_2, the root of the summed squared 2 x 2
+    minors of its amplitude matrix (``_two_row_negativity``).  The product
+    sectors ``_balanced_sectors`` leaves out would add zero.
     """
     total = np.zeros(len(r))
     for p_n, occupations, sectors in blocks:
@@ -385,7 +416,9 @@ def _filtered_negativities(blocks: list, r: np.ndarray) -> np.ndarray:
             if not keep.size:
                 continue
             sub = sub[keep] / np.sqrt(tr[keep])[:, None, None]
-            if sub.shape[2] == 1:
+            if sub.shape[2] == 1 and min(d_a, d_b) == 2:
+                neg = _two_row_negativity(sub.reshape(-1, d_a, d_b))
+            elif sub.shape[2] == 1:
                 svals = np.linalg.svd(sub.reshape(-1, d_a, d_b), compute_uv=False)
                 neg = _pure_negativity(svals)
             else:
@@ -427,9 +460,13 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     lifted once per V_A, and D(r) diagonal on the 2m-mode basis with entries
     prod_i (sqrt(2) r_i)^{n_Ai} (sqrt(2) t_i)^{n_Bi}.  The grid goes in
     batches of reflectivity vectors, each compass step's +/- pair as one.
-    ``grid_step`` must lie in (0, 1) and ``n_va_restarts`` be a nonnegative
-    integer; a grid of more than 1e6 candidates raises DeskScaleError before
-    anything is allocated.
+    Only sectors with d_A, d_B >= 2 are scored (``_balanced_sectors``); the
+    others are product states.  On one mode, or with no block of two or
+    more particles, there is no such sector and the result is 0.0, returned
+    after the argument checks without scoring a candidate.
+    ``grid_step`` must lie in (0, 1), ``n_va_restarts`` be a nonnegative
+    integer and the seed not a negative integer; a grid of more than 1e6
+    candidates raises DeskScaleError before anything is allocated.
     """
     if not (isinstance(grid_step, numbers.Real) and 0.0 < grid_step < 1.0):
         raise ValidationError(f"grid_step must be a finite number in (0, 1), got {grid_step!r}")
@@ -442,6 +479,9 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     count = n_grid**m if m <= 2 else m * n_grid + 1
     if count > _MAX_DENSE_SUPPORT:
         raise DeskScaleError(f"grid_step={grid_step!r} makes {count} grid candidates on {m} modes")
+    _check_seed(seed)
+    if m == 1 or state.max_particles < 2:
+        return 0.0
     rng = np.random.default_rng(seed)
     vas = [identity_unitary(m)]
     for _ in range(n_va_restarts):

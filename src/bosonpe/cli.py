@@ -19,6 +19,7 @@ from .fock import (
     DESK,
     BlockDiagonalState,
     ValidationError,
+    _check_seed,
     fock_state,
     vacuum_state,
 )
@@ -158,7 +159,9 @@ def cmd_activate(args) -> int:
     if args.va:
         if not args.va.startswith("random:"):
             raise ValidationError("--va takes random:<seed>")
-        rng = np.random.default_rng(_parse_number(args.va.split(":", 1)[1], int, "seed"))
+        seed = _parse_number(args.va.split(":", 1)[1], int, "seed")
+        _check_seed(seed)
+        rng = np.random.default_rng(seed)
         z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         va = ModeUnitary(np.linalg.qr(z)[0])
     postselect = None

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -61,6 +62,14 @@ def _gate_dense(dim: int, what: str) -> None:
     if dim > _MAX_BLOCK_DIM:
         raise DeskScaleError(f"{what} of dimension {dim} exceeds the desk block size "
                              f"{_MAX_BLOCK_DIM}")
+
+
+def _check_seed(seed) -> None:
+    """Raise ValidationError for a negative integer seed, which
+    ``np.random.default_rng`` refuses with a bare ValueError; every seeded
+    entry point calls this before its first draw."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _desk_caps_at_least(particles: int, modes: int) -> DeskCaps:

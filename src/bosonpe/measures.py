@@ -34,6 +34,7 @@ from .fock import (
     ValidationError,
     _annihilate,
     _annihilation_maps,
+    _check_seed,
     _create,
     _gate_dense,
     enumerate_basis,
@@ -423,9 +424,11 @@ def m_pe_f(state: BlockDiagonalState, search: str = "auto", seed=0,
     quantum-classical states with a memory: store each measurement record as
     a flag mode holding the measured particle count.
 
-    Raises ValidationError for a negative ``n_restarts`` and for a warm start
-    that is not a finite Hermitian of at least h_support x h_support.
+    Raises ValidationError for a negative ``n_restarts`` or seed and for a
+    warm start that is not a finite Hermitian of at least h_support x
+    h_support.
     """
+    _check_seed(seed)
     if h_support is None:
         h_support = state.modes
     if not 1 <= h_support <= state.modes:

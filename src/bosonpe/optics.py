@@ -26,6 +26,7 @@ from .fock import (
     ModePartition,
     ValidationError,
     _annihilation_maps,
+    _check_seed,
     _complex_from_json,
     _complex_to_json,
     _eigh_factors,
@@ -293,6 +294,7 @@ def measure_destructive(state: BlockDiagonalState, partition: ModePartition,
 def random_ssr_povm(modes: int, n_max: int, n_outcomes: int, seed) -> list[np.ndarray]:
     """Random SSR-respecting POVM built from Haar rank-1 projectors per sector,
     assigned to outcomes at random."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     slices = _sector_slices(modes, n_max)
     dim = slices[n_max].stop

@@ -26,6 +26,7 @@ from .fock import (
     DeskScaleError,
     PureSectorState,
     ValidationError,
+    _check_seed,
     _column_factors,
     _desk_caps_at_least,
     _eigh_factors,
@@ -206,6 +207,7 @@ def random_direction(m: int, rng) -> np.ndarray:
 def random_particle_separable(m: int, N: int, k: int, seed,
                               caps: DeskCaps = DESK) -> BlockDiagonalState:
     """Seeded random k-term mixture of coherent spin states at fixed N."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(k))
     terms = tuple(
@@ -217,6 +219,7 @@ def random_particle_separable(m: int, N: int, k: int, seed,
 def random_free_state(m: int, max_n: int, seed, k: int = 3,
                       caps: DeskCaps = DESK) -> BlockDiagonalState:
     """Random particle-separable state mixing particle numbers 0..max_n."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(max_n + 1))
     parts = []

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DeskScaleError, ValidationError, _freeze
+from .fock import DeskScaleError, ValidationError, _check_seed, _freeze
 from .states import _MAX_DENSE_SUPPORT
 
 AXES = ("x", "y", "z")
@@ -297,7 +297,8 @@ def pe_lower_bound(data: SpinShotDataset, params: WitnessParams,
     ``rng.integers(0, n, size=n)`` draw per axis, in x, y, z order, from
     ``np.random.default_rng(seed)``, so a seed reproduces the standard error.
     ``n_bootstrap=0`` skips the bootstrap (``bootstrap_se`` is None); 1 and
-    negative counts are rejected."""
+    negative counts are rejected, and so is a negative seed."""
+    _check_seed(seed)
     if n_bootstrap < 0 or n_bootstrap == 1:
         raise ValidationError(f"n_bootstrap must be 0 or at least 2, got {n_bootstrap}")
     n1_a = counts["N1_A"] if counts else data.n1_a_mean
@@ -409,8 +410,9 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
     sizes, split and efficiency, which are still checked.  Raises
     ValidationError for fewer than 6 shots (the bound needs two on each of z
     and y) or more than 2**53 atoms, and DeskScaleError, before drawing, for
-    more than 1e6 shots.
+    more than 1e6 shots, and ValidationError for a negative seed.
     """
+    _check_seed(seed)
     if model not in ("constant", "css", "squeezed"):
         raise ValidationError(f"unknown model {model!r}")
     if not 0.0 < split_fraction < 1.0:

@@ -51,12 +51,14 @@ def ryser_permanent(a: np.ndarray) -> complex:
     return (-1) ** n * total
 
 
-def lift_oracle(u: np.ndarray, m: int, N: int) -> np.ndarray:
+def lift_oracle(u: np.ndarray, m: int, N: int, columns=None) -> np.ndarray:
     """Sector matrix element <q|U|n> = perm(u[q rows, n cols]) / sqrt(q! n!),
-    rows repeated per output occupation, columns per input occupation."""
+    rows repeated per output occupation, columns per input occupation; only
+    the listed basis columns, in that order, when ``columns`` is given."""
     basis = enumerate_basis(m, N, UNCAPPED)
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for col, n_occ in enumerate(basis.states):
+    columns = range(basis.dim) if columns is None else columns
+    out = np.zeros((basis.dim, len(columns)), dtype=complex)
+    for col, n_occ in enumerate(basis.states[c] for c in columns):
         cols = [i for i in range(m) for _ in range(n_occ[i])]
         for row, q_occ in enumerate(basis.states):
             rows = [j for j in range(m) for _ in range(q_occ[j])]
@@ -87,16 +89,15 @@ def splitter_unitary(reflectivities, va=None) -> np.ndarray:
 def dense_activation(blocks: dict, m: int, u: np.ndarray) -> dict:
     """Dense reference for the activation output on {N: (p, dense block)}:
     each block re-indexed into 2m modes with modes m..2m-1 empty and
-    conjugated by the permanent lift of u."""
+    conjugated by the permanent lift of u, W mat W^dag with W the lift's
+    columns of those occupations."""
     out = {}
     for N, (p, mat) in blocks.items():
         old = enumerate_basis(m, N, UNCAPPED)
         new = enumerate_basis(2 * m, N, UNCAPPED)
         idx = [new.index(occ + (0,) * m) for occ in old.states]
-        big = np.zeros((new.dim, new.dim), dtype=complex)
-        big[np.ix_(idx, idx)] = mat
-        lift = lift_oracle(u, 2 * m, N)
-        out[N] = (p, lift @ big @ lift.conj().T)
+        lift = lift_oracle(u, 2 * m, N, columns=idx)
+        out[N] = (p, lift @ mat @ lift.conj().T)
     return out
 
 

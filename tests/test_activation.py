@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bosonpe import activation
 from bosonpe.cli import main
 from bosonpe.fock import (
     DeskScaleError,
@@ -13,7 +14,8 @@ from bosonpe.fock import (
     tensor_compose,
     vacuum_state,
 )
-from bosonpe.optics import BeamSplitterArray, balanced_array
+from bosonpe.measures import m_pe_f
+from bosonpe.optics import BeamSplitterArray, balanced_array, random_ssr_povm
 from bosonpe.activation import (
     ActivationSpec,
     activate,
@@ -32,6 +34,7 @@ from bosonpe.states import (
     random_free_state,
     random_particle_separable,
 )
+from bosonpe.witness import WitnessParams, pe_lower_bound, synthesize_dataset
 
 from helpers import m_pe_from_activation_oracle
 
@@ -231,6 +234,12 @@ SEARCH_CASES = {
                                           (0.3, fock_state((1, 1)).to_block_state())]),
                       dict(n_va_restarts=1, seed=3, grid_step=0.1)),
     "noon3": (lambda: noon_state(3).to_block_state(), dict(n_va_restarts=1, seed=0, grid_step=0.1)),
+    # its 3 x 3 (2, 2) sector is scored through the SVD, the 2 x 4 ones in closed form
+    "noon4": (lambda: noon_state(4).to_block_state(), dict(n_va_restarts=1, seed=0, grid_step=0.1)),
+    # one particle on two modes: every sector is one-sided, nothing is scored
+    "css_one_particle": (lambda: coherent_spin_state(
+        CoherentSpinSpec(np.array([0.8, 0.6j]), 1)).to_block_state(),
+        dict(n_va_restarts=1, seed=0, grid_step=0.1)),
 }
 
 
@@ -240,6 +249,20 @@ def test_m_pe_from_activation_matches_per_candidate_search(case):
     state = make()
     assert abs(m_pe_from_activation(state, **kwargs)
                - m_pe_from_activation_oracle(state, **kwargs)) <= 1e-12
+
+
+@pytest.mark.parametrize("state", [
+    coherent_spin_state(CoherentSpinSpec(np.array([0.8, 0.6j]), 1)).to_block_state(),
+    mix_states([(0.5, vacuum_state(3)), (0.5, fock_state((0, 1, 0)).to_block_state())]),
+    fock_state((3,)).to_block_state(),
+], ids=["css_one_particle", "vacuum_or_one", "one_mode"])
+def test_m_pe_from_activation_without_two_sided_sectors_scores_nothing(state, monkeypatch):
+    # one particle at most, or one mode: every (N_A, N_B) sector has
+    # d_A = 1 or d_B = 1, so the search is exactly 0.0 without a candidate
+    def refuse(*args):
+        raise AssertionError("no sector should be scored")
+    monkeypatch.setattr(activation, "_filtered_negativities", refuse)
+    assert m_pe_from_activation(state, n_va_restarts=2, seed=1) == 0.0
 
 
 def test_m_pe_from_activation_at_the_cap_corner():
@@ -262,11 +285,30 @@ def test_m_pe_from_activation_at_the_cap_corner():
     dict(grid_step=float("inf")), dict(grid_step=1.0), dict(grid_step=1.5),
     dict(grid_step=-0.1), dict(grid_step="0.1"), dict(grid_step=None),
     dict(n_va_restarts=-1), dict(n_va_restarts=1.5), dict(n_va_restarts=True),
-    dict(n_va_restarts="2"),
+    dict(n_va_restarts="2"), dict(seed=-1),
 ])
 def test_m_pe_from_activation_rejects_bad_arguments(kwargs):
     with pytest.raises(ValidationError):
         m_pe_from_activation(fock_state((1, 1)).to_block_state(), **kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: m_pe_from_activation(noon_state(2).to_block_state(), seed=-1),
+    # no two-sided sector, so the search would return 0.0 without a draw
+    lambda: m_pe_from_activation(fock_state((1, 0)).to_block_state(), seed=-1),
+    lambda: activation_inequality_check(noon_state(2).to_block_state(), seed=-1),
+    lambda: random_particle_separable(2, 2, 2, -1),
+    lambda: random_free_state(2, 2, np.int64(-3)),
+    lambda: random_ssr_povm(2, 2, 2, -1),
+    lambda: m_pe_f(noon_state(2).to_block_state(), search="general_restarts", seed=-5),
+    lambda: synthesize_dataset("css", n_shots=30, seed=-1),
+    lambda: pe_lower_bound(synthesize_dataset("css", n_shots=30), WitnessParams(1.0, 1.0),
+                           n_bootstrap=10, seed=-3),
+], ids=["search", "search_no_sectors", "inequality", "particle_separable", "free_state",
+        "ssr_povm", "mpef", "synthesize", "bootstrap"])
+def test_seeded_entry_points_reject_negative_seeds(call):
+    with pytest.raises(ValidationError, match="seed"):
+        call()
 
 
 @pytest.mark.parametrize("occupation, grid_step", [

@@ -189,6 +189,13 @@ BAD_INPUTS = (
     ("activate", "--state", "fock:1,1", "--postselect", "a"),
     ("activate", "--state", "fock:1,1", "--r", "0.5,x"),
     ("activate", "--state", "fock:1,1", "--va", "random:x"),
+    # negative seeds, which numpy's generator refuses with a bare ValueError
+    ("activate", "--state", "noon:2", "--va", "random:-1"),
+    ("mpef", "--state", "noon:2", "--search", "general_restarts", "--restarts", "1",
+     "--seed", "-5"),
+    ("witness", "synth", "--model", "css", "--shots", "30", "--seed", "-1", "--out", "{unwritten}"),
+    ("witness", "bound", "--data", "{shots}", "--meta", "{meta}", "--optimize", "--bootstrap", "10",
+     "--seed", "-3"),
     # 10 output modes exceed the desk mode cap
     ("activate", "--state", "fock:1,1,1,1,1"),
     ("activate", "--state", "classical:nan"),

@@ -11,6 +11,9 @@ dense X X†, with rank-deficient and near-parallel columns.  The whole
 factored activation pipeline (local-number projection, Schmidt spectra,
 sector negativities) is pinned against a plain dense reference, and so is
 the activation search's batched scoring through the local-filter identity.
+That scoring's closed form for two-row pure sectors is pinned against the
+SVD, down to near rank one, and the product sectors it skips are checked to
+carry no negativity.
 The vectorised coherent-spin amplitudes, and the mixture states built from them,
 are pinned against the per-basis-state formula.  The closed-form witness
 optimum is checked against the grid the witness search used to scan and
@@ -28,6 +31,7 @@ from bosonpe.activation import (
     ActivationSpec,
     _balanced_sectors,
     _filtered_negativities,
+    _two_row_negativity,
     activate,
 )
 from bosonpe.fock import (
@@ -44,7 +48,12 @@ from bosonpe.fock import (
     state_from_json,
     trace_out,
 )
-from bosonpe.measures import schmidt_spectrum, sector_negativity
+from bosonpe.measures import (
+    _partial_transpose_negativity,
+    _pure_negativity,
+    schmidt_spectrum,
+    sector_negativity,
+)
 from bosonpe.optics import (
     BeamSplitterArray,
     ModeUnitary,
@@ -52,7 +61,7 @@ from bosonpe.optics import (
     apply_mode_unitary,
     lift_unitary,
 )
-from bosonpe.states import _css_amplitudes, _direction_mixture_state
+from bosonpe.states import _css_amplitudes, _direction_mixture_state, noon_state
 from bosonpe.witness import (
     AxisMoments,
     SpinMoments,
@@ -349,6 +358,51 @@ def test_filtered_negativities_match_activate_and_dense_oracle(data):
         oracle = dense_local_sectors(out, 2 * m, range(m), range(m, 2 * m))
         want = sum(p * dense_negativity(s, da, db) for p, s, da, db in oracle.values())
         assert abs(val - want) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 8), st.booleans(),
+       st.sampled_from([1.0, 1e-9, 1e-12, 0.0]), st.integers(0, 2**32 - 1))
+def test_two_row_negativity_matches_svd(n, batch, tall, spread, seed):
+    """sigma_1 sigma_2 from the 2 x 2 minors equals ((s_1 + s_2)^2 - 1) / 2
+    from the SVD within 2e-15, on unit amplitude matrices of shape 2 x n or
+    n x 2 up to ``spread`` away from rank one."""
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    amps = gauss(batch, 2, 1) * gauss(batch, 1, n) + spread * gauss(batch, 2, n)
+    amps /= np.linalg.norm(amps, axis=(1, 2))[:, None, None]
+    if tall:
+        amps = np.swapaxes(amps, 1, 2).copy()
+    want = _pure_negativity(np.linalg.svd(amps, compute_uv=False))
+    assert np.max(np.abs(_two_row_negativity(amps) - want)) <= 2e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_one_sided_sectors_carry_no_negativity(d, tall, rank, seed):
+    """Pure and mixed states on a 1 x d or d x 1 sector, the ones the search
+    skips, score at most 1e-15 through the SVD and the partial transpose."""
+    rng = np.random.default_rng(seed)
+    da, db = (d, 1) if tall else (1, d)
+    vec = rng.normal(size=d) + 1j * rng.normal(size=d)
+    svals = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(da, db), compute_uv=False)
+    assert _pure_negativity(svals) <= 1e-15
+    rho = random_density(d, rng, min(rank, d)).reshape(da, db, da, db)
+    assert _partial_transpose_negativity(rho) <= 1e-15
+
+
+def test_balanced_sectors_keep_only_two_sided_sectors():
+    # NOON 4 on 2 modes: of the 35 rows of the 4-mode, 4-particle sector, the
+    # (1, 3), (2, 2) and (3, 1) sectors keep 8 + 9 + 8; (0, 4) and (4, 0) go
+    state = noon_state(4).to_block_state()
+    ((p, occupations, sectors),) = _balanced_sectors(state, ModeUnitary(np.eye(2)), DESK)
+    assert p == 1.0
+    assert sorted((d_a, d_b) for _, _, d_a, d_b in sectors) == [(2, 4), (3, 3), (4, 2)]
+    assert occupations.shape == (25, 4)
+    assert all(occ[:2].sum() not in (0, 4) for occ in occupations)
 
 
 @FEW
