@@ -23,12 +23,12 @@ from .fock import (
     UNCAPPED,
     BlockDiagonalState,
     DeskCaps,
-    DeskScaleError,
     ModePartition,
     SectorDecomposition,
     ValidationError,
     _MAX_BLOCK_DIM,
     _check_seed,
+    _gate_support,
     _local_number_layout,
     enumerate_basis,
     project_local_number,
@@ -55,7 +55,7 @@ from .measures import (
     sector_negativity,
     schmidt_spectrum,
 )
-from .states import _MAX_DENSE_SUPPORT, random_particle_separable
+from .states import random_particle_separable
 
 SSR_ENTANGLED_TOL = 1e-9
 
@@ -104,7 +104,7 @@ def activate(spec: ActivationSpec, postselect=None,
     m = spec.input_state.modes
     padded = append_vacuum(spec.input_state, m, caps=caps)
     u = _activation_unitary(m, spec.array, spec.pre_rotation)
-    out = apply_mode_unitary(padded, u, caps=caps)
+    out = apply_mode_unitary(padded, u)
     partition = ModePartition(tuple(range(m)), tuple(range(m, 2 * m)))
     dec = project_local_number(out, partition)
 
@@ -343,7 +343,7 @@ def _balanced_sectors(state: BlockDiagonalState, va: ModeUnitary,
     sector is left out as well."""
     m = state.modes
     out = apply_mode_unitary(append_vacuum(state, m, caps=caps),
-                             _activation_unitary(m, balanced_array(m), va), caps=caps)
+                             _activation_unitary(m, balanced_array(m), va))
     partition = ModePartition(tuple(range(m)), tuple(range(m, 2 * m)))
     blocks = []
     for N in out.sectors():
@@ -477,8 +477,7 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     m = state.modes
     n_grid = math.ceil((1.0 - grid_step) / grid_step)  # len(np.arange(grid_step, 1, grid_step))
     count = n_grid**m if m <= 2 else m * n_grid + 1
-    if count > _MAX_DENSE_SUPPORT:
-        raise DeskScaleError(f"grid_step={grid_step!r} makes {count} grid candidates on {m} modes")
+    _gate_support(count, "grid candidates of grid_step=%r on %d modes", grid_step, m)
     _check_seed(seed)
     if m == 1 or state.max_particles < 2:
         return 0.0

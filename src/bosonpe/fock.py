@@ -44,7 +44,9 @@ class DeskScaleError(ValidationError):
 
 @dataclass(frozen=True)
 class DeskCaps:
-    """Caps on dense sector sizes.  Override to go beyond desk scale."""
+    """Caps on the sectors a caller names; override to go beyond desk scale.
+    Sizes the library chooses itself take no caps: under any caps, a basis
+    has at most 1e6 states and a dense matrix at most 1716**2 entries."""
 
     max_particles: int = 6
     max_modes: int = 8
@@ -54,14 +56,28 @@ DESK = DeskCaps()
 UNCAPPED = DeskCaps(max_particles=10**9, max_modes=10**9)
 # largest dense block at the desk caps: C(8 + 6 - 1, 6) = 1716
 _MAX_BLOCK_DIM = math.comb(DESK.max_modes + DESK.max_particles - 1, DESK.max_particles)
+# Largest support (basis states, particle numbers, cutoffs, shots or grid
+# candidates) evaluated densely, one entry each; criterion 06 reaches N = 1e4.
+_MAX_DENSE_SUPPORT = 10**6
+# Largest temporary, in entries, that a chunked kernel builds at once.
+_CHUNK_ENTRIES = 2**20
 
 
-def _gate_dense(dim: int, what: str) -> None:
-    """Raise DeskScaleError, before a dense dim x dim matrix of ``what`` is
-    allocated, when dim exceeds the desk block size."""
-    if dim > _MAX_BLOCK_DIM:
-        raise DeskScaleError(f"{what} of dimension {dim} exceeds the desk block size "
-                             f"{_MAX_BLOCK_DIM}")
+def _gate_support(n: int, what: str, *args) -> None:
+    """Raise DeskScaleError, before anything is allocated, when a support of
+    n entries exceeds the dense support cap.  The message names
+    ``what % args``, formatted only then: the gates sit on hot paths."""
+    if n > _MAX_DENSE_SUPPORT:
+        raise DeskScaleError(f"{what % args}: {n} exceeds the dense support cap "
+                             f"{_MAX_DENSE_SUPPORT}")
+
+
+def _gate_dense(rows: int, cols: int, what: str, *args) -> None:
+    """Raise DeskScaleError, before a dense rows x cols matrix is allocated,
+    when it has more entries than one desk block; ``what % args`` names it."""
+    if rows * cols > _MAX_BLOCK_DIM**2:
+        raise DeskScaleError(f"{what % args}: {rows} x {cols} exceeds the desk size of "
+                             f"{_MAX_BLOCK_DIM} x {_MAX_BLOCK_DIM} entries")
 
 
 def _check_seed(seed) -> None:
@@ -70,12 +86,6 @@ def _check_seed(seed) -> None:
     entry point calls this before its first draw."""
     if isinstance(seed, numbers.Integral) and seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
-def _desk_caps_at_least(particles: int, modes: int) -> DeskCaps:
-    """The desk caps, raised where needed to admit (particles, modes)."""
-    return DeskCaps(max_particles=max(particles, DESK.max_particles),
-                    max_modes=max(modes, DESK.max_modes))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -119,7 +129,9 @@ def _basis_index(m: int, n: int) -> dict[tuple[int, ...], int]:
 
 
 def enumerate_basis(m: int, N: int, caps: DeskCaps = DESK) -> FockBasis:
-    """Canonical basis of the (m, N) sector, lexicographically descending."""
+    """Canonical basis of the (m, N) sector, lexicographically descending.
+    Raises DeskScaleError, before enumerating, for a sector above ``caps``
+    and, under any caps, for one of more than 1e6 states."""
     if m < 1:
         raise ValidationError(f"need at least one mode, got m={m}")
     if N < 0:
@@ -130,6 +142,7 @@ def enumerate_basis(m: int, N: int, caps: DeskCaps = DESK) -> FockBasis:
             f"(max_modes={caps.max_modes}, max_particles={caps.max_particles}); "
             "pass explicit DeskCaps to override"
         )
+    _gate_support(math.comb(m + N - 1, N), "basis of the sector (m=%d, N=%d)", m, N)
     return FockBasis(m, N, _basis_states(m, N))
 
 
@@ -306,7 +319,7 @@ class BlockDiagonalState:
         """Dense density matrix of sector N, built from the factors on first use."""
         if N not in self._dense:
             V, lam = self._factors[N]
-            _gate_dense(V.shape[0], f"block N={N} (use its factors)")
+            _gate_dense(V.shape[0], V.shape[0], "block N=%d (use its factors)", N)
             # symmetrised in place: at most two d x d arrays are alive at once
             mat = (V * lam) @ V.conj().T
             mat += mat.conj().T

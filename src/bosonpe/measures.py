@@ -94,7 +94,7 @@ def second_quantized(f: np.ndarray, m: int, N: int) -> np.ndarray:
     above the desk block size (1716) raises DeskScaleError before allocating."""
     f = np.asarray(f, dtype=complex)
     dim = enumerate_basis(m, N, UNCAPPED).dim
-    _gate_dense(dim, f"second-quantized operator on (m={m}, N={N})")
+    _gate_dense(dim, dim, "second-quantized operator on (m=%d, N=%d)", m, N)
     out = np.zeros((dim, dim), dtype=complex)
     if N == 0:
         return out
@@ -477,7 +477,8 @@ def negativity(state: BlockDiagonalState, partition: ModePartition) -> float:
     than the largest desk block (1716), before building the dense matrix."""
     a_occs, b_occs, placements = _joint_layout(state, partition)
     da, db = len(a_occs), len(b_occs)
-    _gate_dense(da * db, f"joint space d_A x d_B = {da} x {db} (use the sector measures)")
+    _gate_dense(da * db, da * db, "joint space d_A x d_B = %d x %d (use the sector measures)",
+                da, db)
     rho = np.zeros((da, db, da, db), dtype=complex)
     # each basis state has its own (ia, ib), and blocks of different N share
     # none, so every block fills its entries in one assignment

@@ -21,17 +21,17 @@ import numpy as np
 
 from .fock import (
     DESK,
+    UNCAPPED,
     BlockDiagonalState,
-    DeskCaps,
     DeskScaleError,
     ValidationError,
-    _MAX_BLOCK_DIM,
-    _desk_caps_at_least,
+    _CHUNK_ENTRIES,
+    _gate_dense,
+    _gate_support,
     tensor_compose,
 )
 from .activation import ActivationReport, ActivationSpec, activate
 from .states import (
-    _MAX_DENSE_SUPPORT,
     _block_coefficients,
     _classical_terms,
     _css_block,
@@ -89,9 +89,7 @@ def binomial_poisson_distance(N: int, p: float) -> BinomialPoissonResult:
         raise ValidationError("p must lie in [0, 1]")
     if N < 0:
         raise ValidationError("N must be nonnegative")
-    if N > _MAX_DENSE_SUPPORT:
-        raise DeskScaleError(
-            f"N={N} exceeds the dense binomial support cap {_MAX_DENSE_SUPPORT}")
+    _gate_support(N, "binomial N")
     mu = N * p
     if p == 0.0 or N == 0:
         return BinomialPoissonResult(0.0, p, True, mu)
@@ -181,25 +179,16 @@ def _distinct_orderings(labels):
         a[i + 1:] = reversed(a[i + 1:])
 
 
-def exchangeable_state(spec: ExchangeableSeparableSpec,
-                       caps: DeskCaps | None = None) -> BlockDiagonalState:
+def exchangeable_state(spec: ExchangeableSeparableSpec) -> BlockDiagonalState:
     """The full m-mode state described by ``spec`` (single block at N)."""
-    if caps is None:
-        caps = _desk_caps_at_least(spec.N, spec.m)
     weights, vectors = zip(*spec.symmetrized_terms())
     rows = np.zeros((len(weights), spec.N + 1))
     rows[:, spec.N] = weights
-    return _direction_mixture_state(_unit_rows(vectors), rows, spec.m, caps)
+    return _direction_mixture_state(_unit_rows(vectors), rows, spec.m, UNCAPPED)
 
 
-# Largest stack of sector Gram powers, in entries, that one batched
-# eigensolve takes (the bound _css_block keeps on its power temporary); a
-# single t x t power above it is solved alone
-_STACK_ENTRIES = 2**20
-
-
-def _css_trace_distance(directions, rho_weights: np.ndarray, sigma_weights: np.ndarray,
-                        caps: DeskCaps) -> tuple[float, float, float]:
+def _css_trace_distance(directions, rho_weights: np.ndarray,
+                        sigma_weights: np.ndarray) -> tuple[float, float, float]:
     """Trace distance between the states ``_direction_mixture_state`` builds
     from ``rho_weights`` and ``sigma_weights`` (per-term rows over n = 0..n_hi,
     term t along ``directions[t]``), with the kept mass of each.
@@ -230,26 +219,22 @@ def _css_trace_distance(directions, rho_weights: np.ndarray, sigma_weights: np.n
     coef = np.array([row for _, row in live])
     l = dirs.shape[1]
     dims = [math.comb(n + l - 1, n) for n in range(coef.shape[1])]
-    for n in range(1, coef.shape[1]):
-        t = np.count_nonzero(coef[:, n])
-        if min(t, dims[n]) > _MAX_BLOCK_DIM:
-            raise DeskScaleError(
-                f"block n={n} has {t} directions in a {dims[n]}-dimensional "
-                f"sector; both exceed the desk block size {_MAX_BLOCK_DIM}")
+    side = int(np.minimum(np.count_nonzero(coef[:, 1:], axis=0), dims[1:]).max(initial=0))
+    _gate_dense(side, side, "a block (the smaller of its Gram matrix and sector)")
     sums = np.zeros(coef.shape[1])
     groups: dict = {}
     for n in range(1, coef.shape[1]):
         keep = coef[:, n] != 0
         t = np.count_nonzero(keep)
         if t > dims[n]:
-            mat = _css_block(dirs[keep], coef[keep, n], n, caps)
+            mat = _css_block(dirs[keep], coef[keep, n], n)
             sums[n] = np.sum(np.abs(np.linalg.eigvalsh(mat)))
         elif t:
             groups.setdefault(keep.tobytes(), (keep, []))[1].append(n)
     for keep, sectors in groups.values():
         d, c = dirs[keep], coef[keep]
         gram = d.conj() @ d.T
-        step = max(1, _STACK_ENTRIES // gram.size)
+        step = max(1, _CHUNK_ENTRIES // gram.size)
         for s in range(0, len(sectors), step):
             ns = np.array(sectors[s:s + step])
             lam, u = np.linalg.eigh(gram ** ns[:, None, None])
@@ -272,19 +257,18 @@ class DefinettiResult:
     _binomial: np.ndarray = field(repr=False, compare=False)
     _poisson: np.ndarray = field(repr=False, compare=False)
     _modes: int = field(repr=False, compare=False)
-    _caps: DeskCaps = field(repr=False, compare=False)
 
     @cached_property
     def rho_reduced(self) -> BlockDiagonalState:
         """The l-mode reduction of the exchangeable state."""
         return _direction_mixture_state(self._directions, self._binomial,
-                                        self._modes, self._caps)
+                                        self._modes, UNCAPPED)
 
     @cached_property
     def sigma_classical(self) -> BlockDiagonalState:
         """The classical state that replaces binomial by Poisson statistics."""
         return _direction_mixture_state(self._directions, self._poisson,
-                                        self._modes, self._caps)
+                                        self._modes, UNCAPPED)
 
 
 def definetti_classical_approx(spec: ExchangeableSeparableSpec, l: int,
@@ -308,17 +292,14 @@ def definetti_classical_approx(spec: ExchangeableSeparableSpec, l: int,
         p_rets.append(p_ret)
     if n_max is None:
         n_max = max(spec.N, *map(default_poisson_truncation, {spec.N * p for p in p_rets}))
-    if n_max > _MAX_DENSE_SUPPORT:
-        raise DeskScaleError(
-            f"n_max={n_max} exceeds the dense support cap {_MAX_DENSE_SUPPORT}")
-    caps = _desk_caps_at_least(n_max, spec.m)
+    _gate_support(n_max, "cutoff n_max")
 
     w = np.array(weights)[:, None]
     k = np.arange(n_max + 1)
     binom_w = w * np.exp(_binomial_logpmf(k, spec.N, np.array(p_rets)[:, None]))
     pois_w = w * poisson_weights(spec.N * np.array(p_rets), n_max)
 
-    distance, rho_mass, sigma_mass = _css_trace_distance(directions, binom_w, pois_w, caps)
+    distance, rho_mass, sigma_mass = _css_trace_distance(directions, binom_w, pois_w)
     truncation = max((1.0 - rho_mass) + (1.0 - sigma_mass), 0.0)
     bound = l / spec.m
     return DefinettiResult(
@@ -330,7 +311,6 @@ def definetti_classical_approx(spec: ExchangeableSeparableSpec, l: int,
         _binomial=binom_w,
         _poisson=pois_w,
         _modes=l,
-        _caps=caps,
     )
 
 
@@ -342,19 +322,17 @@ class TwoCopyReport:
     activation: ActivationReport
 
 
-def two_copy_pe_check(state: BlockDiagonalState,
-                      caps: DeskCaps | None = None) -> TwoCopyReport:
+def two_copy_pe_check(state: BlockDiagonalState) -> TwoCopyReport:
     """Build two copies, activate both through balanced splitters in parallel,
     and report the accessible entanglement of the joint output.
 
+    The two-copy and activated sectors are sized here and take no caps; the
+    support and dense gates bound them.
     The separability verdict for the two-copy state is decided only where a
     decision procedure exists (at most one particle, or the two-mode
     two-particle sector); elsewhere it is reported as undecidable."""
-    if caps is None:
-        caps = DeskCaps(max_particles=2 * state.max_particles + 1,
-                        max_modes=max(4 * state.modes, DESK.max_modes))
-    joint = tensor_compose(state, state, caps=caps)
-    report = activate(ActivationSpec(joint), caps=caps)
+    joint = tensor_compose(state, state, caps=UNCAPPED)
+    report = activate(ActivationSpec(joint), caps=UNCAPPED)
 
     if joint.max_particles <= 1:
         verdict = "separable"
@@ -408,7 +386,6 @@ def many_copy_nc_bound_check(classical_or_state, k: int,
     if n_max is None:
         n_max = max(default_poisson_truncation(mu) for mu in mus)
     rho_tail = classical_truncation_mass(terms, n_max)
-    caps = _desk_caps_at_least(n_max, terms[0][1].size)
     # rho = classical_nd_state(terms, n_max), from the same rows
     directions, rho_rows = _poisson_rows(terms, n_max)
     zeros = np.zeros(n_max + 1)
@@ -428,7 +405,7 @@ def many_copy_nc_bound_check(classical_or_state, k: int,
         rho_w.append(zeros)
         sigma_w.append(w * weights)
     construction, _, sigma_mass = _css_trace_distance(rows, np.array(rho_w),
-                                                      np.array(sigma_w), caps)
+                                                      np.array(sigma_w))
     truncation = rho_tail + (1.0 - sigma_mass)
     # the truncated input is itself within the tail mass of an exactly
     # classical state, so the tail is also an upper bound on nonclassicality

@@ -147,8 +147,9 @@ def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
     (the scatter of the cached annihilation maps) to the column one sector
     below; columns go in batches whose stacked creation terms are no larger
     than the result.  ``columns``, a sequence of basis indices in [0, dim),
-    restricts the result to those columns (shape dim x len(columns)).  A full
-    lift above the desk block size (1716) raises DeskScaleError before
+    restricts the result to those columns (shape dim x len(columns)).  A
+    sector above ``caps`` or of more than 1e6 states, and a result of more
+    entries than one desk block (1716 x 1716), raise DeskScaleError before
     allocating.
     """
     if N < 0:
@@ -156,9 +157,10 @@ def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
     m = u.modes
     basis = enumerate_basis(m, N, caps)
     if columns is None:
-        _gate_dense(basis.dim, f"full lift on (m={m}, N={N})")
+        columns = range(basis.dim)
+    _gate_dense(basis.dim, len(columns), "lift on (m=%d, N=%d)", m, N)
     chains, norms = [], []
-    for c in range(basis.dim) if columns is None else columns:
+    for c in columns:
         if not (isinstance(c, (int, np.integer)) and 0 <= c < basis.dim):
             raise ValidationError(f"column {c!r} is not a basis index in [0, {basis.dim})")
         occ = basis.states[c]
@@ -182,11 +184,11 @@ def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
             flat = src + X.shape[1] * np.arange(len(cf))[:, None, None]
             np.add.at(X.reshape(-1), flat.ravel(), terms.ravel())
         out[:, at:at + batch] = X.T
-    return out / np.sqrt(norms)
+    # prod n_i! passes 2**63 at 21 particles in one mode: divide as floats
+    return out / np.sqrt(np.array(norms, dtype=float))
 
 
-def apply_mode_unitary(state: BlockDiagonalState, u: ModeUnitary,
-                       caps: DeskCaps = DESK) -> BlockDiagonalState:
+def apply_mode_unitary(state: BlockDiagonalState, u: ModeUnitary) -> BlockDiagonalState:
     """Apply the sector lift of u to every block; weights are unchanged.
 
     A block V diag(lam) V† maps to W V[S] diag(lam) (W V[S])†, where S is the
@@ -206,11 +208,13 @@ def apply_mode_unitary(state: BlockDiagonalState, u: ModeUnitary,
 
 def append_vacuum(state: BlockDiagonalState, k: int,
                   caps: DeskCaps = DESK) -> BlockDiagonalState:
-    """Append k modes in the vacuum; the rows of each block's V are re-indexed."""
+    """Append k modes in the vacuum; the rows of each block's V are re-indexed.
+    The largest sector is checked first: a refused state builds nothing."""
     if k < 1:
         raise ValidationError("must append at least one mode")
     m = state.modes
     pad = (0,) * k
+    enumerate_basis(m + k, state.max_particles, caps)
     factors = {}
     for N in state.sectors():
         V, lam = state.factor(N)

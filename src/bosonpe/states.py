@@ -21,16 +21,17 @@ import numpy as np
 from .fock import (
     BLOCK_DROP_TOL,
     DESK,
+    UNCAPPED,
     BlockDiagonalState,
     DeskCaps,
-    DeskScaleError,
     PureSectorState,
     ValidationError,
+    _CHUNK_ENTRIES,
     _check_seed,
     _column_factors,
-    _desk_caps_at_least,
     _eigh_factors,
     _gate_dense,
+    _gate_support,
     _normalized_state,
     enumerate_basis,
     mix_states,
@@ -39,9 +40,6 @@ from .fock import (
 )
 
 POISSON_TAIL_TOL = 1e-6
-# Largest Poisson cutoff or particle number whose support (one float per n)
-# is evaluated densely; criterion 06 reaches N = 1e4.
-_MAX_DENSE_SUPPORT = 10**6
 
 # log k! for k = 0..size - 1; entries never change as the table grows
 _LOG_FACTORIALS = np.array([math.log(math.factorial(k)) for k in range(32)])
@@ -108,22 +106,22 @@ class SeparableMixtureSpec:
         object.__setattr__(self, "terms", terms)
 
 
-def _css_amplitudes(dirs: np.ndarray, n: int, caps: DeskCaps) -> np.ndarray:
+def _css_amplitudes(dirs: np.ndarray, n: int) -> np.ndarray:
     """Rows: the Fock amplitudes sqrt(n! / prod n_i!) prod d_i^{n_i} of
     |css(d, n)> for each row d of ``dirs``; a zero row is the vacuum at n = 0
     and vanishes above it; the (rows, dim, modes) powers go 2**20 at a time."""
-    occ = np.array(enumerate_basis(dirs.shape[1], n, caps).states)
+    occ = np.array(enumerate_basis(dirs.shape[1], n, UNCAPPED).states)
     log_fact = _log_factorials(n)
     log_multinom = log_fact[n] - np.sum(log_fact[occ], axis=1)
     out = np.empty((len(dirs), len(occ)), dtype=complex)
-    chunk = max(1, 2**20 // occ.size)
+    chunk = max(1, _CHUNK_ENTRIES // occ.size)
     for s in range(0, len(dirs), chunk):
         out[s:s + chunk] = np.exp(0.5 * log_multinom) * np.prod(
             dirs[s:s + chunk, None, :] ** occ, axis=2)
     return out
 
 
-def _css_block(dirs: np.ndarray, coef: np.ndarray, n: int, caps: DeskCaps) -> np.ndarray:
+def _css_block(dirs: np.ndarray, coef: np.ndarray, n: int) -> np.ndarray:
     """sum_t coef[t] |css(dirs[t], n)><css(dirs[t], n)| = A^T diag(coef) A*
     with A = ``_css_amplitudes``; the 1 x 1 block [[sum coef]] at n = 0.
     Rows of zero coefficient are skipped, and A is built a chunk of rows at
@@ -132,26 +130,28 @@ def _css_block(dirs: np.ndarray, coef: np.ndarray, n: int, caps: DeskCaps) -> np
     before allocating."""
     keep = coef != 0
     dirs, coef = dirs[keep], coef[keep]
-    dim = enumerate_basis(dirs.shape[1], n, caps).dim
-    _gate_dense(dim, f"coherent-spin block on (m={dirs.shape[1]}, N={n})")
+    dim = enumerate_basis(dirs.shape[1], n, UNCAPPED).dim
+    _gate_dense(dim, dim, "coherent-spin block on (m=%d, N=%d)", dirs.shape[1], n)
     mat = np.zeros((dim, dim), dtype=complex)
-    chunk = max(1, 2**20 // (dim * dirs.shape[1]))
+    chunk = max(1, _CHUNK_ENTRIES // (dim * dirs.shape[1]))
     for s in range(0, coef.size, chunk):
-        amps = _css_amplitudes(dirs[s:s + chunk], n, caps)
+        amps = _css_amplitudes(dirs[s:s + chunk], n)
         mat += amps.T @ (coef[s:s + chunk, None] * amps.conj())
     return mat
 
 
 def coherent_spin_state(spec: CoherentSpinSpec, caps: DeskCaps = DESK) -> PureSectorState:
     """Amplitudes of (sum_i psi_i a_i†)^N |0> / sqrt(N!) in the canonical basis."""
-    amps = _css_amplitudes(spec.psi[None, :], spec.N, caps)[0]
-    return PureSectorState(enumerate_basis(spec.modes, spec.N, caps), amps / np.linalg.norm(amps))
+    basis = enumerate_basis(spec.modes, spec.N, caps)
+    amps = _css_amplitudes(spec.psi[None, :], spec.N)[0]
+    return PureSectorState(basis, amps / np.linalg.norm(amps))
 
 
 def css_density(psi, N: int, caps: DeskCaps = DESK) -> np.ndarray:
     """|css(psi / |psi|, N)><css(psi / |psi|, N)| as a dense sector block."""
     spec = CoherentSpinSpec(_unit_rows([psi])[0], N)
-    return _css_block(spec.psi[None, :], np.ones(1), N, caps)
+    enumerate_basis(spec.modes, N, caps)
+    return _css_block(spec.psi[None, :], np.ones(1), N)
 
 
 def _unit_rows(vectors) -> np.ndarray:
@@ -176,17 +176,20 @@ def _direction_mixture_state(directions, weights: np.ndarray, l: int,
     """sum_t sum_n c[t, n] |css(directions[t], n)><..| on l modes, for
     c = ``_block_coefficients(weights)``; only blocks with a kept term are
     built, from the columns A^T sqrt(c), or by ``_css_block`` when the terms
-    are as many as the basis states.  A None direction has no weight above 0."""
+    are as many as the basis states.  A None direction has no weight above 0.
+    The largest block is checked first: a refused state builds nothing."""
     dirs = np.array([np.zeros(l) if d is None else d for d in directions], dtype=complex)
     coef, _ = _block_coefficients(weights)
+    sectors = np.flatnonzero(coef.any(axis=0)).tolist()
+    enumerate_basis(l, max(sectors, default=0), caps)
     factors = {}
-    for n in np.flatnonzero(coef.any(axis=0)).tolist():
+    for n in sectors:
         c = coef[:, n]
         if np.count_nonzero(c) < enumerate_basis(l, n, caps).dim:
-            factors[n] = _column_factors(_css_amplitudes(dirs[c != 0], n, caps).T
+            factors[n] = _column_factors(_css_amplitudes(dirs[c != 0], n).T
                                          * np.sqrt(c[c != 0]))
         else:
-            factors[n] = _eigh_factors(_css_block(dirs, c, n, caps))[:2]
+            factors[n] = _eigh_factors(_css_block(dirs, c, n))[:2]
     return _normalized_state(l, factors)
 
 
@@ -285,9 +288,7 @@ def poisson_weights(mu, n_max: int) -> np.ndarray:
     The relative error is a few ulps of the log's terms: about 2e-12 near
     n = 500 and 2e-10 near n = 5e4.  Raises DeskScaleError, before
     allocating, for a cutoff n_max above 1e6."""
-    if n_max > _MAX_DENSE_SUPPORT:
-        raise DeskScaleError(
-            f"n_max={n_max} exceeds the dense support cap {_MAX_DENSE_SUPPORT}")
+    _gate_support(n_max, "Poisson cutoff n_max")
     rate = np.asarray(mu, dtype=float)[..., None]
     n = np.arange(n_max + 1)
     positive = bool(np.all(rate > 0))
@@ -304,9 +305,7 @@ def default_poisson_truncation(mu: float) -> int:
     if mu <= 0:
         return 0
     n_max = int(math.ceil(mu + 6.0 * math.sqrt(mu)))
-    if n_max > _MAX_DENSE_SUPPORT:
-        raise DeskScaleError(f"Poisson mean {mu:.6g} needs a cutoff n_max={n_max}, which "
-                             f"exceeds the dense support cap {_MAX_DENSE_SUPPORT}")
+    _gate_support(n_max, "Poisson cutoff n_max for mean %.6g", mu)
     while poisson_weights(mu, n_max).sum() < 1.0 - POISSON_TAIL_TOL:
         n_max += 1
     return n_max
@@ -360,7 +359,7 @@ def _poisson_rows(terms, n_max: int) -> tuple[list, np.ndarray]:
 
 
 def classical_nd_state(alpha, n_max: int | None = None,
-                       caps: DeskCaps | None = None) -> BlockDiagonalState:
+                       caps: DeskCaps = UNCAPPED) -> BlockDiagonalState:
     """Number-dephased (mixture of) multimode coherent state(s).
 
     ``alpha`` is one complex amplitude vector or a list of (weight, vector)
@@ -369,13 +368,13 @@ def classical_nd_state(alpha, n_max: int | None = None,
     truncated tail must weigh less than 1e-6.  Raises ValidationError for an
     empty list or vector, a negative weight, weights not summing to 1 within
     1e-12, vectors with different mode counts, or non-finite amplitudes.
+    Only the blocks with weight are built, and only they must lie within
+    ``caps`` and the support and dense gates.
     """
     terms = _classical_terms(alpha)
     m = terms[0][1].size
     if n_max is None:
         n_max = max(default_poisson_truncation(float(np.vdot(a, a).real)) for _, a in terms)
-    if caps is None:
-        caps = _desk_caps_at_least(n_max, m)
     return _direction_mixture_state(*_poisson_rows(terms, n_max), m, caps)
 
 

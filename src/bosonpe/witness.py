@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DeskScaleError, ValidationError, _check_seed, _freeze
-from .states import _MAX_DENSE_SUPPORT
+from .fock import ValidationError, _MAX_DENSE_SUPPORT, _check_seed, _freeze, _gate_support
 
 AXES = ("x", "y", "z")
 
@@ -422,8 +421,7 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
     if n_shots < _MIN_SHOTS:
         raise ValidationError(f"need at least {_MIN_SHOTS} shots, two on each of z and y, "
                               f"for a bound; got {n_shots}")
-    if n_shots > _MAX_DENSE_SUPPORT:
-        raise DeskScaleError(f"n_shots={n_shots} exceeds the shot cap {_MAX_DENSE_SUPPORT}")
+    _gate_support(n_shots, "n_shots")
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"detection efficiency must lie in (0, 1], got {eta!r}")
     if model == "constant":
@@ -518,8 +516,7 @@ def dataset_from_csv(csv_text: str, meta_json: str) -> SpinShotDataset:
     rows = list(itertools.islice(filter(None, reader), _MAX_DENSE_SUPPORT + 1))
     if set(map(len, rows)) - {5}:
         raise ValidationError(f"bad CSV row: {next(r for r in rows if len(r) != 5)}")
-    if len(rows) > _MAX_DENSE_SUPPORT:
-        raise DeskScaleError(f"CSV has more than {_MAX_DENSE_SUPPORT} shots, the shot cap")
+    _gate_support(len(rows), "CSV shots")
     if not rows:
         raise ValidationError("no shots in CSV")
     settings, *columns = zip(*rows)

@@ -27,7 +27,6 @@ import numpy as np
 from bosonpe.fock import (
     DESK,
     UNCAPPED,
-    DeskCaps,
     DeskScaleError,
     PureSectorState,
     ValidationError,
@@ -615,8 +614,8 @@ def css_mixture_oracle(directions, weights: np.ndarray, l: int) -> dict:
     return normalized_dense_blocks(acc)[0]
 
 
-def css_trace_distance_loop(directions, rho_weights: np.ndarray, sigma_weights: np.ndarray,
-                            caps: DeskCaps) -> tuple[float, float, float]:
+def css_trace_distance_loop(directions, rho_weights: np.ndarray,
+                            sigma_weights: np.ndarray) -> tuple[float, float, float]:
     """Trace distance between the states ``_direction_mixture_state`` builds
     from ``rho_weights`` and ``sigma_weights`` (per-term rows over n = 0..n_hi,
     term t along ``directions[t]``), with the kept mass of each.
@@ -657,7 +656,7 @@ def css_trace_distance_loop(directions, rho_weights: np.ndarray, sigma_weights: 
             root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
             mat = root @ (c[:, None] * root)
         else:
-            mat = _css_block(d, c, n, caps)
+            mat = _css_block(d, c, n)
         norm += np.sum(np.abs(np.linalg.eigvalsh(mat)))
     return 0.5 * float(norm), rho_mass, sigma_mass
 

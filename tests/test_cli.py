@@ -59,6 +59,14 @@ def test_activate_postselect(capsys):
     assert support == {((1, 1), (1, 1)), ((2, 0), (0, 2)), ((0, 2), (2, 0))}
 
 
+def test_activate_classical_above_twenty_particles(capsys):
+    # the Poisson cutoff 25 puts more than 20 particles in one mode, where
+    # the lift's factorial norms pass 2**63
+    code, out, _ = run_cli(capsys, "activate", "--state", "classical:2,2")
+    assert code == 0
+    assert json.loads(out)["ssr_entangled"] is False
+
+
 def test_qfi_subcommand(capsys):
     code, out, _ = run_cli(capsys, "qfi", "--state", "noon:2", "--observable", "z")
     assert code == 0

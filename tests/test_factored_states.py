@@ -221,13 +221,21 @@ def test_classical_state_builds_only_sectors_with_weight():
 
 # An 8-mode classical state with |alpha|^2 = 1.44 takes the Poisson cutoff
 # n_max = 10, so its largest block has dimension C(17, 10) = 19448 (6 GB as a
-# dense complex matrix).  Each block has rank one.
+# dense complex matrix).  Each block has rank one.  The library sizes the
+# sectors of the next five requests itself, and each has one of more than
+# 1e6 states: classical states on 20 modes (n_max 11) and on 8 modes with
+# |alpha|^2 = 18 (n_max 44), the 30-mode de Finetti reduction at N = 10, the
+# activated two copies of |2,2,1,1> (16 modes, N = 12), and the activated
+# four-mode classical preset (8 modes, n_max 27).  Each is refused before
+# its basis is enumerated.
 DENSE_GATE_SCRIPT = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 import numpy as np
 from bosonpe.cli import main
-from bosonpe.fock import DeskScaleError
+from bosonpe.fock import DeskScaleError, fock_state
+from bosonpe.nonclassical import (ExchangeableSeparableSpec, definetti_classical_approx,
+                                  two_copy_pe_check)
 from bosonpe.states import classical_nd_state
 state = classical_nd_state(np.full(8, 0.4242640687))
 print(state.sectors()[-1], *state.factor(10)[0].shape)
@@ -237,6 +245,17 @@ try:
 except DeskScaleError:
     print("refused")
 print(main(["activate", "--state", "classical:" + ",".join(["0.4242640687"] * 8)]))
+uniform = ((1.0, np.ones(30) / np.sqrt(30)),)
+for call in (lambda: classical_nd_state(np.full(20, 0.3)),
+             lambda: classical_nd_state(np.full(8, 1.5)),
+             lambda: definetti_classical_approx(ExchangeableSeparableSpec(10, 30, uniform),
+                                                30).rho_reduced,
+             lambda: two_copy_pe_check(fock_state((2, 2, 1, 1)).to_block_state())):
+    try:
+        call()
+    except DeskScaleError:
+        print("refused")
+print(main(["activate", "--state", "classical:1.5,1.5,1.5,1.5"]))
 """
 
 
@@ -254,7 +273,7 @@ def _run_under_address_limit(script: str) -> list:
 
 def test_large_factored_blocks_are_never_made_dense():
     assert _run_under_address_limit(DENSE_GATE_SCRIPT) == \
-        ["10", "19448", "1", "True", "refused", "2"]
+        ["10", "19448", "1", "True", "refused", "2"] + ["refused"] * 4 + ["2"]
 
 
 # Each dense constructor at (8 modes, 10 particles), with caps raised to admit

@@ -7,6 +7,7 @@ import pytest
 from bosonpe.fock import (
     BlockDiagonalState,
     DeskCaps,
+    UNCAPPED,
     DeskScaleError,
     ModePartition,
     ValidationError,
@@ -49,6 +50,12 @@ def test_basis_rejects_bad_input():
         enumerate_basis(2, 7)
     # explicit caps override the desk default
     assert enumerate_basis(2, 7, DeskCaps(max_particles=10)).dim == 8
+
+
+def test_basis_above_the_support_cap_is_refused_under_any_caps():
+    # C(27, 12) = 17383860 states, refused before any is enumerated
+    with pytest.raises(DeskScaleError):
+        enumerate_basis(16, 12, UNCAPPED)
 
 
 def test_block_state_validation():

@@ -494,7 +494,7 @@ def test_stacked_trace_distance_split_across_chunks(monkeypatch, entries):
     gaps, shapes, whole = [], [], distances()
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
-    monkeypatch.setattr(nonclassical, "_STACK_ENTRIES", entries)
+    monkeypatch.setattr(nonclassical, "_CHUNK_ENTRIES", entries)
     monkeypatch.setattr(nonclassical, "_css_trace_distance", compared_with_loop(gaps))
     assert distances() == whole
     assert max(gaps) <= 1e-15
@@ -513,7 +513,7 @@ def test_stacked_trace_distance_groups_by_kept_terms():
     sigma = np.array([[0.0, 0.1, 0.2, 0.0, 0.0],
                       [0.0, 0.0, 0.0, 0.1, 0.2],
                       [0.1, 0.05, 0.05, 0.1, 0.1]])
-    args = (dirs, rho, sigma, DeskCaps(max_particles=4, max_modes=2))
+    args = (dirs, rho, sigma)
     got, want = _css_trace_distance(*args), css_trace_distance_loop(*args)
     assert got[1:] == want[1:]
     assert abs(got[0] - want[0]) <= 1e-15

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from bosonpe.fock import (
+    UNCAPPED,
     BlockDiagonalState,
+    DeskScaleError,
     ModePartition,
     PureSectorState,
     SectorDecomposition,
@@ -92,6 +94,30 @@ def test_lift_at_the_cap_corner():
     WV = lifted @ V
     out = apply_mode_unitary(state, u).block(6)
     assert np.max(np.abs(out - (WV * lam) @ WV.conj().T)) < 1e-12
+
+
+def test_lift_refuses_a_partial_lift_above_the_desk_size():
+    # 500 columns of the (8, 8) sector, d = 6435, are 3.2e6 entries (51 MB),
+    # more than the 1716**2 of one desk block; the basis itself is allowed
+    u = ModeUnitary(haar_unitary(8, np.random.default_rng(8)))
+    enumerate_basis(8, 8, UNCAPPED)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DeskScaleError):
+            lift_unitary(u, 8, caps=UNCAPPED, columns=range(500))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [21, 25])
+def test_lift_of_many_particles_in_one_mode(n):
+    # prod n_i! passes 2**63 from n = 21; |n, 0> splits binomially
+    u = beam_splitter_unitary(balanced_array(1))
+    column = lift_unitary(u, n, caps=UNCAPPED, columns=[0])[:, 0]
+    want = [(-1) ** k * math.sqrt(math.comb(n, k) / 2**n) for k in range(n + 1)]
+    assert np.max(np.abs(column - want)) <= 1e-12
 
 
 def test_lift_preserves_coherent_spin_states():

@@ -211,7 +211,7 @@ def test_css_kernel_and_mixture_blocks_match_oracle(data):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     for n in range(n_hi + 1):
         oracle = np.array([coherent_spin_amplitudes(d, n) for d in dirs])
-        assert np.max(np.abs(_css_amplitudes(dirs, n, UNCAPPED) - oracle)) <= 1e-13
+        assert np.max(np.abs(_css_amplitudes(dirs, n) - oracle)) <= 1e-13
 
     # one term with nothing on the modes, and entries the builder skips
     directions = list(dirs) + [None]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bosonpe.fock
 import bosonpe.witness
 from bosonpe.fock import DeskScaleError, ValidationError
 from bosonpe.witness import (
@@ -374,9 +375,11 @@ def test_synthesize_refuses_shots_above_cap_before_drawing():
 def test_csv_shot_cap_fires_as_rows_pass_it(monkeypatch):
     data = synthesize_dataset("squeezed", n_atoms=40, n_shots=6, seed=2)
     text, meta = dataset_to_csv(data), dataset_metadata_json(data)
-    monkeypatch.setattr(bosonpe.witness, "_MAX_DENSE_SUPPORT", 6)
+    for module in (bosonpe.fock, bosonpe.witness):
+        monkeypatch.setattr(module, "_MAX_DENSE_SUPPORT", 6)
     assert len(dataset_from_csv(text, meta).shots) == 6
-    monkeypatch.setattr(bosonpe.witness, "_MAX_DENSE_SUPPORT", 5)
+    for module in (bosonpe.fock, bosonpe.witness):
+        monkeypatch.setattr(module, "_MAX_DENSE_SUPPORT", 5)
     # the sixth row trips the cap before the malformed seventh is read
     with pytest.raises(DeskScaleError):
         dataset_from_csv(text + "z,1,2\n", meta)
