@@ -356,8 +356,10 @@ class BlockDiagonalState:
         return True
 
 
-def vacuum_state(modes: int = 1) -> BlockDiagonalState:
-    return fock_state((0,) * modes).to_block_state()
+def vacuum_state(modes: int = 1, caps: DeskCaps = DESK) -> BlockDiagonalState:
+    """|0, ..., 0> as a one-block state; ``modes`` is checked against ``caps``."""
+    amps = fock_state((0,) * modes, caps).amplitudes
+    return BlockDiagonalState._factored(modes, {0: (1.0, amps[:, None], np.ones(1))})
 
 
 def fock_state(occupation, caps: DeskCaps = DESK) -> PureSectorState:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -262,9 +263,22 @@ def _params_from_hermitian(h: np.ndarray) -> np.ndarray:
     return np.array(x)
 
 
+@lru_cache(maxsize=None)
 def _hermitian_basis(m: int) -> np.ndarray:
-    """The m^2 Hermitians g_a with h(x) = sum_a x_a g_a, as (m^2, m, m)."""
-    return np.stack([_hermitian_from_params(e, m) for e in np.eye(m * m)])
+    """The m^2 Hermitians g_a with h(x) = sum_a x_a g_a, as (m^2, m, m);
+    built on first use per m and read-only."""
+    g = np.stack([_hermitian_from_params(e, m) for e in np.eye(m * m)])
+    g.flags.writeable = False
+    return g
+
+
+@lru_cache(maxsize=None)
+def _pauli_params() -> np.ndarray:
+    """The coordinates x of sigma_x, sigma_y, sigma_z as columns, (4, 3);
+    built on first use and read-only."""
+    paulis = np.stack([_params_from_hermitian(PAULI[a]) for a in ("x", "y", "z")], axis=1)
+    paulis.flags.writeable = False
+    return paulis
 
 
 def _mpef_form(state: BlockDiagonalState, h_support: int) -> np.ndarray:
@@ -296,7 +310,7 @@ def _mpef_two_mode_exact(state: BlockDiagonalState) -> MpefResult:
     """Top eigenpair of the form on the Pauli directions: h = n . sigma has
     operator norm |n|, so the unit Bloch sphere is exactly the feasible set
     of traceless h."""
-    paulis = np.stack([_params_from_hermitian(PAULI[a]) for a in ("x", "y", "z")], axis=1)
+    paulis = _pauli_params()
     evals, evecs = np.linalg.eigh(paulis.T @ _mpef_form(state, 2) @ paulis)
     best = float(evals[-1])
     n = evecs[:, -1]
@@ -330,23 +344,35 @@ def _mpef_restarts(state: BlockDiagonalState, seed, n_restarts: int,
     taken, so the ascent stays monotone.  A start ends when a step gains at
     most MPEF_ASCENT_TOL.  Since ||h||_F^2 <= h_support on the feasible set,
     h_support * max(lambda_max(Mf), 0) bounds the monotone from above.
+
+    The starts advance together as the columns of one stack C, shape
+    (S, s^2, 1), with one stacked eigh per step.  Each start keeps its own
+    momentum, restart and stopping rule, and every product is taken per
+    start, so each start follows the iterates it would follow alone; a
+    stopped start leaves the stack.
     """
     s = h_support
     g = _hermitian_basis(s)
     scale = np.sqrt(np.einsum("aij,aij->a", g, g.conj()).real)
     unit = (g / scale[:, None, None]).reshape(len(g), -1)
+    unit_conj = unit.conj()
     form = _mpef_form(state, s) / np.outer(scale, scale)
     evals, evecs = np.linalg.eigh(form)
     rate = 1.0 / max(-evals[0], evals[-1], 1e-300)
 
-    def observable(y):
-        return (y @ unit).reshape(s, s)
+    def observables(C):
+        return (C.mT @ unit).reshape(len(C), s, s)
 
-    def project(y):
-        """P(y) and its objective."""
-        lam, vecs = np.linalg.eigh(observable(y))
-        y = (unit.conj() @ ((vecs * np.clip(lam, -1.0, 1.0)) @ vecs.conj().T).ravel()).real
-        return y, y @ form @ y
+    def project(C):
+        """P(y) for every column y of the stack C, (S, s^2, 1), and the list
+        of their objectives."""
+        lam, vecs = np.linalg.eigh(observables(C))
+        P = (vecs * np.minimum(np.maximum(lam, -1.0), 1.0)[:, None]) @ vecs.conj().mT
+        C = (unit_conj @ P.reshape(len(C), -1, 1)).real
+        return C, (C.mT @ form @ C).ravel().tolist()
+
+    def step(C):
+        return project(C + rate * (form @ C))
 
     starts = [_params_from_hermitian(w) * scale for w in warm_starts]
     starts.append(evecs[:, -1])
@@ -354,26 +380,42 @@ def _mpef_restarts(state: BlockDiagonalState, seed, n_restarts: int,
     for _ in range(n_restarts):
         starts.append(rng.normal(size=s * s) * scale)
 
-    top = observable(evecs[:, -1])
-    top_norm = np.max(np.abs(np.linalg.eigvalsh(top)))
-    best_val, best_h, iterations = evals[-1] / top_norm**2, top / top_norm, 0
-    for y in starts:
-        y, val = project(y)
-        prev, k = y, 0
-        for _ in range(MPEF_ASCENT_MAX_ITER):
-            iterations += 1
-            z = y + k / (k + 3) * (y - prev)
-            y_next, val_next = project(z + rate * (form @ z))
-            if k and val_next < val:
-                k = 0
-                y_next, val_next = project(y + rate * (form @ y))
-            else:
-                k += 1
-            prev, y, gain, val = y, y_next, val_next - val, val_next
-            if gain <= MPEF_ASCENT_TOL:
+    C, vals = project(np.array(starts)[:, :, None])
+    prev, ks, live = C, [0] * len(starts), list(range(len(starts)))
+    finals = [None] * len(starts)  # (final column, objective) per start
+    iterations = 0
+    for _ in range(MPEF_ASCENT_MAX_ITER):
+        iterations += len(ks)
+        Z = C + np.array([k / (k + 3) for k in ks])[:, None, None] * (C - prev)
+        C_next, vals_next = step(Z)
+        redo = [i for i, k in enumerate(ks) if k and vals_next[i] < vals[i]]
+        ks = [k + 1 for k in ks]
+        if redo:
+            C_next[redo], redone = step(C[redo])
+            for i, val in zip(redo, redone):
+                ks[i], vals_next[i] = 0, val
+        stop = [b - a <= MPEF_ASCENT_TOL for a, b in zip(vals, vals_next)]
+        prev, C, vals = C, C_next, vals_next
+        if True in stop:
+            keep = []
+            for i, stopped in enumerate(stop):
+                if stopped:
+                    finals[live[i]] = C[i], vals[i]
+                else:
+                    keep.append(i)
+            live, ks, vals = [live[i] for i in keep], [ks[i] for i in keep], [vals[i] for i in keep]
+            C, prev = C[keep], prev[keep]
+            if not keep:
                 break
-        h = observable(y)
-        norm = np.max(np.abs(np.linalg.eigvalsh(h)))
+    for i, start in enumerate(live):
+        finals[start] = C[i], vals[i]
+
+    top = (evecs[:, -1] @ unit).reshape(s, s)
+    top_norm = np.max(np.abs(np.linalg.eigvalsh(top)))
+    best_val, best_h = evals[-1] / top_norm**2, top / top_norm
+    hs = observables(np.array([c for c, _ in finals]))
+    norms = np.max(np.abs(np.linalg.eigvalsh(hs)), axis=1)
+    for h, (_, val), norm in zip(hs, finals, norms):
         if norm > 1e-9 and val / norm**2 > best_val:
             best_val, best_h = val / norm**2, h / norm
     lower = max(float(best_val), 0.0)
@@ -415,8 +457,11 @@ def m_pe_f(state: BlockDiagonalState, search: str = "auto", seed=0,
     from the ``warm_starts``, the top eigenvector of M and ``n_restarts``
     seeded random starts, in that order; ``lower`` is the best value found
     (attained by ``h``) and ``upper`` = h_support * max(lambda_max, 0) of M
-    in Frobenius-orthonormal coordinates.  Padded two-mode optima make good
-    warm starts after vacuum appends.
+    in Frobenius-orthonormal coordinates.  The starts advance together as
+    one stack, but each keeps its own momentum, restart and stopping rule,
+    so each follows the iterates it would follow alone and the result does
+    not depend on how many starts share the stack.  Padded two-mode optima
+    make good warm starts after vacuum appends.
 
     ``h_support`` restricts the observable to the leading modes; trailing
     modes then act as classical number registers that still count toward the

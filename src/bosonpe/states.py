@@ -228,7 +228,7 @@ def random_free_state(m: int, max_n: int, seed, k: int = 3,
     parts = []
     for n, w in enumerate(weights):
         if n == 0:
-            parts.append((w, vacuum_state(m)))
+            parts.append((w, vacuum_state(m, caps)))
         else:
             sub = int(rng.integers(0, 2**31))
             parts.append((w, random_particle_separable(m, n, k, sub, caps)))

@@ -12,8 +12,10 @@ one full ``activate`` call per candidate.  The state constructors' oracles
 are their earlier dense bodies: every block summed as a d x d matrix, on
 {N: (p_N, dense block)} dicts.  The oracle of the stacked de Finetti and
 many-copy trace distance is its earlier loop, one Gram eigenproblem per
-number sector.  ``apply_to_pure`` is no oracle: it runs the
-package's sector lift on a pure sector state, for the tests of that lift.
+number sector.  The oracle of the stacked metrological-monotone ascent is
+its earlier serial loop, one start after another.  ``apply_to_pure`` is no
+oracle: it runs the package's sector lift on a pure sector state, for the
+tests of that lift.
 """
 
 import csv
@@ -24,6 +26,7 @@ from itertools import product
 import mpmath
 import numpy as np
 
+import bosonpe.measures as measures
 from bosonpe.fock import (
     DESK,
     UNCAPPED,
@@ -669,3 +672,66 @@ def poisson_weights_masked(mu, n_max: int) -> np.ndarray:
     n = np.arange(n_max + 1)
     logs = n * np.log(np.where(rate > 0, rate, 1.0)) - _log_factorials(n_max) - rate
     return np.where(rate > 0, np.exp(logs), n == 0)
+
+
+def serial_mpef_restarts(state, seed, n_restarts: int, warm_starts,
+                         h_support: int) -> measures.MpefResult:
+    """``measures._mpef_restarts`` with its starts run one after another, each
+    projection one 2-D eigh: the same starts, momentum restarts, stopping rule
+    and best-of selection, reading MPEF_ASCENT_TOL and MPEF_ASCENT_MAX_ITER
+    from ``bosonpe.measures`` at call time."""
+    s = h_support
+    g = measures._hermitian_basis(s)
+    scale = np.sqrt(np.einsum("aij,aij->a", g, g.conj()).real)
+    unit = (g / scale[:, None, None]).reshape(len(g), -1)
+    form = measures._mpef_form(state, s) / np.outer(scale, scale)
+    evals, evecs = np.linalg.eigh(form)
+    rate = 1.0 / max(-evals[0], evals[-1], 1e-300)
+
+    def observable(y):
+        return (y @ unit).reshape(s, s)
+
+    def project(y):
+        """P(y) and its objective."""
+        lam, vecs = np.linalg.eigh(observable(y))
+        y = (unit.conj() @ ((vecs * np.clip(lam, -1.0, 1.0)) @ vecs.conj().T).ravel()).real
+        return y, y @ form @ y
+
+    starts = [measures._params_from_hermitian(w) * scale for w in warm_starts]
+    starts.append(evecs[:, -1])
+    rng = np.random.default_rng(seed)
+    for _ in range(n_restarts):
+        starts.append(rng.normal(size=s * s) * scale)
+
+    top = observable(evecs[:, -1])
+    top_norm = np.max(np.abs(np.linalg.eigvalsh(top)))
+    best_val, best_h, iterations = evals[-1] / top_norm**2, top / top_norm, 0
+    for y in starts:
+        y, val = project(y)
+        prev, k = y, 0
+        for _ in range(measures.MPEF_ASCENT_MAX_ITER):
+            iterations += 1
+            z = y + k / (k + 3) * (y - prev)
+            y_next, val_next = project(z + rate * (form @ z))
+            if k and val_next < val:
+                k = 0
+                y_next, val_next = project(y + rate * (form @ y))
+            else:
+                k += 1
+            prev, y, gain, val = y, y_next, val_next - val, val_next
+            if gain <= measures.MPEF_ASCENT_TOL:
+                break
+        h = observable(y)
+        norm = np.max(np.abs(np.linalg.eigvalsh(h)))
+        if norm > 1e-9 and val / norm**2 > best_val:
+            best_val, best_h = val / norm**2, h / norm
+    lower = max(float(best_val), 0.0)
+    upper = max(s * max(float(evals[-1]), 0.0), lower)
+    return measures.MpefResult(
+        lower=lower,
+        upper=upper,
+        h=measures._pad_observable(best_h, state.modes),
+        bloch=None,
+        search="general_restarts",
+        metadata={"restarts": len(starts), "nfev": iterations},
+    )

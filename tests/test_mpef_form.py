@@ -3,13 +3,15 @@
 ``m_pe_f`` builds M with F(rho, H_h) - 4 V(rho, h) = x^T M x once per state
 and searches it by projected ascent.  These tests pin M against the direct
 objective, the bracket lower <= upper, the returned observable, and the
-budget monotonicity of the seeded search.
+budget monotonicity of the seeded search.  The stacked ascent is pinned bit
+for bit against its serial loop in ``helpers``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bosonpe.measures as measures
 from bosonpe.fock import UNCAPPED, BlockDiagonalState, enumerate_basis
 from bosonpe.measures import (
     SingleParticleObservable,
@@ -22,7 +24,7 @@ from bosonpe.measures import (
 from bosonpe.optics import append_vacuum
 from bosonpe.states import noon_state, random_particle_separable
 
-from helpers import random_density
+from helpers import random_density, serial_mpef_restarts
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -135,3 +137,40 @@ def test_free_states_stay_at_zero():
         state = random_particle_separable(3, 1 + seed % 3, 3, seed)
         res = m_pe_f(state, search="general_restarts", seed=0, n_restarts=2)
         assert res.value < 1e-12
+
+
+def assert_same_result(got, want):
+    assert got.lower == want.lower and got.upper == want.upper
+    assert np.array_equal(got.h, want.h)
+    assert got.metadata == want.metadata
+    assert (got.search, got.bloch) == (want.search, want.bloch)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_stacked_ascent_matches_the_serial_loop_bit_for_bit(data):
+    state = data.draw(block_states())
+    support = data.draw(st.integers(1, state.modes))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    n_restarts = data.draw(st.integers(0, 5))
+    warm = []
+    if data.draw(st.booleans()):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(state.modes, state.modes, 2)) @ np.array([1.0, 1j])
+        warm = [a + a.conj().T]
+    got = m_pe_f(state, search="general_restarts", seed=seed, n_restarts=n_restarts,
+                 warm_starts=warm, h_support=support)
+    want = serial_mpef_restarts(state, seed, n_restarts,
+                                [w[:support, :support] for w in warm], support)
+    assert_same_result(got, want)
+
+
+def test_capped_and_stopped_starts_share_the_stack(monkeypatch):
+    # within three steps some starts stop and the others hit the cap
+    monkeypatch.setattr(measures, "MPEF_ASCENT_MAX_ITER", 3)
+    noon = noon_state(2).to_block_state()
+    for state in (noon, append_vacuum(noon, 1), headline_state()):
+        got = m_pe_f(state, search="general_restarts", seed=0, n_restarts=5)
+        starts = got.metadata["restarts"]
+        assert 2 * starts < got.metadata["nfev"] < 3 * starts
+        assert_same_result(got, serial_mpef_restarts(state, 0, 5, [], state.modes))

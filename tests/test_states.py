@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from bosonpe.fock import DeskCaps, ValidationError, enumerate_basis, single_particle_rdm
+from bosonpe.fock import (
+    UNCAPPED,
+    DeskCaps,
+    DeskScaleError,
+    ValidationError,
+    enumerate_basis,
+    single_particle_rdm,
+)
 from bosonpe.nonclassical import many_copy_nc_bound_check
 from bosonpe.optics import ModeUnitary
 from bosonpe.states import (
@@ -17,6 +24,7 @@ from bosonpe.states import (
     noon_state,
     particle_separable_mixture,
     poisson_weights,
+    random_free_state,
     random_particle_separable,
 )
 
@@ -193,3 +201,13 @@ def test_classical_multimode_matches_rotated_single_mode():
 def test_classical_truncation_guard():
     with pytest.raises(ValidationError):
         classical_nd_state(np.array([2.0]), n_max=3)
+
+
+def test_random_free_state_builds_its_vacuum_under_the_given_caps():
+    state = random_free_state(9, 1, 0, caps=UNCAPPED)
+    assert state.modes == 9 and state.sectors() == [0, 1]
+    first = np.random.default_rng(0).dirichlet(np.ones(2))[0]
+    # the mixture renormalises its weights, so the vacuum weight may move by an ulp
+    assert state.weight(0) == pytest.approx(first, rel=1e-15)
+    with pytest.raises(DeskScaleError):
+        random_free_state(9, 1, 0)
