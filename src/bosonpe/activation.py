@@ -27,6 +27,7 @@ from .fock import (
     SectorDecomposition,
     ValidationError,
     _MAX_BLOCK_DIM,
+    _check_count,
     _check_seed,
     _gate_support,
     _local_number_layout,
@@ -37,6 +38,7 @@ from .fock import (
 from .optics import (
     BeamSplitterArray,
     ModeUnitary,
+    _haar_matrix,
     append_vacuum,
     apply_mode_unitary,
     balanced_array,
@@ -46,10 +48,10 @@ from .optics import (
     lift_unitary,
 )
 from .measures import (
-    _partial_transpose_negativity,
     _pure_negativity,
     _schmidt_probabilities,
     _schmidt_values,
+    _sector_negativities,
     _shannon_entropy_bits,
     distance_to_candidate_set,
     sector_negativity,
@@ -301,8 +303,10 @@ def activation_inequality_check(state: BlockDiagonalState,
     Lower-estimates the accessible entanglement of the activated state and
     upper-bounds the input's distance-based measure via a seeded candidate
     set; flags inconsistency only when the lower bound exceeds the upper.
+    Raises ValidationError for fewer than one candidate or a negative seed.
     """
     _check_seed(seed)
+    _check_count(n_candidates, "n_candidates", 1)
     if spec is None:
         spec = ActivationSpec(state)
     report = activate(spec)
@@ -333,9 +337,9 @@ def _balanced_sectors(state: BlockDiagonalState, va: ModeUnitary,
     for ``_filtered_negativities``: per block N, (p_N, occupations of the
     2m-mode basis rows the sectors use, [(rows, F_s, d_A, d_B)] per
     (N_A, N_B) sector), where F_s holds the sector's rows of the block's
-    factor F = V sqrt(lam) in the product order i_A * d_B + i_B (every
-    (n_A, n_B) pair occurs, so the layout's positions are a permutation)
-    and the slice ``rows`` picks the same rows out of those occupations.
+    factor F = V sqrt(lam), in the product order of
+    ``fock._local_number_layout``, and the slice ``rows`` picks the same
+    rows out of those occupations.
 
     A sector with d_A = 1 or d_B = 1 (N_A = 0, N_B = 0 or m = 1) is left out:
     every state on it, pure or mixed, is a product state with negativity
@@ -350,14 +354,11 @@ def _balanced_sectors(state: BlockDiagonalState, va: ModeUnitary,
         V, lam = out.factor(N)
         factor = V * np.sqrt(lam)
         used, sectors, start = [], [], 0
-        for rows, pos, ba, bb in _local_number_layout(2 * m, N, partition).values():
+        for rows, ba, bb in _local_number_layout(2 * m, N, partition).values():
             if ba.dim == 1 or bb.dim == 1:
                 continue
-            ordered = np.empty_like(rows)
-            ordered[pos] = rows
-            used.append(ordered)
-            sectors.append((slice(start, start + len(rows)), factor[ordered],
-                            ba.dim, bb.dim))
+            used.append(rows)
+            sectors.append((slice(start, start + len(rows)), factor[rows], ba.dim, bb.dim))
             start += len(rows)
         if sectors:
             occupations = np.array(enumerate_basis(2 * m, N, UNCAPPED).states)
@@ -378,32 +379,16 @@ def _chunk_size(blocks: list) -> int:
     return max(1, _MAX_BLOCK_DIM**2 // per_vector)
 
 
-def _two_row_negativity(amps: np.ndarray) -> np.ndarray:
-    """Negativity sigma_1 sigma_2 of unit vectors from their amplitude
-    matrices M, a stack (B, 2, n) or (B, n, 2) (transposed to two rows):
-    sqrt(sum_{i<j} |M_0i M_1j - M_0j M_1i|^2), which is sqrt(det M M^dag) by
-    Cauchy-Binet and has no cancellation near rank one.  The minors are
-    taken over all (i, j), which counts each pair twice."""
-    if amps.shape[1] != 2:
-        amps = np.swapaxes(amps, 1, 2)
-    x = amps[:, 0, :, None] * amps[:, 1, None, :]
-    minors = x - np.swapaxes(x, 1, 2)
-    return np.sqrt((minors.real**2 + minors.imag**2).sum(axis=(1, 2)) / 2)
-
-
 def _filtered_negativities(blocks: list, r: np.ndarray) -> np.ndarray:
     """E_SSR negativity of the activation at each reflectivity vector of the
     stack r (B, m), from the balanced output of ``_balanced_sectors``.
 
     The splitter output at r is D(r) xi, with xi the balanced output and
     D(r) the local filter of ``_local_filter_weights``.  Each sector is
-    then scored as ``activate`` scores it: dropped below BLOCK_DROP_TOL,
-    a one-column factor through its Schmidt values, a wider one through its
-    partial transpose, and the weighted negativities summed in sector order.
-    A one-column factor with min(d_A, d_B) = 2 needs no SVD: its negativity
-    ((s_1 + s_2)^2 - 1) / 2 is s_1 s_2, the root of the summed squared 2 x 2
-    minors of its amplitude matrix (``_two_row_negativity``).  The product
-    sectors ``_balanced_sectors`` leaves out would add zero.
+    dropped below BLOCK_DROP_TOL, as ``activate`` drops it, and otherwise
+    scored by ``measures._sector_negativities`` on its stack of filtered
+    factors; the weighted negativities are summed in sector order.  The
+    product sectors ``_balanced_sectors`` leaves out would add zero.
     """
     total = np.zeros(len(r))
     for p_n, occupations, sectors in blocks:
@@ -413,19 +398,9 @@ def _filtered_negativities(blocks: list, r: np.ndarray) -> np.ndarray:
             tr = (sub.conj() * sub).real.sum(axis=(1, 2))
             prob = p_n * tr
             keep = np.flatnonzero(prob >= BLOCK_DROP_TOL)
-            if not keep.size:
-                continue
-            sub = sub[keep] / np.sqrt(tr[keep])[:, None, None]
-            if sub.shape[2] == 1 and min(d_a, d_b) == 2:
-                neg = _two_row_negativity(sub.reshape(-1, d_a, d_b))
-            elif sub.shape[2] == 1:
-                svals = np.linalg.svd(sub.reshape(-1, d_a, d_b), compute_uv=False)
-                neg = _pure_negativity(svals)
-            else:
-                mat = sub @ np.swapaxes(sub, 1, 2).conj()
-                mat = (mat + np.swapaxes(mat, 1, 2).conj()) / 2
-                neg = _partial_transpose_negativity(mat.reshape(-1, d_a, d_b, d_a, d_b))
-            total[keep] += prob[keep] * neg
+            if keep.size:
+                sub = sub[keep] / np.sqrt(tr[keep])[:, None, None]
+                total[keep] += prob[keep] * _sector_negativities(sub, d_a, d_b)
     return total
 
 
@@ -470,10 +445,7 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     """
     if not (isinstance(grid_step, numbers.Real) and 0.0 < grid_step < 1.0):
         raise ValidationError(f"grid_step must be a finite number in (0, 1), got {grid_step!r}")
-    if not (isinstance(n_va_restarts, numbers.Integral) and not isinstance(n_va_restarts, bool)
-            and n_va_restarts >= 0):
-        raise ValidationError(
-            f"n_va_restarts must be a nonnegative integer, got {n_va_restarts!r}")
+    _check_count(n_va_restarts, "n_va_restarts")
     m = state.modes
     n_grid = math.ceil((1.0 - grid_step) / grid_step)  # len(np.arange(grid_step, 1, grid_step))
     count = n_grid**m if m <= 2 else m * n_grid + 1
@@ -483,10 +455,7 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
         return 0.0
     rng = np.random.default_rng(seed)
     vas = [identity_unitary(m)]
-    for _ in range(n_va_restarts):
-        z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        q, _ = np.linalg.qr(z)
-        vas.append(ModeUnitary(q))
+    vas += [ModeUnitary(_haar_matrix(m, rng)) for _ in range(n_va_restarts)]
 
     best = 0.0
     grid = np.arange(grid_step, 1.0, grid_step)

@@ -23,7 +23,7 @@ from .fock import (
     fock_state,
     vacuum_state,
 )
-from .optics import BeamSplitterArray, ModeUnitary, balanced_array
+from .optics import BeamSplitterArray, ModeUnitary, _haar_matrix, balanced_array
 from .states import (
     CoherentSpinSpec,
     classical_nd_state,
@@ -161,9 +161,7 @@ def cmd_activate(args) -> int:
             raise ValidationError("--va takes random:<seed>")
         seed = _parse_number(args.va.split(":", 1)[1], int, "seed")
         _check_seed(seed)
-        rng = np.random.default_rng(seed)
-        z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        va = ModeUnitary(np.linalg.qr(z)[0])
+        va = ModeUnitary(_haar_matrix(m, np.random.default_rng(seed)))
     postselect = None
     if args.postselect:
         postselect = tuple(_parse_numbers(args.postselect, int, "post-selected sector"))

@@ -88,6 +88,20 @@ def _check_seed(seed) -> None:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def _check_count(value, name: str, least: int = 0) -> None:
+    """Raise ValidationError unless ``value`` is an integer, not a bool, of
+    at least ``least``: the check of every count argument."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_hermitian(mat: np.ndarray, tol: float, what: str) -> None:
+    """Raise ValidationError unless max |mat - mat†| <= tol max(1, max |mat|);
+    written "not err <= tol" so that a NaN entry fails."""
+    if not np.max(np.abs(mat - mat.conj().T)) <= tol * max(1.0, np.max(np.abs(mat))):
+        raise ValidationError(f"{what} must be Hermitian within {tol}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -130,8 +144,11 @@ def _basis_index(m: int, n: int) -> dict[tuple[int, ...], int]:
 
 def enumerate_basis(m: int, N: int, caps: DeskCaps = DESK) -> FockBasis:
     """Canonical basis of the (m, N) sector, lexicographically descending.
-    Raises DeskScaleError, before enumerating, for a sector above ``caps``
-    and, under any caps, for one of more than 1e6 states."""
+    Raises ValidationError for a non-integer m or N, and DeskScaleError,
+    before enumerating, for a sector above ``caps`` and, under any caps, for
+    one of more than 1e6 states."""
+    if not (isinstance(m, numbers.Integral) and isinstance(N, numbers.Integral)):
+        raise ValidationError(f"m and N must be integers, got m={m!r}, N={N!r}")
     if m < 1:
         raise ValidationError(f"need at least one mode, got m={m}")
     if N < 0:
@@ -203,8 +220,7 @@ def _validate_block(mat: np.ndarray, dim: int, N: int) -> tuple:
     block; the PSD check reads the eigenvalues of the eigh that gives V, lam."""
     if mat.shape != (dim, dim):
         raise ValidationError(f"block N={N} has shape {mat.shape}, expected ({dim}, {dim})")
-    if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL * max(1.0, np.max(np.abs(mat))):
-        raise ValidationError(f"block N={N} not Hermitian within {HERMITICITY_TOL}")
+    _check_hermitian(mat, HERMITICITY_TOL, f"block N={N}")
     mat = (mat + mat.conj().T) / 2
     tr = np.trace(mat).real
     if not abs(tr - 1.0) <= 1e-9:
@@ -265,8 +281,7 @@ class BlockDiagonalState:
     __slots__ = ("modes", "_weights", "_dense", "_factors")
 
     def __init__(self, modes: int, blocks: dict, caps: DeskCaps = DESK):
-        if modes < 1:
-            raise ValidationError("need at least one mode")
+        _check_count(modes, "modes", 1)
         cleaned = {}
         total = 0.0
         for N, (p, mat) in sorted(blocks.items()):
@@ -358,6 +373,7 @@ class BlockDiagonalState:
 
 def vacuum_state(modes: int = 1, caps: DeskCaps = DESK) -> BlockDiagonalState:
     """|0, ..., 0> as a one-block state; ``modes`` is checked against ``caps``."""
+    _check_count(modes, "modes", 1)
     amps = fock_state((0,) * modes, caps).amplitudes
     return BlockDiagonalState._factored(modes, {0: (1.0, amps[:, None], np.ones(1))})
 
@@ -530,38 +546,36 @@ class SectorDecomposition:
 
 @lru_cache(maxsize=1024)
 def _local_number_layout(modes: int, N: int, partition: ModePartition) -> dict:
-    """{(N_A, N_B): (rows, pos, basis_a, basis_b)} for the (modes, N) sector:
-    the basis indices carrying those local numbers and their positions
-    ia * dim_b + ib in the product basis of the two sides.  An empty side
-    behaves as a single vacuum mode."""
+    """{(N_A, N_B): (rows, basis_a, basis_b)} for the (modes, N) sector: the
+    basis indices carrying those local numbers, in the product order
+    i_A * dim_b + i_B of the two sides' bases (each pair occurs once).  An
+    empty side behaves as a single vacuum mode."""
     ma, mb = len(partition.a_modes), len(partition.b_modes)
-    groups: dict[tuple[int, int], tuple[list, list]] = {}
+    groups: dict[tuple[int, int], list] = {}
     for i, occ in enumerate(enumerate_basis(modes, N, UNCAPPED).states):
         na, nb = split_occupation(occ, partition)
         na, nb = na if ma else (0,), nb if mb else (0,)
-        rows, members = groups.setdefault((sum(na), sum(nb)), ([], []))
-        rows.append(i)
-        members.append((na, nb))
+        groups.setdefault((sum(na), sum(nb)), []).append((i, na, nb))
     layout = {}
-    for (na, nb), (rows, members) in groups.items():
+    for (na, nb), members in groups.items():
         ba = enumerate_basis(max(ma, 1), na, UNCAPPED)
         bb = enumerate_basis(max(mb, 1), nb, UNCAPPED)
-        pos = [ba.index(a) * bb.dim + bb.index(b) for a, b in members]
-        layout[(na, nb)] = (_freeze(np.array(rows)), _freeze(np.array(pos)), ba, bb)
+        rows = np.empty(len(members), dtype=int)
+        for i, a, b in members:
+            rows[ba.index(a) * bb.dim + bb.index(b)] = i
+        layout[(na, nb)] = (_freeze(rows), ba, bb)
     return layout
 
 
 def _sector_factors(state: BlockDiagonalState, partition: ModePartition):
     """Yield ((N_A, N_B), p_N, F, basis_a, basis_b) for every local-number
     sector: F holds the rows of its block's factor V sqrt(lam) that carry
-    those local numbers, placed on the product basis."""
+    those local numbers, in the layout's product order."""
     for N in state.sectors():
         V, lam = state.factor(N)
         factor = V * np.sqrt(lam)
-        for key, (rows, pos, ba, bb) in _local_number_layout(state.modes, N, partition).items():
-            f = np.zeros((ba.dim * bb.dim, factor.shape[1]), dtype=complex)
-            f[pos] = factor[rows]
-            yield key, state.weight(N), f, ba, bb
+        for key, (rows, ba, bb) in _local_number_layout(state.modes, N, partition).items():
+            yield key, state.weight(N), factor[rows], ba, bb
 
 
 def project_local_number(state: BlockDiagonalState,
@@ -591,7 +605,7 @@ def dephase_local(state: BlockDiagonalState, partition: ModePartition) -> BlockD
         V, lam = state.factor(N)
         factor = V * np.sqrt(state.weight(N) * lam)
         cols = []
-        for rows, _, _, _ in _local_number_layout(state.modes, N, partition).values():
+        for rows, _, _ in _local_number_layout(state.modes, N, partition).values():
             cols.append(np.zeros_like(factor))
             cols[-1][rows] = factor[rows]
         factors[N] = _column_factors(np.hstack(cols))

@@ -35,12 +35,14 @@ from .fock import (
     ValidationError,
     _annihilate,
     _annihilation_maps,
+    _check_count,
+    _check_hermitian,
     _check_seed,
     _create,
     _gate_dense,
+    _local_number_layout,
     enumerate_basis,
     project_local_number,
-    split_occupation,
 )
 
 QFI_EIGENVALUE_CUTOFF = 1e-12
@@ -62,9 +64,7 @@ class SingleParticleObservable:
         h = np.asarray(self.h, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValidationError("observable must be a square matrix")
-        # written "not err <= tol" so that a NaN entry fails the check
-        if not np.max(np.abs(h - h.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(h))):
-            raise ValidationError("observable must be Hermitian within 1e-12")
+        _check_hermitian(h, 1e-12, "observable")
         h = (h + h.conj().T) / 2
         if not np.max(np.abs(np.linalg.eigvalsh(h))) <= 1.0 + 1e-10:
             raise ValidationError("operator norm must be at most 1")
@@ -191,18 +191,14 @@ def _one_body(state: BlockDiagonalState, modes: int) -> np.ndarray:
     return out
 
 
-def expectation_single_particle(state: BlockDiagonalState, f: np.ndarray) -> float:
-    """<f> = sum_N p_N Tr[rho^(N) SQ(f)] / N; the vacuum block contributes 0."""
-    return float(np.sum(np.asarray(f) * _one_body(state, state.modes)).real)
-
-
 def single_particle_variance(state: BlockDiagonalState,
                              h: SingleParticleObservable) -> float:
     """V = <h^2> - <h>^2 with single-particle averages over the blocks."""
     if h.modes != state.modes:
         raise ValidationError("observable mode count mismatch")
-    mean = expectation_single_particle(state, h.h)
-    mean_sq = expectation_single_particle(state, h.h @ h.h)
+    one_body = _one_body(state, state.modes)
+    mean = float(np.sum(h.h * one_body).real)
+    mean_sq = float(np.sum((h.h @ h.h) * one_body).real)
     return float(mean_sq - mean * mean)
 
 
@@ -439,8 +435,7 @@ def _check_warm_start(w, h_support: int) -> np.ndarray:
                               f"{h_support}x{h_support}")
     if not np.all(np.isfinite(w)):
         raise ValidationError("a warm start must be finite")
-    if np.max(np.abs(w - w.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(w))):
-        raise ValidationError("a warm start must be Hermitian within 1e-12")
+    _check_hermitian(w, 1e-12, "a warm start")
     return w[:h_support, :h_support]
 
 
@@ -469,17 +464,17 @@ def m_pe_f(state: BlockDiagonalState, search: str = "auto", seed=0,
     quantum-classical states with a memory: store each measurement record as
     a flag mode holding the measured particle count.
 
-    Raises ValidationError for a negative ``n_restarts`` or seed and for a
-    warm start that is not a finite Hermitian of at least h_support x
-    h_support.
+    Raises ValidationError for a negative seed or ``n_restarts``, a
+    non-integer count, an ``h_support`` outside [1, modes] and a warm start
+    that is not a finite Hermitian of at least h_support x h_support.
     """
     _check_seed(seed)
+    _check_count(n_restarts, "n_restarts")
     if h_support is None:
         h_support = state.modes
-    if not 1 <= h_support <= state.modes:
+    _check_count(h_support, "h_support", 1)
+    if h_support > state.modes:
         raise ValidationError("h_support must select a leading subset of modes")
-    if n_restarts < 0:
-        raise ValidationError("n_restarts must be nonnegative")
     warm_starts = [_check_warm_start(w, h_support) for w in warm_starts or []]
     if search == "auto":
         search = "two_mode_exact" if h_support == 2 else "general_restarts"
@@ -496,39 +491,32 @@ def m_pe_f(state: BlockDiagonalState, search: str = "auto", seed=0,
 # bipartite entanglement on the truncated joint Fock space
 
 
-def _joint_layout(state: BlockDiagonalState, partition: ModePartition):
-    partition.check_covers(state.modes)
-    ma, mb = len(partition.a_modes), len(partition.b_modes)
-    a_occs: dict[tuple, int] = {}
-    b_occs: dict[tuple, int] = {}
-    placements = {}
-    for N in state.sectors():
-        basis = enumerate_basis(state.modes, N, UNCAPPED)
-        rows = []
-        for occ in basis.states:
-            na, nb = split_occupation(occ, partition)
-            na = na if ma else (0,)
-            nb = nb if mb else (0,)
-            ia = a_occs.setdefault(na, len(a_occs))
-            ib = b_occs.setdefault(nb, len(b_occs))
-            rows.append((ia, ib))
-        placements[N] = rows
-    return a_occs, b_occs, placements
-
-
 def negativity(state: BlockDiagonalState, partition: ModePartition) -> float:
     """(||rho^{T_A}||_1 - 1) / 2 on the truncated joint space of every local
-    occupation.  Raises DeskScaleError when that space, d_A d_B, is larger
-    than the largest desk block (1716), before building the dense matrix."""
-    a_occs, b_occs, placements = _joint_layout(state, partition)
-    da, db = len(a_occs), len(b_occs)
+    occupation, each side ordered by local number, then by the sector basis
+    of ``fock._local_number_layout``.  Raises DeskScaleError when that space,
+    d_A d_B, is larger than the largest desk block (1716), before building
+    the dense matrix."""
+    partition.check_covers(state.modes)
+    layouts = [(N, _local_number_layout(state.modes, N, partition)) for N in state.sectors()]
+    dims_a, dims_b = {}, {}
+    for _, layout in layouts:
+        for (na, nb), (_, ba, bb) in layout.items():
+            dims_a[na], dims_b[nb] = ba.dim, bb.dim
+    start_a = dict(zip(sorted(dims_a), np.cumsum([0] + [dims_a[n] for n in sorted(dims_a)])))
+    start_b = dict(zip(sorted(dims_b), np.cumsum([0] + [dims_b[n] for n in sorted(dims_b)])))
+    da, db = sum(dims_a.values()), sum(dims_b.values())
     _gate_dense(da * db, da * db, "joint space d_A x d_B = %d x %d (use the sector measures)",
                 da, db)
     rho = np.zeros((da, db, da, db), dtype=complex)
     # each basis state has its own (ia, ib), and blocks of different N share
     # none, so every block fills its entries in one assignment
-    for N in state.sectors():
-        ia, ib = np.array(placements[N]).T
+    for N, layout in layouts:
+        ia = np.empty(enumerate_basis(state.modes, N, UNCAPPED).dim, dtype=int)
+        ib = np.empty_like(ia)
+        for (na, nb), (rows, _, bb) in layout.items():
+            i = np.arange(len(rows))
+            ia[rows], ib[rows] = start_a[na] + i // bb.dim, start_b[nb] + i % bb.dim
         rho[ia[:, None], ib[:, None], ia, ib] = state.weight(N) * state.block(N)
     return float(_partial_transpose_negativity(rho))
 
@@ -555,17 +543,6 @@ def _schmidt_probabilities(svals: np.ndarray) -> np.ndarray:
     return probs / probs.sum()
 
 
-def sector_negativity(sector: SectorState) -> float:
-    """Negativity of one (N_A, N_B) sector.  A pure sector (one-column
-    factor) gives ((sum_i s_i)^2 - 1) / 2 over the singular values s_i of its
-    d_A x d_B amplitude matrix; a mixed one is eigendecomposed as a dense
-    partial transpose."""
-    if sector.factor().shape[1] == 1:
-        return float(_pure_negativity(_schmidt_values(sector)))
-    da, db = sector.dims
-    return float(_partial_transpose_negativity(sector.matrix.reshape(da, db, da, db)))
-
-
 def _partial_transpose_negativity(rho: np.ndarray) -> np.ndarray:
     """(||rho^{T_A}||_1 - 1) / 2 for rho indexed [..., a, b, a', b'],
     clipped at 0; leading axes are a batch."""
@@ -573,6 +550,42 @@ def _partial_transpose_negativity(rho: np.ndarray) -> np.ndarray:
     pt = np.swapaxes(rho, -4, -2).reshape(rho.shape[:-4] + (da * db, da * db))
     evals = np.linalg.eigvalsh((pt + np.swapaxes(pt, -1, -2).conj()) / 2)
     return np.maximum((np.sum(np.abs(evals), axis=-1) - 1.0) / 2.0, 0.0)
+
+
+def _two_row_negativity(amps: np.ndarray) -> np.ndarray:
+    """Negativity sigma_1 sigma_2 of unit vectors from their amplitude
+    matrices M, a stack (B, 2, n) or (B, n, 2) (transposed to two rows):
+    sqrt(sum_{i<j} |M_0i M_1j - M_0j M_1i|^2), which is sqrt(det M M^dag) by
+    Cauchy-Binet and has no cancellation near rank one.  The minors are
+    taken over all (i, j), which counts each pair twice."""
+    if amps.shape[1] != 2:
+        amps = np.swapaxes(amps, 1, 2)
+    x = amps[:, 0, :, None] * amps[:, 1, None, :]
+    minors = x - np.swapaxes(x, 1, 2)
+    return np.sqrt((minors.real**2 + minors.imag**2).sum(axis=(1, 2)) / 2)
+
+
+def _sector_negativities(factors: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Negativities of a stack of (N_A, N_B) sector states F F† from their
+    unit-norm factors F, shape (B, d_A d_B, k) in the product order
+    i_A * d_B + i_B: a one-column F through the singular values of F as a
+    d_A x d_B matrix, in closed form when min(d_A, d_B) = 2
+    (``_two_row_negativity``), a wider one through the partial transpose of
+    F F† (Vidal & Werner, PRA 65, 032314 (2002))."""
+    if factors.shape[2] == 1 and min(da, db) == 2:
+        return _two_row_negativity(factors.reshape(-1, da, db))
+    if factors.shape[2] == 1:
+        return _pure_negativity(np.linalg.svd(factors.reshape(-1, da, db), compute_uv=False))
+    mat = factors @ np.swapaxes(factors, 1, 2).conj()
+    mat = (mat + np.swapaxes(mat, 1, 2).conj()) / 2
+    return _partial_transpose_negativity(mat.reshape(-1, da, db, da, db))
+
+
+def sector_negativity(sector: SectorState) -> float:
+    """Negativity of one (N_A, N_B) sector, from its factor through
+    ``_sector_negativities``, the kernel of the activation search."""
+    da, db = sector.dims
+    return float(_sector_negativities(sector.factor()[None], da, db)[0])
 
 
 def schmidt_spectrum(sector: SectorState, tol: float = 1e-8) -> np.ndarray:

@@ -26,6 +26,7 @@ from .fock import (
     ModePartition,
     ValidationError,
     _annihilation_maps,
+    _check_count,
     _check_seed,
     _complex_from_json,
     _complex_to_json,
@@ -152,8 +153,7 @@ def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
     entries than one desk block (1716 x 1716), raise DeskScaleError before
     allocating.
     """
-    if N < 0:
-        raise ValidationError("sector index must be nonnegative")
+    _check_count(N, "N")
     m = u.modes
     basis = enumerate_basis(m, N, caps)
     if columns is None:
@@ -210,8 +210,7 @@ def append_vacuum(state: BlockDiagonalState, k: int,
                   caps: DeskCaps = DESK) -> BlockDiagonalState:
     """Append k modes in the vacuum; the rows of each block's V are re-indexed.
     The largest sector is checked first: a refused state builds nothing."""
-    if k < 1:
-        raise ValidationError("must append at least one mode")
+    _check_count(k, "k", 1)
     m = state.modes
     pad = (0,) * k
     enumerate_basis(m + k, state.max_particles, caps)
@@ -236,6 +235,8 @@ def _sector_slices(modes: int, n_max: int) -> dict[int, slice]:
     """N -> rows of sector N in the Fock space of ``modes`` modes with at most
     n_max particles, ordered by sector then canonically within each sector:
     sector N follows the comb(modes + N - 1, modes) rows below it."""
+    _check_count(modes, "modes", 1)
+    _check_count(n_max, "n_max")
     return {N: slice(math.comb(modes + N - 1, modes), math.comb(modes + N, modes))
             for N in range(n_max + 1)}
 
@@ -295,18 +296,25 @@ def measure_destructive(state: BlockDiagonalState, partition: ModePartition,
     return outcomes
 
 
+def _haar_matrix(d: int, rng) -> np.ndarray:
+    """Q of the QR decomposition of a d x d complex Gaussian matrix, its
+    real parts drawn from ``rng`` before its imaginary parts."""
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return np.linalg.qr(z)[0]
+
+
 def random_ssr_povm(modes: int, n_max: int, n_outcomes: int, seed) -> list[np.ndarray]:
     """Random SSR-respecting POVM built from Haar rank-1 projectors per sector,
     assigned to outcomes at random."""
     _check_seed(seed)
+    _check_count(n_outcomes, "n_outcomes", 1)
     rng = np.random.default_rng(seed)
     slices = _sector_slices(modes, n_max)
     dim = slices[n_max].stop
     elements = [np.zeros((dim, dim), dtype=complex) for _ in range(n_outcomes)]
     for N, sl in slices.items():
         d = sl.stop - sl.start
-        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        q, _ = np.linalg.qr(z)
+        q = _haar_matrix(d, rng)
         owners = rng.integers(0, n_outcomes, size=d)
         for col, owner in enumerate(owners):
             v = q[:, col]

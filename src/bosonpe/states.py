@@ -27,6 +27,7 @@ from .fock import (
     PureSectorState,
     ValidationError,
     _CHUNK_ENTRIES,
+    _check_count,
     _check_seed,
     _column_factors,
     _eigh_factors,
@@ -80,8 +81,7 @@ class CoherentSpinSpec:
             raise ValidationError("psi must be a nonempty vector")
         if not abs(np.linalg.norm(psi) - 1.0) <= 1e-12:
             raise ValidationError("psi must be a finite unit vector")
-        if self.N < 0:
-            raise ValidationError("N must be nonnegative")
+        _check_count(self.N, "N")
         psi.flags.writeable = False
         object.__setattr__(self, "psi", psi)
 
@@ -211,6 +211,8 @@ def random_particle_separable(m: int, N: int, k: int, seed,
                               caps: DeskCaps = DESK) -> BlockDiagonalState:
     """Seeded random k-term mixture of coherent spin states at fixed N."""
     _check_seed(seed)
+    _check_count(m, "m", 1)
+    _check_count(k, "k", 1)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(k))
     terms = tuple(
@@ -223,6 +225,7 @@ def random_free_state(m: int, max_n: int, seed, k: int = 3,
                       caps: DeskCaps = DESK) -> BlockDiagonalState:
     """Random particle-separable state mixing particle numbers 0..max_n."""
     _check_seed(seed)
+    _check_count(max_n, "max_n")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(max_n + 1))
     parts = []
@@ -375,6 +378,7 @@ def classical_nd_state(alpha, n_max: int | None = None,
     m = terms[0][1].size
     if n_max is None:
         n_max = max(default_poisson_truncation(float(np.vdot(a, a).real)) for _, a in terms)
+    _check_count(n_max, "n_max")
     return _direction_mixture_state(*_poisson_rows(terms, n_max), m, caps)
 
 
@@ -389,8 +393,7 @@ def classical_truncation_mass(alpha, n_max: int) -> float:
 
 def noon_state(N: int, caps: DeskCaps = DESK) -> PureSectorState:
     """(|N,0> + |0,N>)/sqrt(2) on two modes."""
-    if N < 1:
-        raise ValidationError("NOON state needs N >= 1")
+    _check_count(N, "N", 1)
     basis = enumerate_basis(2, N, caps)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[basis.index((N, 0))] = 1.0 / math.sqrt(2.0)

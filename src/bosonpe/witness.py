@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import ValidationError, _MAX_DENSE_SUPPORT, _check_seed, _freeze, _gate_support
+from .fock import (ValidationError, _MAX_DENSE_SUPPORT, _check_count, _check_seed, _freeze,
+                   _gate_support)
 
 AXES = ("x", "y", "z")
 
@@ -298,7 +299,8 @@ def pe_lower_bound(data: SpinShotDataset, params: WitnessParams,
     ``n_bootstrap=0`` skips the bootstrap (``bootstrap_se`` is None); 1 and
     negative counts are rejected, and so is a negative seed."""
     _check_seed(seed)
-    if n_bootstrap < 0 or n_bootstrap == 1:
+    _check_count(n_bootstrap, "n_bootstrap")
+    if n_bootstrap == 1:
         raise ValidationError(f"n_bootstrap must be 0 or at least 2, got {n_bootstrap}")
     n1_a = counts["N1_A"] if counts else data.n1_a_mean
     n1_b = counts["N1_B"] if counts else data.n1_b_mean
@@ -418,9 +420,7 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
         raise ValidationError("split fraction must lie strictly between 0 and 1")
     if not 0 <= n_atoms <= _MAX_ATOMS:
         raise ValidationError(f"n_atoms must lie in [0, 2**53], got {n_atoms}")
-    if n_shots < _MIN_SHOTS:
-        raise ValidationError(f"need at least {_MIN_SHOTS} shots, two on each of z and y, "
-                              f"for a bound; got {n_shots}")
+    _check_count(n_shots, "n_shots", _MIN_SHOTS)
     _gate_support(n_shots, "n_shots")
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"detection efficiency must lie in (0, 1], got {eta!r}")

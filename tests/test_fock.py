@@ -252,3 +252,48 @@ def test_project_local_number_empty_side():
     dec = project_local_number(state, ModePartition((), (0, 1)))
     assert list(dec.keys()) == [(0, 2)]
     assert dec.probability((0, 2)) == pytest.approx(1.0)
+
+
+def _count_cases():
+    """(entry point, call) pairs that pass one bad count argument each: a
+    float, a bool or a count below its least value, which used to end in
+    TypeError, ValueError or IndexError, or (for True) run as 1."""
+    from bosonpe import activation, measures, nonclassical, optics, states, witness
+
+    noon = states.noon_state(2).to_block_state()
+    spec = nonclassical.ExchangeableSeparableSpec(2, 2, ((1.0, np.array([1.0, 0.0])),))
+    data = witness.synthesize_dataset("constant")
+    params = witness.WitnessParams(1.0, 1.0)
+    return {
+        "m_pe_f n_restarts=1.5": lambda: measures.m_pe_f(noon, "general_restarts",
+                                                         n_restarts=1.5),
+        "m_pe_f n_restarts=True": lambda: measures.m_pe_f(noon, "general_restarts",
+                                                          n_restarts=True),
+        "m_pe_f h_support=1.5": lambda: measures.m_pe_f(noon, h_support=1.5),
+        "pe_lower_bound n_bootstrap=2.5": lambda: witness.pe_lower_bound(data, params,
+                                                                         n_bootstrap=2.5),
+        "activation_inequality_check n_candidates=2.5":
+            lambda: activation.activation_inequality_check(noon, n_candidates=2.5),
+        "m_pe_from_activation n_va_restarts=True":
+            lambda: activation.m_pe_from_activation(noon, n_va_restarts=True),
+        "synthesize_dataset n_shots=30.5": lambda: witness.synthesize_dataset("css",
+                                                                              n_shots=30.5),
+        "enumerate_basis N=1.5": lambda: enumerate_basis(2, 1.5),
+        "enumerate_basis m=2.0": lambda: enumerate_basis(2.0, 1),
+        "CoherentSpinSpec N=1.5": lambda: states.CoherentSpinSpec(np.array([1.0, 0.0]), 1.5),
+        "random_particle_separable k=-1": lambda: states.random_particle_separable(2, 2, -1, 0),
+        "random_ssr_povm n_outcomes=0": lambda: optics.random_ssr_povm(2, 2, 0, 0),
+        "binomial_poisson_distance N=2.5": lambda: nonclassical.binomial_poisson_distance(2.5,
+                                                                                          0.1),
+        "definetti_classical_approx n_max=-1":
+            lambda: nonclassical.definetti_classical_approx(spec, 1, n_max=-1),
+        "classical_nd_state n_max=2.5": lambda: states.classical_nd_state(np.array([0.1, 0.1]),
+                                                                          n_max=2.5),
+        "append_vacuum k=1.5": lambda: optics.append_vacuum(noon, 1.5),
+    }
+
+
+@pytest.mark.parametrize("case", list(_count_cases()))
+def test_count_arguments_end_in_validation_error(case):
+    with pytest.raises(ValidationError, match="must be (an )?integer"):
+        _count_cases()[case]()

@@ -13,7 +13,10 @@ sector negativities) is pinned against a plain dense reference, and so is
 the activation search's batched scoring through the local-filter identity.
 That scoring's closed form for two-row pure sectors is pinned against the
 SVD, down to near rank one, and the product sectors it skips are checked to
-carry no negativity.
+carry no negativity.  Free states activate to zero negativity through that
+scoring and through ``activate``, for any V_A and reflectivities (the first
+law of the resource theory), and the local-number layout both use keeps each
+sector's rows in product order for any partition.
 The vectorised coherent-spin amplitudes, and the mixture states built from them,
 are pinned against the per-basis-state formula.  The closed-form witness
 optimum is checked against the grid the witness search used to scan and
@@ -25,13 +28,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bosonpe.activation import (
     ActivationSpec,
     _balanced_sectors,
     _filtered_negativities,
-    _two_row_negativity,
+    _local_filter_weights,
     activate,
 )
 from bosonpe.fock import (
@@ -42,6 +45,7 @@ from bosonpe.fock import (
     PureSectorState,
     ValidationError,
     _column_factors,
+    _local_number_layout,
     _validate_block,
     enumerate_basis,
     project_local_number,
@@ -51,6 +55,7 @@ from bosonpe.fock import (
 from bosonpe.measures import (
     _partial_transpose_negativity,
     _pure_negativity,
+    _two_row_negativity,
     schmidt_spectrum,
     sector_negativity,
 )
@@ -61,7 +66,13 @@ from bosonpe.optics import (
     apply_mode_unitary,
     lift_unitary,
 )
-from bosonpe.states import _css_amplitudes, _direction_mixture_state, noon_state
+from bosonpe.states import (
+    _css_amplitudes,
+    _direction_mixture_state,
+    classical_nd_state,
+    noon_state,
+    random_particle_separable,
+)
 from bosonpe.witness import (
     AxisMoments,
     SpinMoments,
@@ -403,6 +414,80 @@ def test_balanced_sectors_keep_only_two_sided_sectors():
     assert sorted((d_a, d_b) for _, _, d_a, d_b in sectors) == [(2, 4), (3, 3), (4, 2)]
     assert occupations.shape == (25, 4)
     assert all(occ[:2].sum() not in (0, 4) for occ in occupations)
+
+
+@st.composite
+def free_states(draw):
+    """Free states on 2 or 3 modes with at most 4 particles: a mixture of one
+    to three coherent spin states at N = 2..4, or a mixture of two
+    number-dephased coherent states cut at n_max = 4 (mean number at most
+    0.15, so the cut drops under 1e-6 of the Poisson mass)."""
+    m = draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return random_particle_separable(m, draw(st.integers(2, 4)), draw(st.integers(1, 3)),
+                                         seed)
+    rng = np.random.default_rng(seed)
+    alphas = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
+    scale = np.sqrt(rng.uniform(0.05, 0.15, size=2)) / np.linalg.norm(alphas, axis=1)
+    alphas *= scale[:, None]
+    w = draw(st.floats(0.1, 0.9))
+    return classical_nd_state([(w, alphas[0]), (1.0 - w, alphas[1])], n_max=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(free_states(), st.integers(0, 2**32 - 1), st.data())
+def test_free_states_activate_to_zero(state, seed, data):
+    """ROADMAP's first law of the resource theory: free in, SSR-separable
+    out, for any V_A and reflectivities, through the search's scoring and
+    through ``activate``.  The local filter maps the balanced output onto
+    the splitter output, a state, so it also keeps every block's trace."""
+    m = state.modes
+    va = ModeUnitary(haar_unitary(m, np.random.default_rng(seed)))
+    r = np.array(data.draw(st.lists(
+        st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=m, max_size=m),
+        min_size=1, max_size=4)))
+    assert np.all(_filtered_negativities(_balanced_sectors(state, va, DESK), r) <= 1e-9)
+    report = activate(ActivationSpec(state, va, BeamSplitterArray(tuple(r[0]))))
+    assert report.e_ssr_negativity <= 1e-9
+    balanced = apply_mode_unitary(append_vacuum(state, m), ModeUnitary(
+        splitter_unitary([1.0 / math.sqrt(2.0)] * m, va.matrix)))
+    for N in balanced.sectors():
+        V, lam = balanced.factor(N)
+        w = _local_filter_weights(np.array(enumerate_basis(2 * m, N).states), r)
+        assert np.max(np.abs(w**2 @ (np.abs(V) ** 2 @ lam) - 1.0)) <= 1e-12
+
+
+@st.composite
+def partitions(draw):
+    """A mode count m <= 4 and a partition of its modes with each side in
+    any order, so sides may be non-contiguous or empty."""
+    m = draw(st.integers(1, 4))
+    a_modes = draw(st.lists(st.integers(0, m - 1), unique=True))
+    b_modes = draw(st.permutations([k for k in range(m) if k not in a_modes]))
+    return m, ModePartition(tuple(a_modes), tuple(b_modes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(partitions(), st.integers(0, 4))
+@example((3, ModePartition((2, 0), (1,))), 3)
+@example((2, ModePartition((), (1, 0))), 2)
+def test_local_number_layout_is_in_product_order(mp, N):
+    """The row at position i * d_B + j of a sector splits into
+    ``basis_a.states[i]`` and ``basis_b.states[j]`` (an empty side reads as
+    one vacuum mode), and the sectors' rows cover the basis once."""
+    m, partition = mp
+    states = enumerate_basis(m, N).states
+    layout = _local_number_layout(m, N, partition)
+    for (na, nb), (rows, ba, bb) in layout.items():
+        assert (ba.particles, bb.particles) == (na, nb)
+        assert len(rows) == ba.dim * bb.dim
+        for k, row in enumerate(rows):
+            a = tuple(states[row][i] for i in partition.a_modes) or (0,)
+            b = tuple(states[row][i] for i in partition.b_modes) or (0,)
+            assert (a, b) == (ba.states[k // bb.dim], bb.states[k % bb.dim])
+    rows = np.concatenate([rows for rows, _, _ in layout.values()])
+    assert sorted(rows.tolist()) == list(range(len(states)))
 
 
 @FEW
