@@ -242,12 +242,10 @@ def splitter_alphas(array: BeamSplitterArray, pre_rotation=None) -> np.ndarray:
 def _local_filter_weights(occupations: np.ndarray, r: np.ndarray) -> np.ndarray:
     """prod_i (sqrt(2) r_i)^{n_Ai} (sqrt(2) t_i)^{n_Bi} for each row of
     ``occupations`` (the m A modes, then the m B modes), at each reflectivity
-    vector of the stack r (..., m): shape (..., len(occupations))."""
+    vector of the stack r (..., m): shape (..., len(occupations)).  The
+    product runs over the 2m factors in mode order."""
     base = math.sqrt(2.0) * np.concatenate([r, np.sqrt(1.0 - r * r)], axis=-1)
-    w = np.ones(r.shape[:-1] + (len(occupations),))
-    for j, n_j in enumerate(occupations.T):
-        w *= base[..., j, None] ** n_j
-    return w
+    return np.multiply.reduce(base[..., None, :] ** occupations, axis=-1)
 
 
 def local_filter_relation_check(occupation, r_vector, tol: float = 1e-9) -> bool:
@@ -397,10 +395,14 @@ def _filtered_negativities(blocks: list, r: np.ndarray) -> np.ndarray:
             sub = w[:, rows, None] * f
             tr = (sub.conj() * sub).real.sum(axis=(1, 2))
             prob = p_n * tr
-            keep = np.flatnonzero(prob >= BLOCK_DROP_TOL)
-            if keep.size:
-                sub = sub[keep] / np.sqrt(tr[keep])[:, None, None]
-                total[keep] += prob[keep] * _sector_negativities(sub, d_a, d_b)
+            if prob.min() >= BLOCK_DROP_TOL:
+                keep = slice(None)
+            else:
+                keep = np.flatnonzero(prob >= BLOCK_DROP_TOL)
+                if not keep.size:
+                    continue
+            sub = sub[keep] / np.sqrt(tr[keep])[:, None, None]
+            total[keep] += prob[keep] * _sector_negativities(sub, d_a, d_b)
     return total
 
 
@@ -415,6 +417,42 @@ def _grid_points(grid: np.ndarray, m: int, start: int, stop: int) -> np.ndarray:
     sweep = idx < m * len(grid)
     out[sweep, idx[sweep] // len(grid)] = grid[idx[sweep] % len(grid)]
     return out
+
+
+def _compass_round(blocks: list, chunk: int, best_r: np.ndarray, best_val,
+                   step: float) -> tuple:
+    """One round of the compass search at ``step``, as (best_r, best_val,
+    improved): each coordinate in turn tries best_r_i + step, then - step,
+    clipped to [1e-6, 1 - 1e-6] (a probe the clip leaves at best_r_i is
+    skipped), and moves to the first that scores above best_val.
+
+    The probes of all coordinates still to visit are built from the current
+    point and scored together, ``chunk`` per ``_filtered_negativities``
+    call; after a move at coordinate j only j+1..m-1 are rebuilt and
+    scored again.  A row's score does not depend on the other rows of its
+    stack, so every move is the one a coordinate-by-coordinate walk makes."""
+    m, start, improved = len(best_r), 0, False
+    while start < m:
+        r = best_r.tolist()
+        rows, coords = [], []
+        for i in range(start, m):
+            for delta in (step, -step):
+                x = min(max(r[i] + delta, 1e-6), 1.0 - 1e-6)
+                if x != r[i]:
+                    rows.append(r[:i] + [x] + r[i + 1:])
+                    coords.append(i)
+        probes = np.array(rows)
+        for lo in range(0, len(probes), chunk):
+            vals = _filtered_negativities(blocks, probes[lo:lo + chunk])
+            gains = np.flatnonzero(vals > best_val)
+            if gains.size:
+                k = lo + gains[0]
+                best_r, best_val, improved = probes[k], vals[gains[0]], True
+                start = coords[k] + 1
+                break
+        else:
+            break
+    return best_r, best_val, improved
 
 
 def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
@@ -434,7 +472,9 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     at reflectivities r is D(r) xi, with xi the balanced-array output,
     lifted once per V_A, and D(r) diagonal on the 2m-mode basis with entries
     prod_i (sqrt(2) r_i)^{n_Ai} (sqrt(2) t_i)^{n_Bi}.  The grid goes in
-    batches of reflectivity vectors, each compass step's +/- pair as one.
+    batches of reflectivity vectors, and each compass round scores the
+    +/- probes of every coordinate still to visit as one stack, rebuilt
+    from the new point after a move (``_compass_round``).
     Only sectors with d_A, d_B >= 2 are scored (``_balanced_sectors``); the
     others are product states.  On one mode, or with no block of two or
     more particles, there is no such sector and the result is 0.0, returned
@@ -472,20 +512,7 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
 
         step = grid_step / 2.0
         while step >= 1e-5:
-            improved = False
-            for i in range(m):
-                probes = []
-                for sign in (1.0, -1.0):
-                    probe = best_r.copy()
-                    probe[i] = min(max(best_r[i] + sign * step, 1e-6), 1.0 - 1e-6)
-                    if probe[i] != best_r[i]:
-                        probes.append(probe)
-                if not probes:
-                    continue
-                for probe, val in zip(probes, _filtered_negativities(blocks, np.array(probes))):
-                    if val > best_val:
-                        best_val, best_r, improved = val, probe, True
-                        break
+            best_r, best_val, improved = _compass_round(blocks, chunk, best_r, best_val, step)
             if not improved:
                 step /= 2.0
         best = max(best, float(best_val))

@@ -215,20 +215,21 @@ def _eigh_factors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return vecs, evals[keep], evals
 
 
-def _validate_block(mat: np.ndarray, dim: int, N: int) -> tuple:
+def _validate_block(mat: np.ndarray, dim: int, what: str) -> tuple:
     """(the symmetrised unit-trace block, V, lam), frozen, of a user-supplied
-    block; the PSD check reads the eigenvalues of the eigh that gives V, lam."""
+    density matrix, named ``what`` in errors; the PSD check reads the
+    eigenvalues of the eigh that gives V, lam."""
     if mat.shape != (dim, dim):
-        raise ValidationError(f"block N={N} has shape {mat.shape}, expected ({dim}, {dim})")
-    _check_hermitian(mat, HERMITICITY_TOL, f"block N={N}")
+        raise ValidationError(f"{what} has shape {mat.shape}, expected ({dim}, {dim})")
+    _check_hermitian(mat, HERMITICITY_TOL, what)
     mat = (mat + mat.conj().T) / 2
     tr = np.trace(mat).real
     if not abs(tr - 1.0) <= 1e-9:
-        raise ValidationError(f"block N={N} trace {tr} not 1")
+        raise ValidationError(f"{what} trace {tr} not 1")
     mat = _unit_trace(mat)
     V, lam, evals = _eigh_factors(mat)
     if not evals.min(initial=0.0) >= -PSD_TOL:
-        raise ValidationError(f"block N={N} not PSD: min eigenvalue {evals.min():.3e}")
+        raise ValidationError(f"{what} not PSD: min eigenvalue {evals.min():.3e}")
     return _freeze(mat), _freeze(V), _freeze(lam)
 
 
@@ -292,7 +293,8 @@ class BlockDiagonalState:
             if p < BLOCK_DROP_TOL:
                 continue
             basis = enumerate_basis(modes, int(N), caps)
-            cleaned[int(N)] = (p, _validate_block(np.asarray(mat, dtype=complex), basis.dim, N))
+            cleaned[int(N)] = (p, _validate_block(np.asarray(mat, dtype=complex),
+                                                  basis.dim, f"block N={N}"))
         if not abs(total - 1.0) <= WEIGHT_TOL:
             raise ValidationError(f"block weights sum to {total}, not 1")
         kept = sum(p for p, _ in cleaned.values())
@@ -380,9 +382,10 @@ def vacuum_state(modes: int = 1, caps: DeskCaps = DESK) -> BlockDiagonalState:
 
 def fock_state(occupation, caps: DeskCaps = DESK) -> PureSectorState:
     """|n_0, ..., n_{m-1}> as a pure sector state."""
-    occupation = tuple(int(x) for x in occupation)
-    if any(n < 0 for n in occupation):
-        raise ValidationError(f"occupations must be nonnegative: {occupation}")
+    occupation = tuple(occupation)
+    for n in occupation:
+        _check_count(n, "an occupation")
+    occupation = tuple(map(int, occupation))
     basis = enumerate_basis(len(occupation), sum(occupation), caps)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[basis.index(occupation)] = 1.0
@@ -471,20 +474,18 @@ class SectorState:
     ia * dim_b + ib; ``basis_a`` / ``basis_b`` give the factor bases.  A
     sector made by ``project_local_number`` is born as a factor F with
     matrix = F F† and unit Frobenius norm, and builds its matrix on first
-    use; one made from a matrix is factored by one eigh where it is made.
+    use; one made from a matrix is checked like a user-supplied block
+    (Hermitian, unit trace, PSD) and factored by the eigh of that check.
     """
 
     __slots__ = ("basis_a", "basis_b", "_matrix", "_factor")
 
     def __init__(self, basis_a: FockBasis, basis_b: FockBasis, matrix: np.ndarray):
-        mat = np.asarray(matrix, dtype=complex)
-        d = basis_a.dim * basis_b.dim
-        if mat.shape != (d, d):
-            raise ValidationError(f"sector matrix shape {mat.shape}, expected ({d}, {d})")
-        V, lam, _ = _eigh_factors(mat)
+        mat, V, lam = _validate_block(np.asarray(matrix, dtype=complex),
+                                      basis_a.dim * basis_b.dim, "sector matrix")
         object.__setattr__(self, "basis_a", basis_a)
         object.__setattr__(self, "basis_b", basis_b)
-        object.__setattr__(self, "_matrix", _freeze(mat))
+        object.__setattr__(self, "_matrix", mat)
         object.__setattr__(self, "_factor", _freeze(V * np.sqrt(lam)))
 
     @classmethod

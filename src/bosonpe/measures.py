@@ -39,6 +39,7 @@ from .fock import (
     _check_hermitian,
     _check_seed,
     _create,
+    _freeze,
     _gate_dense,
     _local_number_layout,
     enumerate_basis,
@@ -82,8 +83,13 @@ def bloch_observable(n) -> SingleParticleObservable:
     norm = np.linalg.norm(n) if n.shape == (3,) else 0.0
     if not 0.0 < norm < math.inf:
         raise ValidationError("a Bloch vector must be a finite nonzero 3-vector")
-    n = n / norm
-    return SingleParticleObservable(n[0] * PAULI["x"] + n[1] * PAULI["y"] + n[2] * PAULI["z"])
+    return SingleParticleObservable(_bloch_matrix(n / norm))
+
+
+def _bloch_matrix(n: np.ndarray) -> np.ndarray:
+    """n . sigma for a real 3-vector n: Hermitian by construction, with
+    operator norm |n|."""
+    return n[0] * PAULI["x"] + n[1] * PAULI["y"] + n[2] * PAULI["z"]
 
 
 def second_quantized(f: np.ndarray, m: int, N: int) -> np.ndarray:
@@ -305,18 +311,19 @@ def _mpef_form(state: BlockDiagonalState, h_support: int) -> np.ndarray:
 def _mpef_two_mode_exact(state: BlockDiagonalState) -> MpefResult:
     """Top eigenpair of the form on the Pauli directions: h = n . sigma has
     operator norm |n|, so the unit Bloch sphere is exactly the feasible set
-    of traceless h."""
+    of traceless h.  That h needs none of ``SingleParticleObservable``'s
+    checks."""
     paulis = _pauli_params()
     evals, evecs = np.linalg.eigh(paulis.T @ _mpef_form(state, 2) @ paulis)
     best = float(evals[-1])
     n = evecs[:, -1]
-    h = bloch_observable(n)
+    h = _freeze(_bloch_matrix(n / np.linalg.norm(n)))
     theta = math.acos(max(-1.0, min(1.0, n[2])))
     phi = math.atan2(n[1], n[0])
     return MpefResult(
         lower=max(best, 0.0),
         upper=max(best, 0.0),
-        h=_pad_observable(h.h, state.modes),
+        h=_pad_observable(h, state.modes),
         bloch=(float(n[0]), float(n[1]), float(n[2])),
         search="two_mode_exact",
         metadata={"objective": best, "theta": theta, "phi": phi},

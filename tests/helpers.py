@@ -8,7 +8,9 @@ matrices, 40-digit mpmath pmfs and distances for the binomial and Poisson
 kernels, pure-Python ``math.lgamma`` pmfs summed with ``math.fsum`` as a
 second check on them, and per-resample and per-shot loops for the witness bootstrap,
 synthetic shot data and CSV text.  The activation search oracle is the search loop with
-one full ``activate`` call per candidate.  The state constructors' oracles
+one full ``activate`` call per candidate, and the oracle of its local-filter weights is
+their earlier loop, one power and one product per basis column; that of one compass
+round is its earlier walk, one coordinate's +/- pair per scoring call.  The state constructors' oracles
 are their earlier dense bodies: every block summed as a d x d matrix, on
 {N: (p_N, dense block)} dicts.  The oracle of the stacked de Finetti and
 many-copy trace distance is its earlier loop, one Gram eigenproblem per
@@ -523,6 +525,41 @@ def m_pe_from_activation_oracle(state, n_va_restarts: int = 4, seed=0,
                 step /= 2.0
         best = max(best, best_val)
     return best
+
+
+def local_filter_weights_oracle(occupations: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The local-filter weights prod_i (sqrt(2) r_i)^{n_Ai} (sqrt(2) t_i)^{n_Bi}
+    of ``activation._local_filter_weights``, multiplied in one column of
+    ``occupations`` at a time."""
+    base = math.sqrt(2.0) * np.concatenate([r, np.sqrt(1.0 - r * r)], axis=-1)
+    w = np.ones(r.shape[:-1] + (len(occupations),))
+    for j, n_j in enumerate(occupations.T):
+        w *= base[..., j, None] ** n_j
+    return w
+
+
+def compass_round_oracle(blocks: list, best_r: np.ndarray, best_val, step: float) -> tuple:
+    """One round of the activation search's compass refinement as its
+    earlier loop: each coordinate's +step / -step pair scored alone by
+    ``activation._filtered_negativities``, moving on the first gain.
+    Returns (best_r, best_val, improved)."""
+    from bosonpe.activation import _filtered_negativities
+
+    improved = False
+    for i in range(len(best_r)):
+        probes = []
+        for sign in (1.0, -1.0):
+            probe = best_r.copy()
+            probe[i] = min(max(best_r[i] + sign * step, 1e-6), 1.0 - 1e-6)
+            if probe[i] != best_r[i]:
+                probes.append(probe)
+        if not probes:
+            continue
+        for probe, val in zip(probes, _filtered_negativities(blocks, np.array(probes))):
+            if val > best_val:
+                best_val, best_r, improved = val, probe, True
+                break
+    return best_r, best_val, improved
 
 
 def normalized_dense_blocks(acc: dict) -> tuple[dict, float]:

@@ -7,6 +7,7 @@ import pytest
 from bosonpe import activation
 from bosonpe.cli import main
 from bosonpe.fock import (
+    DESK,
     DeskScaleError,
     ValidationError,
     fock_state,
@@ -15,7 +16,7 @@ from bosonpe.fock import (
     vacuum_state,
 )
 from bosonpe.measures import m_pe_f
-from bosonpe.optics import BeamSplitterArray, balanced_array, random_ssr_povm
+from bosonpe.optics import BeamSplitterArray, ModeUnitary, balanced_array, random_ssr_povm
 from bosonpe.activation import (
     ActivationSpec,
     activate,
@@ -36,7 +37,7 @@ from bosonpe.states import (
 )
 from bosonpe.witness import WitnessParams, pe_lower_bound, synthesize_dataset
 
-from helpers import m_pe_from_activation_oracle
+from helpers import compass_round_oracle, haar_unitary, m_pe_from_activation_oracle
 
 
 def test_single_particle_activation_sign():
@@ -228,8 +229,11 @@ def test_m_pe_from_activation_noon2_search_value():
 SEARCH_CASES = {
     "noon2": (lambda: noon_state(2).to_block_state(), dict(n_va_restarts=1, seed=0)),
     "fock111": (lambda: fock_state((1, 1, 1)).to_block_state(), dict(n_va_restarts=1, seed=0)),
+    "fock210": (lambda: fock_state((2, 1, 0)).to_block_state(), dict(n_va_restarts=1, seed=0)),
     # mixed blocks, scored through the partial transpose
     "free": (lambda: random_free_state(2, 3, 11), dict(n_va_restarts=1, seed=0, grid_step=0.1)),
+    "free_two_particles": (lambda: random_free_state(2, 2, 5),
+                           dict(n_va_restarts=1, seed=2, grid_step=0.1)),
     "noon2_with_11": (lambda: mix_states([(0.7, noon_state(2).to_block_state()),
                                           (0.3, fock_state((1, 1)).to_block_state())]),
                       dict(n_va_restarts=1, seed=3, grid_step=0.1)),
@@ -249,6 +253,51 @@ def test_m_pe_from_activation_matches_per_candidate_search(case):
     state = make()
     assert abs(m_pe_from_activation(state, **kwargs)
                - m_pe_from_activation_oracle(state, **kwargs)) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fock_state((2, 1, 0)).to_block_state(),
+    lambda: fock_state((1, 1, 1)).to_block_state(),
+    lambda: noon_state(2).to_block_state(),
+], ids=["fock210", "fock111", "noon2"])
+def test_compass_round_moves_as_the_coordinate_walk(make):
+    # from random off-grid points, where a round moves on several
+    # coordinates, the batched round takes the moves of the coordinate walk,
+    # bit for bit, whether it scores its probes one or all per call
+    state = make()
+    m = state.modes
+    rng = np.random.default_rng(7)
+    blocks = activation._balanced_sectors(state, ModeUnitary(haar_unitary(m, rng)), DESK)
+    several = 0
+    for _ in range(12):
+        start = rng.uniform(0.05, 0.95, size=m)
+        step = float(rng.choice([0.2, 0.05, 0.01]))
+        val = activation._filtered_negativities(blocks, start[None])[0]
+        want_r, want_val, want_improved = compass_round_oracle(blocks, start, val, step)
+        for chunk in (1, 64):
+            got_r, got_val, got_improved = activation._compass_round(
+                blocks, chunk, start, val, step)
+            assert np.array_equal(got_r, want_r)
+            assert got_val == want_val and got_improved == want_improved
+        several += np.count_nonzero(got_r != start) >= 2
+    assert several >= 6
+
+
+def test_compass_round_on_a_bumpy_score_moves_as_the_coordinate_walk(monkeypatch):
+    # a row-wise score with many local maxima, where both probes of a
+    # coordinate can gain and probes meet the clip at either end
+    monkeypatch.setattr(activation, "_filtered_negativities",
+                        lambda blocks, r: np.cos(23.0 * r + np.arange(r.shape[1])).sum(axis=1))
+    rng = np.random.default_rng(3)
+    for trial in range(40):
+        start = rng.uniform(1e-6, 1.0 - 1e-6, size=3)
+        start[0] = (start[0], 1e-6, 1.0 - 1e-6)[trial % 3]  # free, or at a clip end
+        step = float(rng.choice([0.3, 0.1, 0.02]))
+        val = activation._filtered_negativities(None, start[None])[0]
+        want_r, want_val, want_improved = compass_round_oracle(None, start, val, step)
+        got_r, got_val, got_improved = activation._compass_round(None, 2, start, val, step)
+        assert np.array_equal(got_r, want_r)
+        assert got_val == want_val and got_improved == want_improved
 
 
 @pytest.mark.parametrize("state", [

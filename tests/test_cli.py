@@ -194,6 +194,8 @@ def test_binpoisson_huge_n_exits_2(capsys):
 BAD_INPUTS = (
     ("activate", "--state", "nonsense:3"),
     ("activate", "--state", "fock:x,1"),
+    ("activate", "--state", "fock:1.5,1"),
+    ("activate", "--state", "fock:-1,1"),
     ("activate", "--state", "fock:1,1", "--postselect", "a"),
     ("activate", "--state", "fock:1,1", "--r", "0.5,x"),
     ("activate", "--state", "fock:1,1", "--va", "random:x"),

@@ -10,6 +10,7 @@ from bosonpe.fock import (
     UNCAPPED,
     DeskScaleError,
     ModePartition,
+    SectorState,
     ValidationError,
     dephase_local,
     enumerate_basis,
@@ -66,6 +67,25 @@ def test_block_state_validation():
     bad = np.array([[0.5, 0.5], [(-0.5), 0.5]])  # not Hermitian
     with pytest.raises(ValidationError):
         BlockDiagonalState(2, {1: (1.0, bad)})
+
+
+def test_sector_state_validation():
+    ba, bb = enumerate_basis(2, 1), enumerate_basis(2, 1)
+    with pytest.raises(ValidationError, match="trace"):
+        SectorState(ba, bb, -np.eye(4))  # trace -4
+    with pytest.raises(ValidationError, match="trace"):
+        SectorState(ba, bb, 3 * np.eye(4) / 4)  # trace 3
+    with pytest.raises(ValidationError, match="PSD"):
+        SectorState(ba, bb, np.diag([1.5, -0.5, 0.0, 0.0]))
+    with pytest.raises(ValidationError, match="Hermitian"):
+        SectorState(ba, bb, np.eye(4) / 4 + 0.1j * np.eye(4, k=1))
+    with pytest.raises(ValidationError, match="shape"):
+        SectorState(ba, bb, np.eye(3) / 3)
+    bell = np.zeros(4)
+    bell[[1, 2]] = 1.0 / math.sqrt(2.0)
+    sector = SectorState(ba, bb, np.outer(bell, bell))
+    assert np.array_equal(sector.matrix, np.outer(bell, bell))
+    assert sector.factor().shape == (4, 1)
 
 
 def test_tiny_blocks_dropped():
@@ -279,6 +299,9 @@ def _count_cases():
         "synthesize_dataset n_shots=30.5": lambda: witness.synthesize_dataset("css",
                                                                               n_shots=30.5),
         "enumerate_basis N=1.5": lambda: enumerate_basis(2, 1.5),
+        "fock_state occupation=1.5": lambda: fock_state((1.5, 1)),
+        "fock_state occupation=True": lambda: fock_state((True, 1)),
+        "fock_state occupation=-1": lambda: fock_state((-1, 1)),
         "enumerate_basis m=2.0": lambda: enumerate_basis(2.0, 1),
         "CoherentSpinSpec N=1.5": lambda: states.CoherentSpinSpec(np.array([1.0, 0.0]), 1.5),
         "random_particle_separable k=-1": lambda: states.random_particle_separable(2, 2, -1, 0),

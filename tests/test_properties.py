@@ -10,7 +10,9 @@ column-factor kernel every internal state constructor uses is pinned against the
 dense X X†, with rank-deficient and near-parallel columns.  The whole
 factored activation pipeline (local-number projection, Schmidt spectra,
 sector negativities) is pinned against a plain dense reference, and so is
-the activation search's batched scoring through the local-filter identity.
+the activation search's batched scoring through the local-filter identity;
+each row of that scoring is pinned bit for bit to its single-row score, and
+the local-filter weights to their per-column loop.
 That scoring's closed form for two-row pure sectors is pinned against the
 SVD, down to near rank one, and the product sectors it skips are checked to
 carry no negativity.  Free states activate to zero negativity through that
@@ -89,6 +91,7 @@ from helpers import (
     dense_schmidt,
     haar_unitary,
     lift_oracle,
+    local_filter_weights_oracle,
     random_density,
     splitter_unitary,
 )
@@ -369,6 +372,33 @@ def test_filtered_negativities_match_activate_and_dense_oracle(data):
         oracle = dense_local_sectors(out, 2 * m, range(m), range(m, 2 * m))
         want = sum(p * dense_negativity(s, da, db) for p, s, da, db in oracle.values())
         assert abs(val - want) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_scoring_rows_do_not_depend_on_their_stack(data):
+    """What the batched compass rounds of the activation search rest on:
+    each row of a stack of reflectivity vectors scores bit for bit as it
+    does alone, with rows at the clip ends whose sectors drop below
+    BLOCK_DROP_TOL among them, and the broadcast local-filter weights equal
+    the per-column loop bit for bit."""
+    state, _, _ = data.draw(low_rank_states())
+    m = state.modes
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    va = ModeUnitary(haar_unitary(m, rng))
+    r = np.array(data.draw(st.lists(
+        st.lists(st.one_of(st.floats(1e-6, 1.0 - 1e-6), st.sampled_from([1e-6, 1.0 - 1e-6])),
+                 min_size=m, max_size=m),
+        min_size=1, max_size=6)))
+    blocks = _balanced_sectors(state, va, DESK)
+    got = _filtered_negativities(blocks, r)
+    for i in range(len(r)):
+        assert got[i] == _filtered_negativities(blocks, r[i:i + 1])[0]
+    for N in range(state.max_particles + 1):
+        occupations = np.array(enumerate_basis(2 * m, N).states)
+        for stack in (r, r[0]):
+            assert np.array_equal(_local_filter_weights(occupations, stack),
+                                  local_filter_weights_oracle(occupations, stack))
 
 
 @settings(max_examples=60, deadline=None)
