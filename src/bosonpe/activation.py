@@ -29,6 +29,7 @@ from .fock import (
     _MAX_BLOCK_DIM,
     _check_count,
     _check_seed,
+    _counts,
     _gate_support,
     _local_number_layout,
     enumerate_basis,
@@ -153,7 +154,7 @@ def activate_pure_vector(occupation, array: BeamSplitterArray,
                          pre_rotation: ModeUnitary | None = None,
                          caps: DeskCaps = DESK):
     """Activated state vector for a Fock input, on the 2m-mode sector basis."""
-    occupation = tuple(int(x) for x in occupation)
+    occupation = _counts(occupation)
     m = len(occupation)
     N = sum(occupation)
     u = _activation_unitary(m, array, pre_rotation)
@@ -169,16 +170,6 @@ def _multinomial(total: int, parts) -> float:
     return math.exp(out)
 
 
-def _splits(n_i: int, parties: int):
-    """All ways to split n_i indistinguishable particles among parties."""
-    if parties == 1:
-        yield (n_i,)
-        return
-    for first in range(n_i + 1):
-        for rest in _splits(n_i - first, parties - 1):
-            yield (first,) + rest
-
-
 def fock_activation_amplitudes(occupation, alphas, sector) -> dict:
     """Closed-form amplitudes for splitting a Fock state among parties.
 
@@ -188,12 +179,12 @@ def fock_activation_amplitudes(occupation, alphas, sector) -> dict:
     particle numbers in ``sector``; keys are tuples of per-party occupations.
     The squared amplitudes sum to the sector probability.
     """
-    occupation = tuple(int(x) for x in occupation)
+    occupation = _counts(occupation)
     alphas = np.asarray(alphas, dtype=complex)
     parties, m = alphas.shape
     if m != len(occupation):
         raise ValidationError("alpha columns must match the input modes")
-    sector = tuple(int(x) for x in sector)
+    sector = _counts(sector, "a local particle number")
     if len(sector) != parties:
         raise ValidationError("one local particle number per party")
     col_norms = np.sum(np.abs(alphas) ** 2, axis=0)
@@ -207,7 +198,10 @@ def fock_activation_amplitudes(occupation, alphas, sector) -> dict:
 
     prefactor = math.sqrt(_multinomial(N, sector) / _multinomial(N, occupation))
     out = {}
-    for assignment in product(*[_splits(n_i, parties) for n_i in occupation]):
+    # the ways to split each n_i among the parties, ascending lexicographically
+    splits = [enumerate_basis(parties, n_i, UNCAPPED).occupations[::-1].tolist()
+              for n_i in occupation]
+    for assignment in product(*splits):
         # assignment[i][K] = particles of input mode i sent to party K
         per_party = tuple(
             tuple(assignment[i][K] for i in range(m)) for K in range(parties)
@@ -254,7 +248,7 @@ def local_filter_relation_check(occupation, r_vector, tol: float = 1e-9) -> bool
     The filters are diagonal with weights prod_i (sqrt(2) r_i)^{n_Ai} on A and
     prod_i (sqrt(2) t_i)^{n_Bi} on B; degenerate splitters are rejected.
     """
-    occupation = tuple(int(x) for x in occupation)
+    occupation = _counts(occupation)
     m = len(occupation)
     arr = BeamSplitterArray(tuple(r_vector))
     if len(arr) != m:
@@ -266,7 +260,7 @@ def local_filter_relation_check(occupation, r_vector, tol: float = 1e-9) -> bool
 
     basis, eta = activate_pure_vector(occupation, arr)
     _, xi = activate_pure_vector(occupation, balanced_array(m))
-    filtered = xi * _local_filter_weights(np.array(basis.states), np.array(r))
+    filtered = xi * _local_filter_weights(basis.occupations, np.array(r))
     filtered /= np.linalg.norm(filtered)
     eta = eta / np.linalg.norm(eta)
     return bool(np.max(np.abs(eta - filtered)) <= tol)
@@ -359,7 +353,7 @@ def _balanced_sectors(state: BlockDiagonalState, va: ModeUnitary,
             sectors.append((slice(start, start + len(rows)), factor[rows], ba.dim, bb.dim))
             start += len(rows)
         if sectors:
-            occupations = np.array(enumerate_basis(2 * m, N, UNCAPPED).states)
+            occupations = enumerate_basis(2 * m, N, UNCAPPED).occupations
             blocks.append((out.weight(N), occupations[np.concatenate(used)], sectors))
     return blocks
 

@@ -146,9 +146,10 @@ def _postselected_support(sector) -> list:
     """[A occupation, B occupation] of each product-basis state whose
     diagonal weight, the squared row norm of the sector factor, exceeds 1e-12."""
     weights = np.sum(np.abs(sector.factor()) ** 2, axis=1)
+    k = np.flatnonzero(weights > 1e-12)
     db = sector.basis_b.dim
-    return [[list(sector.basis_a.states[k // db]), list(sector.basis_b.states[k % db])]
-            for k in np.flatnonzero(weights > 1e-12)]
+    return [list(pair) for pair in zip(sector.basis_a.occupations[k // db].tolist(),
+                                       sector.basis_b.occupations[k % db].tolist())]
 
 
 def cmd_activate(args) -> int:

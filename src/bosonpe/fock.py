@@ -3,7 +3,10 @@
 States are stored as direct sums over total-particle-number sectors, which
 enforces the number superselection rule by construction.  The basis within
 each sector is the set of occupation vectors in lexicographically descending
-order, fixed once and for all so that serialized states are portable.  Every
+order, fixed once and for all so that serialized states are portable.  It is
+one read-only integer array, ``FockBasis.occupations``, enumerated by stars
+and bars and inverted by a combinatorial rank; ``FockBasis.states`` is a
+tuple view of it for printing, read by no module of the package.  Every
 block has factors (V, lam) with rho_N = V diag(lam) V† from birth: a dense
 block is validated and factored once, where the user hands it in, and every
 internal operation forms its factors directly, through ``_column_factors``
@@ -21,7 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -59,6 +62,8 @@ _MAX_BLOCK_DIM = math.comb(DESK.max_modes + DESK.max_particles - 1, DESK.max_par
 # Largest support (basis states, particle numbers, cutoffs, shots or grid
 # candidates) evaluated densely, one entry each; criterion 06 reaches N = 1e4.
 _MAX_DENSE_SUPPORT = 10**6
+# Largest basis, in occupations d x m; two copies of 4 modes reach (16, 8): 7.8e6.
+_MAX_BASIS_ENTRIES = 2**24
 # Largest temporary, in entries, that a chunked kernel builds at once.
 _CHUNK_ENTRIES = 2**20
 
@@ -107,60 +112,108 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _counts(values, name: str = "an occupation") -> tuple[int, ...]:
+    """``values`` as Python ints, each checked by ``_check_count``."""
+    values = tuple(values)
+    for n in values:
+        _check_count(n, name)
+    return tuple(map(int, values))
+
+
 @lru_cache(maxsize=None)
-def _basis_states(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    if m == 1:
-        return ((n,),)
-    out = []
-    for first in range(n, -1, -1):
-        for rest in _basis_states(m - 1, n - first):
-            out.append((first,) + rest)
-    return tuple(out)
+def _sector_arrays(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(occupations, weights) of the (m, n) sector.  Stars and bars: reversed
+    ``combinations`` of m - 1 bar positions b among n + m - 1 slots give the
+    occupations n_i = b_i - b_{i-1} - 1 (b_{-1} = -1, b_{m-1} = n + m - 1) in
+    descending lexicographic order.  A row's index is sum_{i>=1} W[i - 1, S_i],
+    S_i its particles in modes i..m-1 and W[i - 1, s] = C(m - i + s - 1, s - 1)."""
+    d = math.comb(n + m - 1, n)
+    # at d = 1 (m = 1 or n = 0) combinations would first copy all n + m - 1 slots
+    bars = np.arange(m - 1)[None] if d == 1 else np.fromiter(
+        chain.from_iterable(combinations(range(n + m - 1), m - 1)), dtype=np.int64,
+        count=d * (m - 1)).reshape(d, m - 1)[::-1]
+    occ = np.empty((d, m), dtype=np.int64)
+    occ[:, :-1] = bars
+    occ[:, -1] = n + m - 1
+    occ[:, 1:] -= bars
+    occ[:, 1:] -= 1
+    # mode m - 1 weighs C(s, s - 1) = s, each one before it the running sum of the next's
+    weights = np.zeros((m - 1, n + 1), dtype=np.int64)
+    if m > 1 and n:
+        weights[-1] = np.arange(n + 1)
+        for i in range(m - 3, -1, -1):
+            weights[i] = np.cumsum(weights[i + 1])
+    return _freeze(occ), _freeze(weights)
+
+
+@lru_cache(maxsize=None)
+def _states_view(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, _sector_arrays(m, n)[0].tolist()))
 
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Occupation-number basis of the N-particle sector on m modes."""
+    """Occupation-number basis of the N-particle sector on m modes, from
+    ``enumerate_basis``: ``occupations`` (read-only, dim x m) is the one
+    representation, ``rank`` inverts it, ``states`` is a tuple view to print."""
 
     modes: int
     particles: int
-    states: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return math.comb(self.modes + self.particles - 1, self.particles)
+
+    @property
+    def occupations(self) -> np.ndarray:
+        return _sector_arrays(self.modes, self.particles)[0]
+
+    @property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        return _states_view(self.modes, self.particles)
+
+    def rank(self, occupations) -> np.ndarray:
+        """Indices of the rows of ``occupations`` (..., k), unchecked members
+        once padded with empty modes k..m-1 (k <= m)."""
+        occ = np.asarray(occupations)
+        suffix = occ[..., :0:-1].cumsum(axis=-1)  # S_{k-1}, ..., S_1
+        weights = _sector_arrays(self.modes, self.particles)[1]
+        return weights[np.arange(occ.shape[-1] - 2, -1, -1), suffix].sum(axis=-1)
 
     def index(self, occupation) -> int:
-        return _basis_index(self.modes, self.particles)[tuple(occupation)]
+        """Index of one occupation; ValidationError unless it is a member."""
+        occ = _counts(occupation)
+        if len(occ) != self.modes or sum(occ) != self.particles:
+            raise ValidationError(f"{occ} is not in the basis {self}")
+        return int(self.rank(occ))
 
     def __contains__(self, occupation) -> bool:
-        return tuple(occupation) in _basis_index(self.modes, self.particles)
-
-
-@lru_cache(maxsize=None)
-def _basis_index(m: int, n: int) -> dict[tuple[int, ...], int]:
-    return {occ: i for i, occ in enumerate(_basis_states(m, n))}
+        try:
+            self.index(occupation)
+        except ValidationError:
+            return False
+        return True
 
 
 def enumerate_basis(m: int, N: int, caps: DeskCaps = DESK) -> FockBasis:
     """Canonical basis of the (m, N) sector, lexicographically descending.
-    Raises ValidationError for a non-integer m or N, and DeskScaleError,
-    before enumerating, for a sector above ``caps`` and, under any caps, for
-    one of more than 1e6 states."""
-    if not (isinstance(m, numbers.Integral) and isinstance(N, numbers.Integral)):
-        raise ValidationError(f"m and N must be integers, got m={m!r}, N={N!r}")
-    if m < 1:
-        raise ValidationError(f"need at least one mode, got m={m}")
-    if N < 0:
-        raise ValidationError(f"particle number must be nonnegative, got N={N}")
+    Raises ValidationError unless m >= 1 and N >= 0 are integers, and
+    DeskScaleError, before enumerating, for a sector above ``caps`` and,
+    under any caps, for one of more than 1e6 states or 2**24 occupations."""
+    _check_count(m, "m", 1)
+    _check_count(N, "N")
     if N > caps.max_particles or m > caps.max_modes:
         raise DeskScaleError(
             f"sector (m={m}, N={N}) exceeds desk caps "
             f"(max_modes={caps.max_modes}, max_particles={caps.max_particles}); "
             "pass explicit DeskCaps to override"
         )
-    _gate_support(math.comb(m + N - 1, N), "basis of the sector (m=%d, N=%d)", m, N)
-    return FockBasis(m, N, _basis_states(m, N))
+    d = math.comb(m + N - 1, N)
+    _gate_support(d, "basis of the sector (m=%d, N=%d)", m, N)
+    if d * m > _MAX_BASIS_ENTRIES:
+        raise DeskScaleError(f"basis of the sector (m={m}, N={N}): {d} x {m} occupations "
+                             f"exceed {_MAX_BASIS_ENTRIES} entries")
+    return FockBasis(int(m), int(N))
 
 
 @dataclass(frozen=True)
@@ -382,10 +435,7 @@ def vacuum_state(modes: int = 1, caps: DeskCaps = DESK) -> BlockDiagonalState:
 
 def fock_state(occupation, caps: DeskCaps = DESK) -> PureSectorState:
     """|n_0, ..., n_{m-1}> as a pure sector state."""
-    occupation = tuple(occupation)
-    for n in occupation:
-        _check_count(n, "an occupation")
-    occupation = tuple(map(int, occupation))
+    occupation = _counts(occupation)
     basis = enumerate_basis(len(occupation), sum(occupation), caps)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[basis.index(occupation)] = 1.0
@@ -423,8 +473,10 @@ def tensor_compose(s1: BlockDiagonalState, s2: BlockDiagonalState,
     for N1, N2 in product(s1.sectors(), s2.sectors()):
         (V1, lam1), (V2, lam2) = s1.factor(N1), s2.factor(N2)
         basis = enumerate_basis(m, N1 + N2, caps)
-        rows = [basis.index(a + b) for a, b in product(_basis_states(m1, N1),
-                                                       _basis_states(m2, N2))]
+        o1 = enumerate_basis(m1, N1, UNCAPPED).occupations
+        o2 = enumerate_basis(m2, N2, UNCAPPED).occupations
+        # the joined occupations a + b in kron order: a outer, b inner
+        rows = basis.rank(np.hstack([np.repeat(o1, len(o2), axis=0), np.tile(o2, (len(o1), 1))]))
         V = np.zeros((basis.dim, V1.shape[1] * V2.shape[1]), dtype=complex)
         V[rows] = np.kron(V1, V2)
         mu = s1.weight(N1) * s2.weight(N2) * np.kron(lam1, lam2)
@@ -460,11 +512,6 @@ class ModePartition:
             raise ValidationError(
                 f"partition {self.a_modes}|{self.b_modes} does not cover modes 0..{modes - 1}"
             )
-
-
-def split_occupation(occ, partition: ModePartition):
-    return (tuple(occ[i] for i in partition.a_modes),
-            tuple(occ[i] for i in partition.b_modes))
 
 
 class SectorState:
@@ -551,20 +598,22 @@ def _local_number_layout(modes: int, N: int, partition: ModePartition) -> dict:
     basis indices carrying those local numbers, in the product order
     i_A * dim_b + i_B of the two sides' bases (each pair occurs once).  An
     empty side behaves as a single vacuum mode."""
-    ma, mb = len(partition.a_modes), len(partition.b_modes)
-    groups: dict[tuple[int, int], list] = {}
-    for i, occ in enumerate(enumerate_basis(modes, N, UNCAPPED).states):
-        na, nb = split_occupation(occ, partition)
-        na, nb = na if ma else (0,), nb if mb else (0,)
-        groups.setdefault((sum(na), sum(nb)), []).append((i, na, nb))
+    occ = enumerate_basis(modes, N, UNCAPPED).occupations
+    vacuum = np.zeros((len(occ), 1), dtype=occ.dtype)
+    a = occ[:, list(partition.a_modes)] if partition.a_modes else vacuum
+    b = occ[:, list(partition.b_modes)] if partition.b_modes else vacuum
+    na = a.sum(axis=1)
+    values, first, counts = np.unique(na, return_index=True, return_counts=True)
+    # the rows of each N_A, ascending: consecutive runs of a stable sort
+    groups = np.split(np.argsort(na, kind="stable"), np.cumsum(counts)[:-1])
     layout = {}
-    for (na, nb), members in groups.items():
-        ba = enumerate_basis(max(ma, 1), na, UNCAPPED)
-        bb = enumerate_basis(max(mb, 1), nb, UNCAPPED)
+    for g in np.argsort(first).tolist():  # N_A in order of first appearance
+        n_a, members = int(values[g]), groups[g]
+        ba = enumerate_basis(a.shape[1], n_a, UNCAPPED)
+        bb = enumerate_basis(b.shape[1], N - n_a, UNCAPPED)
         rows = np.empty(len(members), dtype=int)
-        for i, a, b in members:
-            rows[ba.index(a) * bb.dim + bb.index(b)] = i
-        layout[(na, nb)] = (_freeze(rows), ba, bb)
+        rows[ba.rank(a[members]) * bb.dim + bb.rank(b[members])] = members
+        layout[(n_a, N - n_a)] = (_freeze(rows), ba, bb)
     return layout
 
 
@@ -641,17 +690,14 @@ def _annihilation_maps(m: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     N >= 1, as (src, amp) of shape (m, d_{N-1}): a_i maps basis state
     src[i, t] = t + e_i to amp[i, t] = sqrt(t_i + 1) times basis state t,
     and every other basis state of sector N with n_i = 0 to zero."""
-    index = _basis_index(m, N)
-    lowered = _basis_states(m, N - 1)
+    basis = enumerate_basis(m, N, UNCAPPED)
+    lowered = enumerate_basis(m, N - 1, UNCAPPED).occupations
     src = np.empty((m, len(lowered)), dtype=np.intp)
-    amp = np.empty((m, len(lowered)))
-    for t, occ in enumerate(lowered):
-        for i in range(m):
-            raised = list(occ)
-            raised[i] += 1
-            src[i, t] = index[tuple(raised)]
-            amp[i, t] = math.sqrt(raised[i])
-    return _freeze(src), _freeze(amp)
+    for i in range(m):
+        raised = lowered.copy()
+        raised[:, i] += 1
+        src[i] = basis.rank(raised)
+    return _freeze(src), _freeze(np.sqrt(lowered.T + 1.0, order="C"))
 
 
 def _annihilate(V: np.ndarray, m: int, N: int, modes: int | None = None) -> np.ndarray:
@@ -666,7 +712,7 @@ def _create(W: np.ndarray, m: int, N: int) -> np.ndarray:
     """sum_i a_i† W[..., i, :, :] on the (m, N) sector, for W of shape
     (..., k, d_{N-1}, r) with k <= m: shape (..., d_N, r)."""
     src, amp = _annihilation_maps(m, N)
-    out = np.zeros(W.shape[:-3] + (len(_basis_states(m, N)), W.shape[-1]), dtype=complex)
+    out = np.zeros(W.shape[:-3] + (math.comb(m + N - 1, N), W.shape[-1]), dtype=complex)
     for i in range(W.shape[-3]):
         # src[i] has no repeated index, so the fancy-indexed add is exact
         out[..., src[i], :] += amp[i, :, None] * W[..., i, :, :]

@@ -156,23 +156,20 @@ def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
     _check_count(N, "N")
     m = u.modes
     basis = enumerate_basis(m, N, caps)
-    if columns is None:
-        columns = range(basis.dim)
+    columns = np.arange(basis.dim) if columns is None else np.asarray(columns)
+    if not (columns.ndim == 1 and columns.dtype.kind in "iu"
+            and 0 <= columns.min(initial=0) and columns.max(initial=0) < basis.dim):
+        raise ValidationError(f"columns must be basis indices in [0, {basis.dim}), "
+                              f"got {columns!r}")
     _gate_dense(basis.dim, len(columns), "lift on (m=%d, N=%d)", m, N)
-    chains, norms = [], []
-    for c in columns:
-        if not (isinstance(c, (int, np.integer)) and 0 <= c < basis.dim):
-            raise ValidationError(f"column {c!r} is not a basis index in [0, {basis.dim})")
-        occ = basis.states[c]
-        chains.append([i for i, n_i in enumerate(occ) for _ in range(n_i)])
-        norms.append(math.prod(math.factorial(n_i) for n_i in occ))
     if N == 0:
-        return np.ones((1, len(chains)), dtype=complex)
+        return np.ones((1, len(columns)), dtype=complex)
+    occ = basis.occupations[columns]
     # coef[c, l] is column k of u, for the l-th particle of column c in mode k
-    coef = u.matrix.T[chains]
-    out = np.empty((basis.dim, len(chains)), dtype=complex)
-    batch = max(1, -(-len(chains) * basis.dim // (m * math.comb(m + N - 2, N - 1))))
-    for at in range(0, len(chains), batch):
+    coef = u.matrix.T[np.repeat(np.arange(occ.size) % m, occ.ravel()).reshape(len(occ), N)]
+    out = np.empty((basis.dim, len(occ)), dtype=complex)
+    batch = max(1, -(-len(occ) * basis.dim // (m * math.comb(m + N - 2, N - 1))))
+    for at in range(0, len(occ), batch):
         cf = coef[at:at + batch]
         X = cf[:, 0]  # one particle: basis state i is e_i
         for n in range(2, N + 1):
@@ -184,8 +181,11 @@ def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
             flat = src + X.shape[1] * np.arange(len(cf))[:, None, None]
             np.add.at(X.reshape(-1), flat.ravel(), terms.ravel())
         out[:, at:at + batch] = X.T
-    # prod n_i! passes 2**63 at 21 particles in one mode: divide as floats
-    return out / np.sqrt(np.array(norms, dtype=float))
+    # prod n_i! passes 2**63 at 21 particles in one mode: an exact product of
+    # Python ints (an object array), divided as floats
+    norms = np.prod(np.array([math.factorial(k) for k in range(N + 1)], dtype=object)[occ],
+                    axis=1)
+    return out / np.sqrt(norms.astype(float))
 
 
 def apply_mode_unitary(state: BlockDiagonalState, u: ModeUnitary) -> BlockDiagonalState:
@@ -212,15 +212,13 @@ def append_vacuum(state: BlockDiagonalState, k: int,
     The largest sector is checked first: a refused state builds nothing."""
     _check_count(k, "k", 1)
     m = state.modes
-    pad = (0,) * k
     enumerate_basis(m + k, state.max_particles, caps)
     factors = {}
     for N in state.sectors():
         V, lam = state.factor(N)
-        old = enumerate_basis(m, N, UNCAPPED)
         new = enumerate_basis(m + k, N, caps)
         big = np.zeros((new.dim, V.shape[1]), dtype=complex)
-        big[[new.index(occ + pad) for occ in old.states]] = V
+        big[new.rank(enumerate_basis(m, N, UNCAPPED).occupations)] = V
         factors[N] = (state.weight(N), big, lam)
     return BlockDiagonalState._factored(m + k, factors)
 

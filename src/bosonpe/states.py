@@ -110,7 +110,7 @@ def _css_amplitudes(dirs: np.ndarray, n: int) -> np.ndarray:
     """Rows: the Fock amplitudes sqrt(n! / prod n_i!) prod d_i^{n_i} of
     |css(d, n)> for each row d of ``dirs``; a zero row is the vacuum at n = 0
     and vanishes above it; the (rows, dim, modes) powers go 2**20 at a time."""
-    occ = np.array(enumerate_basis(dirs.shape[1], n, UNCAPPED).states)
+    occ = enumerate_basis(dirs.shape[1], n, UNCAPPED).occupations
     log_fact = _log_factorials(n)
     log_multinom = log_fact[n] - np.sum(log_fact[occ], axis=1)
     out = np.empty((len(dirs), len(occ)), dtype=complex)

@@ -17,12 +17,14 @@ many-copy trace distance is its earlier loop, one Gram eigenproblem per
 number sector.  The oracle of the stacked metrological-monotone ascent is
 its earlier serial loop, one start after another.  ``apply_to_pure`` is no
 oracle: it runs the package's sector lift on a pure sector state, for the
-tests of that lift.
+tests of that lift.  The oracle of the stars-and-bars basis is its earlier
+recursive enumeration.
 """
 
 import csv
 import io
 import math
+from functools import lru_cache
 from itertools import product
 
 import mpmath
@@ -40,6 +42,19 @@ from bosonpe.fock import (
 )
 from bosonpe.optics import lift_unitary
 from bosonpe.states import _block_coefficients, _css_block, _log_factorials
+
+
+@lru_cache(maxsize=None)
+def recursive_basis_states(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Occupations of the (m, n) sector in descending lexicographic order,
+    one leading occupation at a time above the (m - 1)-mode sectors."""
+    if m == 1:
+        return ((n,),)
+    out = []
+    for first in range(n, -1, -1):
+        for rest in recursive_basis_states(m - 1, n - first):
+            out.append((first,) + rest)
+    return tuple(out)
 
 
 def ryser_permanent(a: np.ndarray) -> complex:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +25,9 @@ from bosonpe.fock import (
     trace_out,
     vacuum_state,
 )
-from bosonpe.states import CoherentSpinSpec, coherent_spin_state
+from bosonpe.states import CoherentSpinSpec, classical_nd_state, coherent_spin_state
 
-from helpers import symmetric_embedding
+from helpers import recursive_basis_states, symmetric_embedding
 
 
 def test_enumerate_basis_examples():
@@ -42,6 +43,46 @@ def test_basis_counts_and_order():
             assert basis.dim == math.comb(n + m - 1, m - 1)
             assert all(sum(occ) == n for occ in basis.states)
             assert list(basis.states) == sorted(basis.states, reverse=True)
+
+
+def test_occupations_match_the_recursive_enumeration_and_rank_inverts_them():
+    for m in range(1, 7):
+        for n in range(7):
+            basis = enumerate_basis(m, n, UNCAPPED)
+            occ = basis.occupations
+            assert occ.shape == (basis.dim, m) and occ.dtype == np.int64
+            assert not occ.flags.writeable
+            assert occ.tolist() == [list(s) for s in recursive_basis_states(m, n)]
+            assert basis.states == recursive_basis_states(m, n)
+            assert np.array_equal(basis.rank(occ), np.arange(basis.dim))
+
+
+def test_basis_membership():
+    basis = enumerate_basis(3, 2)
+    assert (1, 0, 1) in basis and np.array([0, 2, 0]) in basis
+    assert basis.index(np.array([0, 1, 1])) == 4
+    for bad in [(1, 0, 0), (3, -1, 0), (1.5, 0.5, 0), (1, 1), (1, 1, 0, 0)]:
+        assert bad not in basis
+        with pytest.raises(ValidationError):
+            basis.index(bad)
+
+
+def test_deep_mode_counts_need_no_recursion():
+    basis = enumerate_basis(600, 0, UNCAPPED)
+    assert basis.dim == 1 and not basis.occupations.any()
+    assert isinstance(classical_nd_state(np.full(1500, 1e-6)), BlockDiagonalState)
+
+
+def test_basis_above_the_entry_bound_is_refused_before_enumerating():
+    # 1e6 states pass the support cap, but their 1e6 x 1e6 occupations would not fit
+    tracemalloc.start()
+    try:
+        with pytest.raises(DeskScaleError, match="entries"):
+            enumerate_basis(10**6, 1, UNCAPPED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_basis_rejects_bad_input():
@@ -284,6 +325,7 @@ def _count_cases():
     spec = nonclassical.ExchangeableSeparableSpec(2, 2, ((1.0, np.array([1.0, 0.0])),))
     data = witness.synthesize_dataset("constant")
     params = witness.WitnessParams(1.0, 1.0)
+    alphas = activation.splitter_alphas(optics.balanced_array(2))
     return {
         "m_pe_f n_restarts=1.5": lambda: measures.m_pe_f(noon, "general_restarts",
                                                          n_restarts=1.5),
@@ -302,6 +344,18 @@ def _count_cases():
         "fock_state occupation=1.5": lambda: fock_state((1.5, 1)),
         "fock_state occupation=True": lambda: fock_state((True, 1)),
         "fock_state occupation=-1": lambda: fock_state((-1, 1)),
+        "activate_pure_vector occupation=1.5":
+            lambda: activation.activate_pure_vector((1.5, 1), optics.balanced_array(2)),
+        "activate_pure_vector occupation=-1":
+            lambda: activation.activate_pure_vector((-1, 2), optics.balanced_array(2)),
+        "local_filter_relation_check occupation=1.5":
+            lambda: activation.local_filter_relation_check((1.5, 1), (0.3, 0.4)),
+        "local_filter_relation_check occupation=-1":
+            lambda: activation.local_filter_relation_check((-1, 2), (0.3, 0.4)),
+        "fock_activation_amplitudes occupation=1.5":
+            lambda: activation.fock_activation_amplitudes((1.5, 1), alphas, (1, 1)),
+        "fock_activation_amplitudes sector=1.5":
+            lambda: activation.fock_activation_amplitudes((1, 1), alphas, (1.5, 0.5)),
         "enumerate_basis m=2.0": lambda: enumerate_basis(2.0, 1),
         "CoherentSpinSpec N=1.5": lambda: states.CoherentSpinSpec(np.array([1.0, 0.0]), 1.5),
         "random_particle_separable k=-1": lambda: states.random_particle_separable(2, 2, -1, 0),
