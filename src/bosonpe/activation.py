@@ -27,6 +27,7 @@ from .fock import (
     SectorDecomposition,
     ValidationError,
     _MAX_BLOCK_DIM,
+    _check_block_state,
     _check_count,
     _check_seed,
     _counts,
@@ -72,6 +73,7 @@ class ActivationSpec:
     array: BeamSplitterArray | None = None
 
     def __post_init__(self):
+        _check_block_state(self.input_state, "input_state")
         m = self.input_state.modes
         arr = self.array if self.array is not None else balanced_array(m)
         if len(arr) != m:
@@ -295,7 +297,8 @@ def activation_inequality_check(state: BlockDiagonalState,
     Lower-estimates the accessible entanglement of the activated state and
     upper-bounds the input's distance-based measure via a seeded candidate
     set; flags inconsistency only when the lower bound exceeds the upper.
-    Raises ValidationError for fewer than one candidate or a negative seed.
+    Raises ValidationError for fewer than one candidate or a seed that is
+    not a nonnegative integer.
     """
     _check_seed(seed)
     _check_count(n_candidates, "n_candidates", 1)
@@ -323,39 +326,48 @@ def activation_inequality_check(state: BlockDiagonalState,
     )
 
 
-def _balanced_sectors(state: BlockDiagonalState, va: ModeUnitary,
-                      caps: DeskCaps) -> list:
-    """The balanced-array activation of ``state`` after V_A = ``va``, split
-    for ``_filtered_negativities``: per block N, (p_N, occupations of the
-    2m-mode basis rows the sectors use, [(rows, F_s, d_A, d_B)] per
-    (N_A, N_B) sector), where F_s holds the sector's rows of the block's
-    factor F = V sqrt(lam), in the product order of
+def _balanced_sectors(padded: BlockDiagonalState, vas: list) -> list:
+    """The balanced-array activations of one input after each V_A of
+    ``vas``, stacked for ``_filtered_negativities``.  ``padded`` is the
+    input with its m vacuum modes already appended.  Per block N:
+    (p_N, occupations of the 2m-mode basis rows the sectors use,
+    [(rows, F_s, d_A, d_B)] per (N_A, N_B) sector).  F_s, of shape
+    (len(vas), sector rows, k), holds for each V_A the sector's rows of the
+    block's factor F = V sqrt(lam), in the product order of
     ``fock._local_number_layout``, and the slice ``rows`` picks the same
-    rows out of those occupations.
+    rows out of those occupations.  The layout depends only on (m, N) and p_N
+    is the input's weight, so both are shared by every V_A; each V_A's
+    factor is lifted alone and written into the stack.
 
     A sector with d_A = 1 or d_B = 1 (N_A = 0, N_B = 0 or m = 1) is left out:
     every state on it, pure or mixed, is a product state with negativity
     zero (Vidal & Werner, PRA 65, 032314 (2002)).  A block with no other
     sector is left out as well."""
-    m = state.modes
-    out = apply_mode_unitary(append_vacuum(state, m, caps=caps),
-                             _activation_unitary(m, balanced_array(m), va))
+    m = padded.modes // 2
     partition = ModePartition(tuple(range(m)), tuple(range(m, 2 * m)))
-    blocks = []
-    for N in out.sectors():
-        V, lam = out.factor(N)
-        factor = V * np.sqrt(lam)
+    layout = []
+    for N in padded.sectors():
         used, sectors, start = [], [], 0
         for rows, ba, bb in _local_number_layout(2 * m, N, partition).values():
             if ba.dim == 1 or bb.dim == 1:
                 continue
             used.append(rows)
-            sectors.append((slice(start, start + len(rows)), factor[rows], ba.dim, bb.dim))
+            sectors.append((slice(start, start + len(rows)), ba.dim, bb.dim))
             start += len(rows)
         if sectors:
-            occupations = enumerate_basis(2 * m, N, UNCAPPED).occupations
-            blocks.append((out.weight(N), occupations[np.concatenate(used)], sectors))
-    return blocks
+            used = np.concatenate(used)
+            k = padded.factor(N)[1].size
+            layout.append((N, used, sectors, np.empty((len(vas), len(used), k), dtype=complex)))
+
+    splitter = beam_splitter_unitary(balanced_array(m))
+    for v, va in enumerate(vas):
+        out = apply_mode_unitary(padded, splitter @ block_direct_sum(va, identity_unitary(m)))
+        for N, used, _, stack in layout:
+            V, lam = out.factor(N)
+            stack[v] = (V * np.sqrt(lam))[used]
+    return [(padded.weight(N), enumerate_basis(2 * m, N, UNCAPPED).occupations[used],
+             [(rows, stack[:, rows], d_a, d_b) for rows, d_a, d_b in sectors])
+            for N, used, sectors, stack in layout]
 
 
 def _chunk_size(blocks: list) -> int:
@@ -365,46 +377,46 @@ def _chunk_size(blocks: list) -> int:
     for _, occupations, sectors in blocks:
         per_vector = max(per_vector, len(occupations))
         for _, f, d_a, d_b in sectors:
-            d, k = d_a * d_b, f.shape[1]
+            d, k = d_a * d_b, f.shape[2]
             # the weighted factor rows, and a dense d x d matrix when k > 1
             per_vector = max(per_vector, d * k, d * d if k > 1 else 1)
     return max(1, _MAX_BLOCK_DIM**2 // per_vector)
 
 
-def _filtered_negativities(blocks: list, r: np.ndarray) -> np.ndarray:
+def _filtered_negativities(blocks: list, r: np.ndarray, restart: np.ndarray) -> np.ndarray:
     """E_SSR negativity of the activation at each reflectivity vector of the
-    stack r (B, m), from the balanced output of ``_balanced_sectors``.
+    stack r (B, m) after V_A number ``restart`` (B,) of the stacked balanced
+    outputs of ``_balanced_sectors``.
 
     The splitter output at r is D(r) xi, with xi the balanced output and
     D(r) the local filter of ``_local_filter_weights``.  Each sector is
     dropped below BLOCK_DROP_TOL, as ``activate`` drops it, and otherwise
     scored by ``measures._sector_negativities`` on its stack of filtered
     factors; the weighted negativities are summed in sector order.  The
-    product sectors ``_balanced_sectors`` leaves out would add zero.
+    product sectors ``_balanced_sectors`` leaves out would add zero.  Every
+    step acts on each row alone, so a row scores as it does in any stack.
     """
     total = np.zeros(len(r))
     for p_n, occupations, sectors in blocks:
         w = _local_filter_weights(occupations, r)
         for rows, f, d_a, d_b in sectors:
-            sub = w[:, rows, None] * f
+            sub = w[:, rows, None] * f[restart]
             tr = (sub.conj() * sub).real.sum(axis=(1, 2))
             prob = p_n * tr
-            if prob.min() >= BLOCK_DROP_TOL:
-                keep = slice(None)
-            else:
-                keep = np.flatnonzero(prob >= BLOCK_DROP_TOL)
-                if not keep.size:
-                    continue
-            sub = sub[keep] / np.sqrt(tr[keep])[:, None, None]
-            total[keep] += prob[keep] * _sector_negativities(sub, d_a, d_b)
+            if np.minimum.reduce(prob) >= BLOCK_DROP_TOL:
+                total += prob * _sector_negativities(sub / np.sqrt(tr)[:, None, None], d_a, d_b)
+                continue
+            keep = np.flatnonzero(prob >= BLOCK_DROP_TOL)
+            if keep.size:
+                sub = sub[keep] / np.sqrt(tr[keep])[:, None, None]
+                total[keep] += prob[keep] * _sector_negativities(sub, d_a, d_b)
     return total
 
 
-def _grid_points(grid: np.ndarray, m: int, start: int, stop: int) -> np.ndarray:
-    """Grid-phase candidates start..stop-1 in search order: the product
-    grid^m for m <= 2; otherwise each coordinate in turn swept over the grid
-    around the balanced point, then the balanced point itself."""
-    idx = np.arange(start, stop)
+def _grid_points(grid: np.ndarray, m: int, idx: np.ndarray) -> np.ndarray:
+    """The grid-phase candidates numbered ``idx`` in search order: the
+    product grid^m for m <= 2; otherwise each coordinate in turn swept over
+    the grid around the balanced point, then the balanced point itself."""
     if m <= 2:
         return grid[np.stack(np.unravel_index(idx, (len(grid),) * m), axis=-1)]
     out = np.full((len(idx), m), 1.0 / math.sqrt(2.0))
@@ -413,40 +425,85 @@ def _grid_points(grid: np.ndarray, m: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _compass_round(blocks: list, chunk: int, best_r: np.ndarray, best_val,
-                   step: float) -> tuple:
-    """One round of the compass search at ``step``, as (best_r, best_val,
-    improved): each coordinate in turn tries best_r_i + step, then - step,
-    clipped to [1e-6, 1 - 1e-6] (a probe the clip leaves at best_r_i is
-    skipped), and moves to the first that scores above best_val.
+def _compass_pass(blocks: list, chunk: int, r: list, val: list, step: list, pos: list,
+                  live: list) -> list:
+    """One lockstep pass of the compass walks ``live``, indices into the
+    per-walk lists r (coordinate lists), val, step and pos.
 
-    The probes of all coordinates still to visit are built from the current
-    point and scored together, ``chunk`` per ``_filtered_negativities``
-    call; after a move at coordinate j only j+1..m-1 are rebuilt and
-    scored again.  A row's score does not depend on the other rows of its
-    stack, so every move is the one a coordinate-by-coordinate walk makes."""
-    m, start, improved = len(best_r), 0, False
-    while start < m:
-        r = best_r.tolist()
-        rows, coords = [], []
-        for i in range(start, m):
-            for delta in (step, -step):
-                x = min(max(r[i] + delta, 1e-6), 1.0 - 1e-6)
-                if x != r[i]:
-                    rows.append(r[:i] + [x] + r[i + 1:])
+    Each live walk tries, for its coordinates pos..m-1 in turn, r_i + step
+    and then r_i - step, clipped to [1e-6, 1 - 1e-6] (a probe the clip
+    leaves at r_i is skipped).  The probes of all live walks are scored
+    together, ``chunk`` rows per ``_filtered_negativities`` call.  Each walk
+    moves to its first probe that scores above its val and sets pos past
+    that coordinate; its later probes are dropped from the calls still to
+    come.  r, val and pos are updated in place; returns, per live walk,
+    whether it moved."""
+    rows, owners, coords = [], [], []
+    for v in live:
+        here = r[v]
+        for i in range(pos[v], len(here)):
+            for delta in (step[v], -step[v]):
+                x = min(max(here[i] + delta, 1e-6), 1.0 - 1e-6)
+                if x != here[i]:
+                    rows.append(here[:i] + [x] + here[i + 1:])
+                    owners.append(v)
                     coords.append(i)
-        probes = np.array(rows)
-        for lo in range(0, len(probes), chunk):
-            vals = _filtered_negativities(blocks, probes[lo:lo + chunk])
-            gains = np.flatnonzero(vals > best_val)
-            if gains.size:
-                k = lo + gains[0]
-                best_r, best_val, improved = probes[k], vals[gains[0]], True
-                start = coords[k] + 1
-                break
-        else:
-            break
-    return best_r, best_val, improved
+
+    moved = set()
+    todo = list(range(len(rows)))
+    while todo:
+        take, todo = todo[:chunk], todo[chunk:]
+        vals = _filtered_negativities(blocks, np.array([rows[j] for j in take]),
+                                      np.array([owners[j] for j in take]))
+        for j, score in zip(take, vals.tolist()):
+            v = owners[j]
+            if v not in moved and score > val[v]:
+                r[v], val[v], pos[v] = rows[j], score, coords[j] + 1
+                moved.add(v)
+        todo = [j for j in todo if owners[j] not in moved]
+    return [v in moved for v in live]
+
+
+def _stacked_search(blocks: list, walks: int, m: int, grid: np.ndarray, count: int,
+                    grid_step: float) -> list:
+    """The best value each of the ``walks`` V_A stacked in ``blocks`` reaches
+    on m modes: the grid best of its ``count`` candidates, refined by its
+    compass walk.
+
+    The grid candidates of every V_A go in one stack, ``_chunk_size`` rows
+    per call, and each V_A keeps the first maximum among its own rows.  The
+    compass walks then advance in lockstep, one ``_compass_pass`` per
+    scoring round.  A walk whose pass ends its round (a move at the last
+    coordinate to visit, or no move) starts its next round at coordinate 0
+    in the next pass, at the same step after a round with a move and at
+    half the step after one without; it stops once its step falls below
+    1e-5.  Each walk thus scores the probes, and makes the moves, it would
+    make alone."""
+    chunk = _chunk_size(blocks)
+    r, val = [None] * walks, [-1.0] * walks
+    for lo in range(0, walks * count, chunk):
+        row = np.arange(lo, min(lo + chunk, walks * count))
+        restart = row // count
+        points = _grid_points(grid, m, row % count)
+        vals = _filtered_negativities(blocks, points, restart)
+        firsts = np.flatnonzero(np.diff(restart, prepend=-1)).tolist()
+        for a, b in zip(firsts, [*firsts[1:], len(row)]):
+            k = a + int(np.argmax(vals[a:b]))
+            v = int(restart[a])
+            if vals[k] > val[v]:
+                r[v], val[v] = points[k].tolist(), float(vals[k])
+
+    step, pos, gained = [grid_step / 2.0] * walks, [0] * walks, [False] * walks
+    live = [v for v in range(walks) if step[v] >= 1e-5]
+    while live:
+        for v, moved in zip(live, _compass_pass(blocks, chunk, r, val, step, pos, live)):
+            gained[v] |= moved
+            if not moved or pos[v] == m:  # the round is over
+                if not gained[v]:
+                    step[v] /= 2.0
+                pos[v], gained[v] = 0, False
+        live = [v for v in live if step[v] >= 1e-5]
+    return val
 
 
 def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
@@ -463,20 +520,29 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     in the restart budget for a fixed seed.
 
     Every candidate is scored through the local-filter identity: the output
-    at reflectivities r is D(r) xi, with xi the balanced-array output,
-    lifted once per V_A, and D(r) diagonal on the 2m-mode basis with entries
-    prod_i (sqrt(2) r_i)^{n_Ai} (sqrt(2) t_i)^{n_Bi}.  The grid goes in
-    batches of reflectivity vectors, and each compass round scores the
-    +/- probes of every coordinate still to visit as one stack, rebuilt
-    from the new point after a move (``_compass_round``).
-    Only sectors with d_A, d_B >= 2 are scored (``_balanced_sectors``); the
-    others are product states.  On one mode, or with no block of two or
-    more particles, there is no such sector and the result is 0.0, returned
-    after the argument checks without scoring a candidate.
+    at reflectivities r is D(r) xi, with xi the balanced-array output and
+    D(r) diagonal on the 2m-mode basis with entries
+    prod_i (sqrt(2) r_i)^{n_Ai} (sqrt(2) t_i)^{n_Bi}.  The vacuum append and
+    the balanced splitter are built once; each V_A lifts its xi once, and
+    the factors of all V_A are stacked (``_balanced_sectors``).  The restarts
+    then search as one: every restart's grid goes in one batch of
+    reflectivity vectors, and their compass walks advance in lockstep, each
+    pass scoring the +/- probes of every walk's coordinates still to visit
+    in one stack (``_stacked_search``).  The scorer takes a restart index
+    per row, and a row scores as it does alone, so every restart follows
+    the walk it would follow alone.  A group of stacked restarts holds at
+    most one desk block (1716^2 entries) of factors; further restarts go in
+    further groups, one after another, so many restarts cost time, not
+    memory.
+    Only sectors with d_A, d_B >= 2 are scored; the others are product
+    states.  On one mode, or with no block of two or more particles, there
+    is no such sector and the result is 0.0, returned after the argument
+    checks without scoring a candidate.
     ``grid_step`` must lie in (0, 1), ``n_va_restarts`` be a nonnegative
-    integer and the seed not a negative integer; a grid of more than 1e6
+    integer and the seed a nonnegative integer; a grid of more than 1e6
     candidates raises DeskScaleError before anything is allocated.
     """
+    _check_block_state(state)
     if not (isinstance(grid_step, numbers.Real) and 0.0 < grid_step < 1.0):
         raise ValidationError(f"grid_step must be a finite number in (0, 1), got {grid_step!r}")
     _check_count(n_va_restarts, "n_va_restarts")
@@ -491,23 +557,16 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     vas = [identity_unitary(m)]
     vas += [ModeUnitary(_haar_matrix(m, rng)) for _ in range(n_va_restarts)]
 
+    padded = append_vacuum(state, m, caps=caps)
+    # entries of one V_A's lifted factors, a bound on its share of a stack
+    per_va = sum(enumerate_basis(2 * m, N, UNCAPPED).dim * padded.factor(N)[1].size
+                 for N in padded.sectors())
+    group = max(1, _MAX_BLOCK_DIM**2 // per_va)
     best = 0.0
     grid = np.arange(grid_step, 1.0, grid_step)
-    for va in vas:
-        blocks = _balanced_sectors(state, va, caps)
-        chunk = _chunk_size(blocks)
-        best_r, best_val = None, -1.0
-        for start in range(0, count, chunk):
-            points = _grid_points(grid, m, start, min(start + chunk, count))
-            vals = _filtered_negativities(blocks, points)
-            k = int(np.argmax(vals))
-            if vals[k] > best_val:
-                best_val, best_r = vals[k], points[k]
-
-        step = grid_step / 2.0
-        while step >= 1e-5:
-            best_r, best_val, improved = _compass_round(blocks, chunk, best_r, best_val, step)
-            if not improved:
-                step /= 2.0
-        best = max(best, float(best_val))
+    for lo in range(0, len(vas), group):
+        # the stacks of one group are freed before the next group's are built
+        walks = vas[lo:lo + group]
+        best = max([best, *_stacked_search(_balanced_sectors(padded, walks), len(walks), m,
+                                           grid, count, grid_step)])
     return best

@@ -86,11 +86,22 @@ def _gate_dense(rows: int, cols: int, what: str, *args) -> None:
 
 
 def _check_seed(seed) -> None:
-    """Raise ValidationError for a negative integer seed, which
-    ``np.random.default_rng`` refuses with a bare ValueError; every seeded
-    entry point calls this before its first draw."""
-    if isinstance(seed, numbers.Integral) and seed < 0:
+    """Raise ValidationError unless ``seed`` is an integer >= 0, Python or
+    numpy but not a bool: ``np.random.default_rng`` refuses a negative or
+    non-integer seed with a bare ValueError or TypeError, and would run True
+    as seed 1.  Every seeded entry point calls this before its first draw."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
+def _check_block_state(state, name: str = "state") -> None:
+    """Raise ValidationError unless ``state`` is a BlockDiagonalState, the
+    check of every entry point that takes one; a PureSectorState is named
+    with its conversion."""
+    if isinstance(state, PureSectorState):
+        raise ValidationError(f"{name} is a PureSectorState; pass {name}.to_block_state()")
+    if not isinstance(state, BlockDiagonalState):
+        raise ValidationError(f"{name} must be a BlockDiagonalState, got {type(state).__name__}")
 
 
 def _check_count(value, name: str, least: int = 0) -> None:
@@ -467,6 +478,8 @@ def tensor_compose(s1: BlockDiagonalState, s2: BlockDiagonalState,
 
     Block N of the output is the weight-convolution over N1 + N2 = N.
     """
+    _check_block_state(s1, "s1")
+    _check_block_state(s2, "s2")
     m1, m2 = s1.modes, s2.modes
     m = m1 + m2
     parts: dict[int, list] = {}
@@ -635,6 +648,7 @@ def project_local_number(state: BlockDiagonalState,
     Each (N_A, N_B) sector takes the rows of V sqrt(lam) of its block that
     carry those local numbers; the squared norm of those rows is the
     sector's trace."""
+    _check_block_state(state)
     partition.check_covers(state.modes)
     entries = {}
     for key, p, f, ba, bb in _sector_factors(state, partition):
@@ -649,6 +663,7 @@ def dephase_local(state: BlockDiagonalState, partition: ModePartition) -> BlockD
 
     Output is sum over (N_A, N_B) of the two-sided projections; idempotent.
     """
+    _check_block_state(state)
     partition.check_covers(state.modes)
     factors = {}
     for N in state.sectors():
@@ -677,6 +692,7 @@ def _local_reduction(state: BlockDiagonalState, partition: ModePartition,
 
 def trace_out(state: BlockDiagonalState, partition: ModePartition) -> BlockDiagonalState:
     """Partial trace over the B side of the partition."""
+    _check_block_state(state)
     partition.check_covers(state.modes)
     ma = len(partition.a_modes)
     if ma == 0:
@@ -741,6 +757,7 @@ def _complex_from_json(rows) -> np.ndarray:
 
 def state_to_json(state: BlockDiagonalState) -> str:
     """Serialize to JSON; exact double-precision round trip."""
+    _check_block_state(state)
     blocks = []
     for N in state.sectors():
         blocks.append({"N": N, "p": state.weight(N), "matrix": _complex_to_json(state.block(N))})

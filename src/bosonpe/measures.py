@@ -35,6 +35,7 @@ from .fock import (
     ValidationError,
     _annihilate,
     _annihilation_maps,
+    _check_block_state,
     _check_count,
     _check_hermitian,
     _check_seed,
@@ -172,6 +173,7 @@ def qfi(state: BlockDiagonalState, h: SingleParticleObservable) -> float:
     spectrum; h acts on V through the annihilation maps, and no dense block,
     sector matrix or d x d eigensolve is formed.
     """
+    _check_block_state(state)
     if h.modes != state.modes:
         raise ValidationError("observable mode count mismatch")
     total = 0.0
@@ -471,10 +473,12 @@ def m_pe_f(state: BlockDiagonalState, search: str = "auto", seed=0,
     quantum-classical states with a memory: store each measurement record as
     a flag mode holding the measured particle count.
 
-    Raises ValidationError for a negative seed or ``n_restarts``, a
+    Raises ValidationError for a state that is not a BlockDiagonalState, a
+    seed that is not a nonnegative integer, a negative ``n_restarts``, a
     non-integer count, an ``h_support`` outside [1, modes] and a warm start
     that is not a finite Hermitian of at least h_support x h_support.
     """
+    _check_block_state(state)
     _check_seed(seed)
     _check_count(n_restarts, "n_restarts")
     if h_support is None:
@@ -504,6 +508,7 @@ def negativity(state: BlockDiagonalState, partition: ModePartition) -> float:
     of ``fock._local_number_layout``.  Raises DeskScaleError when that space,
     d_A d_B, is larger than the largest desk block (1716), before building
     the dense matrix."""
+    _check_block_state(state)
     partition.check_covers(state.modes)
     layouts = [(N, _local_number_layout(state.modes, N, partition)) for N in state.sectors()]
     dims_a, dims_b = {}, {}
@@ -577,8 +582,13 @@ def _sector_negativities(factors: np.ndarray, da: int, db: int) -> np.ndarray:
     unit-norm factors F, shape (B, d_A d_B, k) in the product order
     i_A * d_B + i_B: a one-column F through the singular values of F as a
     d_A x d_B matrix, in closed form when min(d_A, d_B) = 2
-    (``_two_row_negativity``), a wider one through the partial transpose of
+    (``_two_row_negativity``; on 2 x 2, its one minor |a00 a11 - a01 a10|,
+    the same floats), a wider one through the partial transpose of
     F F† (Vidal & Werner, PRA 65, 032314 (2002))."""
+    if factors.shape[2] == 1 and da == db == 2:
+        a = factors[:, :, 0]
+        minor = a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2]
+        return np.sqrt(minor.real**2 + minor.imag**2)
     if factors.shape[2] == 1 and min(da, db) == 2:
         return _two_row_negativity(factors.reshape(-1, da, db))
     if factors.shape[2] == 1:
@@ -639,6 +649,8 @@ def e_ssr(state: BlockDiagonalState, partition: ModePartition,
 
 def block_trace_distance(s1: BlockDiagonalState, s2: BlockDiagonalState) -> float:
     """Trace distance computed blockwise via direct-sum linearity."""
+    _check_block_state(s1, "s1")
+    _check_block_state(s2, "s2")
     if s1.modes != s2.modes:
         raise ValidationError("states live on different mode counts")
     total = 0.0

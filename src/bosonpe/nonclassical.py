@@ -24,8 +24,10 @@ from .fock import (
     UNCAPPED,
     BlockDiagonalState,
     DeskScaleError,
+    PureSectorState,
     ValidationError,
     _CHUNK_ENTRIES,
+    _check_block_state,
     _check_count,
     _gate_dense,
     _gate_support,
@@ -335,6 +337,7 @@ def two_copy_pe_check(state: BlockDiagonalState) -> TwoCopyReport:
     The separability verdict for the two-copy state is decided only where a
     decision procedure exists (at most one particle, or the two-mode
     two-particle sector); elsewhere it is reported as undecidable."""
+    _check_block_state(state)
     joint = tensor_compose(state, state, caps=UNCAPPED)
     report = activate(ActivationSpec(joint), caps=UNCAPPED)
 
@@ -375,7 +378,8 @@ def many_copy_nc_bound_check(classical_or_state, k: int,
     _check_count(k, "k", 1)
     bound = 1.0 / k
 
-    if isinstance(classical_or_state, BlockDiagonalState):
+    if isinstance(classical_or_state, (BlockDiagonalState, PureSectorState)):
+        _check_block_state(classical_or_state, "classical_or_state")
         if k == 1:
             return ManyCopyReport(k, 1.0, 1.0, None, 0.0, False, True,
                                   "k=1 bound is vacuous: trace distance never exceeds 1")

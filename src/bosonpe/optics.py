@@ -26,6 +26,7 @@ from .fock import (
     ModePartition,
     ValidationError,
     _annihilation_maps,
+    _check_block_state,
     _check_count,
     _check_seed,
     _complex_from_json,
@@ -210,6 +211,7 @@ def append_vacuum(state: BlockDiagonalState, k: int,
                   caps: DeskCaps = DESK) -> BlockDiagonalState:
     """Append k modes in the vacuum; the rows of each block's V are re-indexed.
     The largest sector is checked first: a refused state builds nothing."""
+    _check_block_state(state)
     _check_count(k, "k", 1)
     m = state.modes
     enumerate_basis(m + k, state.max_particles, caps)

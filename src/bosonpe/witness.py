@@ -297,7 +297,8 @@ def pe_lower_bound(data: SpinShotDataset, params: WitnessParams,
     ``rng.integers(0, n, size=n)`` draw per axis, in x, y, z order, from
     ``np.random.default_rng(seed)``, so a seed reproduces the standard error.
     ``n_bootstrap=0`` skips the bootstrap (``bootstrap_se`` is None); 1 and
-    negative counts are rejected, and so is a negative seed."""
+    negative counts are rejected, and so is a seed that is not a nonnegative
+    integer."""
     _check_seed(seed)
     _check_count(n_bootstrap, "n_bootstrap")
     if n_bootstrap == 1:
@@ -411,7 +412,8 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
     sizes, split and efficiency, which are still checked.  Raises
     ValidationError for fewer than 6 shots (the bound needs two on each of z
     and y) or more than 2**53 atoms, and DeskScaleError, before drawing, for
-    more than 1e6 shots, and ValidationError for a negative seed.
+    more than 1e6 shots, and ValidationError for a seed that is not a
+    nonnegative integer.
     """
     _check_seed(seed)
     if model not in ("constant", "css", "squeezed"):

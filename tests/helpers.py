@@ -10,7 +10,9 @@ second check on them, and per-resample and per-shot loops for the witness bootst
 synthetic shot data and CSV text.  The activation search oracle is the search loop with
 one full ``activate`` call per candidate, and the oracle of its local-filter weights is
 their earlier loop, one power and one product per basis column; that of one compass
-round is its earlier walk, one coordinate's +/- pair per scoring call.  The state constructors' oracles
+round is its earlier walk, one coordinate's +/- pair per scoring call, and the
+oracle of the search's lockstep restarts is its earlier serial loop, one V_A after
+another, each compass round batched over that V_A's coordinates alone.  The state constructors' oracles
 are their earlier dense bodies: every block summed as a d x d matrix, on
 {N: (p_N, dense block)} dicts.  The oracle of the stacked de Finetti and
 many-copy trace distance is its earlier loop, one Gram eigenproblem per
@@ -553,12 +555,14 @@ def local_filter_weights_oracle(occupations: np.ndarray, r: np.ndarray) -> np.nd
     return w
 
 
-def compass_round_oracle(blocks: list, best_r: np.ndarray, best_val, step: float) -> tuple:
-    """One round of the activation search's compass refinement as its
-    earlier loop: each coordinate's +step / -step pair scored alone by
+def compass_round_oracle(blocks: list, restart: int, best_r: np.ndarray, best_val,
+                         step: float) -> tuple:
+    """One round of the activation search's compass refinement for V_A
+    number ``restart`` of the stacked ``blocks``, as its earlier loop: each
+    coordinate's +step / -step pair scored alone by
     ``activation._filtered_negativities``, moving on the first gain.
     Returns (best_r, best_val, improved)."""
-    from bosonpe.activation import _filtered_negativities
+    from bosonpe import activation
 
     improved = False
     for i in range(len(best_r)):
@@ -570,11 +574,91 @@ def compass_round_oracle(blocks: list, best_r: np.ndarray, best_val, step: float
                 probes.append(probe)
         if not probes:
             continue
-        for probe, val in zip(probes, _filtered_negativities(blocks, np.array(probes))):
+        vals = activation._filtered_negativities(blocks, np.array(probes),
+                                                 np.full(len(probes), restart))
+        for probe, val in zip(probes, vals):
             if val > best_val:
                 best_val, best_r, improved = val, probe, True
                 break
     return best_r, best_val, improved
+
+
+def serial_compass_round(blocks: list, chunk: int, best_r: np.ndarray, best_val,
+                         step: float) -> tuple:
+    """One compass round of the single V_A of ``blocks`` as the search ran it
+    before its restarts went in lockstep: the probes of all coordinates still
+    to visit built from the current point and scored together, ``chunk`` per
+    call; after a move at coordinate j only j+1..m-1 are rebuilt and scored
+    again.  Returns (best_r, best_val, improved)."""
+    from bosonpe import activation
+
+    m, start, improved = len(best_r), 0, False
+    while start < m:
+        r = best_r.tolist()
+        rows, coords = [], []
+        for i in range(start, m):
+            for delta in (step, -step):
+                x = min(max(r[i] + delta, 1e-6), 1.0 - 1e-6)
+                if x != r[i]:
+                    rows.append(r[:i] + [x] + r[i + 1:])
+                    coords.append(i)
+        probes = np.array(rows)
+        for lo in range(0, len(probes), chunk):
+            batch = probes[lo:lo + chunk]
+            vals = activation._filtered_negativities(blocks, batch,
+                                                     np.zeros(len(batch), dtype=int))
+            gains = np.flatnonzero(vals > best_val)
+            if gains.size:
+                k = lo + gains[0]
+                best_r, best_val, improved = probes[k], vals[gains[0]], True
+                start = coords[k] + 1
+                break
+        else:
+            break
+    return best_r, best_val, improved
+
+
+def serial_m_pe_from_activation(state, n_va_restarts: int = 4, seed=0,
+                                grid_step: float = 0.05, caps=DESK) -> float:
+    """``activation.m_pe_from_activation`` as it ran before its restarts went
+    in lockstep: one V_A after another, each with its own stack of one
+    balanced output, its grid in chunks of its own candidates and its compass
+    rounds through ``serial_compass_round``.  Arguments are not checked."""
+    from bosonpe import activation
+    from bosonpe.optics import ModeUnitary, _haar_matrix, append_vacuum, identity_unitary
+
+    m = state.modes
+    if m == 1 or state.max_particles < 2:
+        return 0.0
+    n_grid = math.ceil((1.0 - grid_step) / grid_step)
+    count = n_grid**m if m <= 2 else m * n_grid + 1
+    rng = np.random.default_rng(seed)
+    vas = [identity_unitary(m)]
+    vas += [ModeUnitary(_haar_matrix(m, rng)) for _ in range(n_va_restarts)]
+
+    padded = append_vacuum(state, m, caps=caps)
+    best = 0.0
+    grid = np.arange(grid_step, 1.0, grid_step)
+    for va in vas:
+        blocks = activation._balanced_sectors(padded, [va])
+        chunk = activation._chunk_size(blocks)
+        best_r, best_val = None, -1.0
+        for start in range(0, count, chunk):
+            points = activation._grid_points(grid, m, np.arange(start, min(start + chunk, count)))
+            vals = activation._filtered_negativities(blocks, points,
+                                                     np.zeros(len(points), dtype=int))
+            k = int(np.argmax(vals))
+            if vals[k] > best_val:
+                best_val, best_r = vals[k], points[k]
+
+        step = grid_step / 2.0
+        while step >= 1e-5:
+            best_r, best_val, improved = serial_compass_round(blocks, chunk, best_r, best_val,
+                                                              step)
+            if not improved:
+                step /= 2.0
+        best = max(best, float(best_val))
+    return best
 
 
 def normalized_dense_blocks(acc: dict) -> tuple[dict, float]:

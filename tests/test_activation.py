@@ -7,16 +7,35 @@ import pytest
 from bosonpe import activation
 from bosonpe.cli import main
 from bosonpe.fock import (
-    DESK,
+    BlockDiagonalState,
     DeskScaleError,
+    ModePartition,
     ValidationError,
+    dephase_local,
     fock_state,
     mix_states,
+    project_local_number,
+    state_to_json,
     tensor_compose,
+    trace_out,
     vacuum_state,
 )
-from bosonpe.measures import m_pe_f
-from bosonpe.optics import BeamSplitterArray, ModeUnitary, balanced_array, random_ssr_povm
+from bosonpe.measures import (
+    SingleParticleObservable,
+    block_trace_distance,
+    e_ssr,
+    m_pe_f,
+    negativity,
+    qfi,
+)
+from bosonpe.nonclassical import many_copy_nc_bound_check, two_copy_pe_check
+from bosonpe.optics import (
+    BeamSplitterArray,
+    ModeUnitary,
+    append_vacuum,
+    balanced_array,
+    random_ssr_povm,
+)
 from bosonpe.activation import (
     ActivationSpec,
     activate,
@@ -37,7 +56,13 @@ from bosonpe.states import (
 )
 from bosonpe.witness import WitnessParams, pe_lower_bound, synthesize_dataset
 
-from helpers import compass_round_oracle, haar_unitary, m_pe_from_activation_oracle
+from helpers import (
+    compass_round_oracle,
+    haar_unitary,
+    m_pe_from_activation_oracle,
+    random_density,
+    serial_m_pe_from_activation,
+)
 
 
 def test_single_particle_activation_sign():
@@ -255,49 +280,78 @@ def test_m_pe_from_activation_matches_per_candidate_search(case):
                - m_pe_from_activation_oracle(state, **kwargs)) <= 1e-12
 
 
+CAP_CORNER = (lambda: fock_state((2, 1, 2, 1)).to_block_state(),
+              dict(n_va_restarts=0, grid_step=0.25))
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES) + ["cap_corner"])
+def test_m_pe_from_activation_equals_the_serial_search_bit_for_bit(case):
+    # the stacked restarts follow, bit for bit, the walks they follow alone
+    make, kwargs = SEARCH_CASES.get(case, CAP_CORNER)
+    state = make()
+    assert m_pe_from_activation(state, **kwargs) == serial_m_pe_from_activation(state, **kwargs)
+
+
+def lockstep_round(blocks, chunk, r, val, step):
+    """One compass round of every walk (row of r), run as lockstep passes of
+    ``_compass_pass``: a walk leaves the pass set once its round ends."""
+    r, val, step, m = r.tolist(), val.tolist(), step.tolist(), r.shape[1]
+    pos, improved = [0] * len(r), [False] * len(r)
+    live = list(range(len(r)))
+    while live:
+        moved = activation._compass_pass(blocks, chunk, r, val, step, pos, live)
+        for v, move in zip(live, moved):
+            improved[v] |= move
+        live = [v for v, move in zip(live, moved) if move and pos[v] < m]
+    return np.array(r), val, improved
+
+
 @pytest.mark.parametrize("make", [
     lambda: fock_state((2, 1, 0)).to_block_state(),
     lambda: fock_state((1, 1, 1)).to_block_state(),
     lambda: noon_state(2).to_block_state(),
 ], ids=["fock210", "fock111", "noon2"])
 def test_compass_round_moves_as_the_coordinate_walk(make):
-    # from random off-grid points, where a round moves on several
-    # coordinates, the batched round takes the moves of the coordinate walk,
-    # bit for bit, whether it scores its probes one or all per call
+    # twelve walks from random off-grid points, each after its own V_A and at
+    # its own step, where a round moves on several coordinates: run in
+    # lockstep, each takes the moves of its coordinate walk, bit for bit,
+    # whether the passes score their probes one, five or all per call
     state = make()
     m = state.modes
     rng = np.random.default_rng(7)
-    blocks = activation._balanced_sectors(state, ModeUnitary(haar_unitary(m, rng)), DESK)
-    several = 0
-    for _ in range(12):
-        start = rng.uniform(0.05, 0.95, size=m)
-        step = float(rng.choice([0.2, 0.05, 0.01]))
-        val = activation._filtered_negativities(blocks, start[None])[0]
-        want_r, want_val, want_improved = compass_round_oracle(blocks, start, val, step)
-        for chunk in (1, 64):
-            got_r, got_val, got_improved = activation._compass_round(
-                blocks, chunk, start, val, step)
-            assert np.array_equal(got_r, want_r)
-            assert got_val == want_val and got_improved == want_improved
-        several += np.count_nonzero(got_r != start) >= 2
-    assert several >= 6
+    vas = [ModeUnitary(haar_unitary(m, rng)) for _ in range(12)]
+    blocks = activation._balanced_sectors(append_vacuum(state, m), vas)
+    start = rng.uniform(0.05, 0.95, size=(12, m))
+    step = rng.choice([0.2, 0.05, 0.01], size=12)
+    val = activation._filtered_negativities(blocks, start, np.arange(12))
+    want = [compass_round_oracle(blocks, v, start[v], val[v], step[v]) for v in range(12)]
+    for chunk in (1, 5, 64):
+        got_r, got_val, got_improved = lockstep_round(blocks, chunk, start, val, step)
+        for v, (want_r, want_val, want_improved) in enumerate(want):
+            assert np.array_equal(got_r[v], want_r)
+            assert got_val[v] == want_val and got_improved[v] == want_improved
+    assert np.sum(np.count_nonzero(got_r != start, axis=1) >= 2) >= 6
 
 
 def test_compass_round_on_a_bumpy_score_moves_as_the_coordinate_walk(monkeypatch):
-    # a row-wise score with many local maxima, where both probes of a
-    # coordinate can gain and probes meet the clip at either end
-    monkeypatch.setattr(activation, "_filtered_negativities",
-                        lambda blocks, r: np.cos(23.0 * r + np.arange(r.shape[1])).sum(axis=1))
+    # a row-wise score with many local maxima, a different one per restart,
+    # where both probes of a coordinate can gain and probes meet the clip at
+    # either end; forty walks in lockstep
+    monkeypatch.setattr(activation, "_filtered_negativities", lambda blocks, r, restart: np.cos(
+        23.0 * r + restart[:, None] + np.arange(r.shape[1])).sum(axis=1))
     rng = np.random.default_rng(3)
-    for trial in range(40):
-        start = rng.uniform(1e-6, 1.0 - 1e-6, size=3)
-        start[0] = (start[0], 1e-6, 1.0 - 1e-6)[trial % 3]  # free, or at a clip end
-        step = float(rng.choice([0.3, 0.1, 0.02]))
-        val = activation._filtered_negativities(None, start[None])[0]
-        want_r, want_val, want_improved = compass_round_oracle(None, start, val, step)
-        got_r, got_val, got_improved = activation._compass_round(None, 2, start, val, step)
-        assert np.array_equal(got_r, want_r)
-        assert got_val == want_val and got_improved == want_improved
+    start = rng.uniform(1e-6, 1.0 - 1e-6, size=(40, 3))
+    start[:, 0] = np.where(np.arange(40) % 3 == 1, 1e-6, start[:, 0])  # free, or at a clip end
+    start[:, 0] = np.where(np.arange(40) % 3 == 2, 1.0 - 1e-6, start[:, 0])
+    step = rng.choice([0.3, 0.1, 0.02], size=40)
+    val = activation._filtered_negativities(None, start, np.arange(40))
+    for chunk in (1, 2, 7, 240):
+        got_r, got_val, got_improved = lockstep_round(None, chunk, start, val, step)
+        for v in range(40):
+            want_r, want_val, want_improved = compass_round_oracle(None, v, start[v], val[v],
+                                                                   step[v])
+            assert np.array_equal(got_r[v], want_r)
+            assert got_val[v] == want_val and got_improved[v] == want_improved
 
 
 @pytest.mark.parametrize("state", [
@@ -358,6 +412,81 @@ def test_m_pe_from_activation_rejects_bad_arguments(kwargs):
 def test_seeded_entry_points_reject_negative_seeds(call):
     with pytest.raises(ValidationError, match="seed"):
         call()
+
+
+SEEDED_ENTRY_POINTS = {
+    "particle_separable": lambda seed: random_particle_separable(2, 2, 2, seed),
+    "free_state": lambda seed: random_free_state(2, 2, seed),
+    "ssr_povm": lambda seed: random_ssr_povm(2, 2, 2, seed),
+    "mpef": lambda seed: m_pe_f(noon_state(2).to_block_state(), search="general_restarts",
+                                seed=seed, n_restarts=1),
+    "search": lambda seed: m_pe_from_activation(noon_state(2).to_block_state(), n_va_restarts=1,
+                                                seed=seed, grid_step=0.25),
+    "inequality": lambda seed: activation_inequality_check(noon_state(2).to_block_state(),
+                                                           n_candidates=2, seed=seed),
+    "bootstrap": lambda seed: pe_lower_bound(synthesize_dataset("css", n_shots=30),
+                                             WitnessParams(1.0, 1.0), n_bootstrap=10, seed=seed),
+    "synthesize": lambda seed: synthesize_dataset("css", n_shots=30, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize("entry", sorted(SEEDED_ENTRY_POINTS))
+def test_seeded_entry_points_take_only_integer_seeds(entry, seed):
+    # numpy would end 1.5 and "7" in a bare TypeError and run True as seed 1
+    with pytest.raises(ValidationError, match="seed"):
+        SEEDED_ENTRY_POINTS[entry](seed)
+    SEEDED_ENTRY_POINTS[entry](np.int64(3))
+
+
+PURE = fock_state((1, 1))
+SPLIT = ModePartition((0,), (1,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: m_pe_f(PURE),
+    lambda: qfi(PURE, SingleParticleObservable(np.diag([1.0, -1.0]))),
+    lambda: activate(ActivationSpec(PURE)),
+    lambda: m_pe_from_activation(PURE),
+    lambda: negativity(PURE, SPLIT),
+    lambda: e_ssr(PURE, SPLIT),
+    lambda: two_copy_pe_check(PURE),
+    lambda: append_vacuum(PURE, 1),
+    lambda: block_trace_distance(PURE.to_block_state(), PURE),
+    lambda: many_copy_nc_bound_check(PURE, 2),
+    lambda: project_local_number(PURE, SPLIT),
+    lambda: dephase_local(PURE, SPLIT),
+    lambda: trace_out(PURE, SPLIT),
+    lambda: tensor_compose(PURE.to_block_state(), PURE),
+    lambda: state_to_json(PURE),
+], ids=["m_pe_f", "qfi", "activate", "search", "negativity", "e_ssr", "two_copy",
+        "append_vacuum", "block_trace_distance", "many_copy", "project_local_number",
+        "dephase_local", "trace_out", "tensor_compose", "state_to_json"])
+def test_pure_sector_states_are_refused_where_they_enter(call):
+    with pytest.raises(ValidationError, match=r"\.to_block_state\(\)"):
+        call()
+
+
+def test_m_pe_from_activation_stacks_one_desk_block_of_factors_at_most(monkeypatch):
+    # a desk block of 430^2 entries bounds the stacked factors of this rank-35
+    # block on the 330-row (8, 4) output sector to 16 V_A per group, so 64
+    # restarts run as 5 groups, one after another; the peak is that of one
+    # group (about 2.3 MiB of factors), not 65 / 16 of it.  The scorer is
+    # stubbed out: the stacks are under test, not the scoring
+    state = BlockDiagonalState(4, {4: (1.0, random_density(35, np.random.default_rng(5), 35))})
+    monkeypatch.setattr(activation, "_MAX_BLOCK_DIM", 430)
+    monkeypatch.setattr(activation, "_filtered_negativities",
+                        lambda blocks, r, restart: np.zeros(len(r)))
+    m_pe_from_activation(state, n_va_restarts=1, grid_step=0.45)  # the basis tables
+    peaks = {}
+    for restarts in (15, 64):
+        tracemalloc.start()
+        try:
+            m_pe_from_activation(state, n_va_restarts=restarts, grid_step=0.45)
+            peaks[restarts] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] <= 1.1 * peaks[15]
 
 
 @pytest.mark.parametrize("occupation, grid_step", [

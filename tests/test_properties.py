@@ -11,8 +11,11 @@ dense X X†, with rank-deficient and near-parallel columns.  The whole
 factored activation pipeline (local-number projection, Schmidt spectra,
 sector negativities) is pinned against a plain dense reference, and so is
 the activation search's batched scoring through the local-filter identity;
-each row of that scoring is pinned bit for bit to its single-row score, and
-the local-filter weights to their per-column loop.
+each row of that scoring is pinned bit for bit to its single-row score, also
+when the rows come after different stacked V_A, and the local-filter weights
+to their per-column loop.  The search with its restarts in lockstep is pinned
+bit for bit to its earlier serial loop, to the same scored rows at one row
+per call, and to a value non-decreasing in the restart budget.
 That scoring's closed form for two-row pure sectors is pinned against the
 SVD, down to near rank one, and the product sectors it skips are checked to
 carry no negativity.  Free states activate to zero negativity through that
@@ -27,20 +30,22 @@ against random parameters.
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bosonpe import activation
 from bosonpe.activation import (
     ActivationSpec,
     _balanced_sectors,
     _filtered_negativities,
     _local_filter_weights,
     activate,
+    m_pe_from_activation,
 )
 from bosonpe.fock import (
-    DESK,
     UNCAPPED,
     BlockDiagonalState,
     ModePartition,
@@ -93,10 +98,22 @@ from helpers import (
     lift_oracle,
     local_filter_weights_oracle,
     random_density,
+    serial_m_pe_from_activation,
     splitter_unitary,
 )
 
 FEW = settings(max_examples=20, deadline=None)
+
+
+def balanced_blocks(state, vas):
+    """The activation search's stacked balanced outputs of ``state``, one per
+    V_A of ``vas``."""
+    return _balanced_sectors(append_vacuum(state, state.modes), vas)
+
+
+def score(blocks, r):
+    """The search's scores of the rows of r after the first stacked V_A."""
+    return _filtered_negativities(blocks, r, np.zeros(len(r), dtype=int))
 
 
 @st.composite
@@ -272,11 +289,11 @@ def test_column_factors_match_dense_oracle(data):
 
 
 @st.composite
-def low_rank_states(draw, max_modes=3, max_particles=3):
+def low_rank_states(draw, max_modes=3, max_particles=3, min_modes=1):
     """(state, its dense blocks, pure?): a pure vector born factored, the same
     given as a dense matrix, or a dense mixture with blocks of rank <= 3
     (pure when it has one block of rank one)."""
-    m = draw(st.integers(1, max_modes))
+    m = draw(st.integers(min_modes, max_modes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["pure_vector", "pure_matrix", "mixed"]))
     if kind == "mixed":
@@ -363,7 +380,7 @@ def test_filtered_negativities_match_activate_and_dense_oracle(data):
     r = np.array(data.draw(st.lists(
         st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=m, max_size=m),
         min_size=2, max_size=2)))
-    got = _filtered_negativities(_balanced_sectors(state, va, DESK), r)
+    got = score(balanced_blocks(state, [va]), r)
     assert got.shape == (len(r),)
     for row, val in zip(r, got):
         report = activate(ActivationSpec(state, va, BeamSplitterArray(tuple(row))))
@@ -377,28 +394,73 @@ def test_filtered_negativities_match_activate_and_dense_oracle(data):
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_scoring_rows_do_not_depend_on_their_stack(data):
-    """What the batched compass rounds of the activation search rest on:
-    each row of a stack of reflectivity vectors scores bit for bit as it
-    does alone, with rows at the clip ends whose sectors drop below
-    BLOCK_DROP_TOL among them, and the broadcast local-filter weights equal
-    the per-column loop bit for bit."""
+    """What the lockstep restarts of the activation search rest on: each row
+    of a stack of reflectivity vectors, after either of two stacked V_A,
+    scores bit for bit as it does alone after its V_A alone, with rows at
+    the clip ends whose sectors drop below BLOCK_DROP_TOL among them, and
+    the broadcast local-filter weights equal the per-column loop bit for
+    bit."""
     state, _, _ = data.draw(low_rank_states())
     m = state.modes
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    va = ModeUnitary(haar_unitary(m, rng))
+    vas = [ModeUnitary(haar_unitary(m, rng)) for _ in range(2)]
     r = np.array(data.draw(st.lists(
         st.lists(st.one_of(st.floats(1e-6, 1.0 - 1e-6), st.sampled_from([1e-6, 1.0 - 1e-6])),
                  min_size=m, max_size=m),
         min_size=1, max_size=6)))
-    blocks = _balanced_sectors(state, va, DESK)
-    got = _filtered_negativities(blocks, r)
+    restart = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(r), max_size=len(r))))
+    got = _filtered_negativities(balanced_blocks(state, vas), r, restart)
+    alone = [balanced_blocks(state, [va]) for va in vas]
     for i in range(len(r)):
-        assert got[i] == _filtered_negativities(blocks, r[i:i + 1])[0]
+        assert got[i] == score(alone[restart[i]], r[i:i + 1])[0]
     for N in range(state.max_particles + 1):
         occupations = np.array(enumerate_basis(2 * m, N).states)
         for stack in (r, r[0]):
             assert np.array_equal(_local_filter_weights(occupations, stack),
                                   local_filter_weights_oracle(occupations, stack))
+
+
+@settings(max_examples=10, deadline=None)
+@given(low_rank_states(min_modes=2), st.integers(0, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.1, 0.25]))
+def test_search_equals_the_serial_search(drawn, restarts, seed, grid_step):
+    """The stacked restarts of ``m_pe_from_activation`` reach, bit for bit,
+    the value of its earlier loop, one V_A after another."""
+    kwargs = dict(n_va_restarts=restarts, seed=seed, grid_step=grid_step)
+    assert m_pe_from_activation(drawn[0], **kwargs) == serial_m_pe_from_activation(
+        drawn[0], **kwargs)
+
+
+@settings(max_examples=5, deadline=None)
+@given(low_rank_states(min_modes=2), st.integers(0, 2**32 - 1))
+def test_search_is_non_decreasing_in_the_restart_budget(drawn, seed):
+    values = [m_pe_from_activation(drawn[0], n_va_restarts=n, seed=seed, grid_step=0.25)
+              for n in range(5)]
+    assert values == sorted(values)
+
+
+@settings(max_examples=5, deadline=None)
+@given(low_rank_states(min_modes=2), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_search_scores_the_rows_of_the_serial_search(drawn, restarts, seed):
+    """At one row per scoring call, the lockstep search scores exactly the
+    (V_A, reflectivity vector) rows the serial loop scores, each V_A told
+    apart by its stacked factor."""
+    scored = []
+
+    def counting(blocks, r, restart):
+        assert len(r) == 1
+        slab = blocks[0][2][0][1][restart[0]]
+        scored.append((slab.tobytes(), r[0].tobytes()))
+        return _filtered_negativities(blocks, r, restart)
+
+    kwargs = dict(n_va_restarts=restarts, seed=seed, grid_step=0.25)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(activation, "_chunk_size", lambda blocks: 1)
+        mp.setattr(activation, "_filtered_negativities", counting)
+        got = m_pe_from_activation(drawn[0], **kwargs)
+        lockstep, scored[:] = Counter(scored), []
+        want = serial_m_pe_from_activation(drawn[0], **kwargs)
+    assert got == want and lockstep == Counter(scored)
 
 
 @settings(max_examples=60, deadline=None)
@@ -439,7 +501,7 @@ def test_balanced_sectors_keep_only_two_sided_sectors():
     # NOON 4 on 2 modes: of the 35 rows of the 4-mode, 4-particle sector, the
     # (1, 3), (2, 2) and (3, 1) sectors keep 8 + 9 + 8; (0, 4) and (4, 0) go
     state = noon_state(4).to_block_state()
-    ((p, occupations, sectors),) = _balanced_sectors(state, ModeUnitary(np.eye(2)), DESK)
+    ((p, occupations, sectors),) = balanced_blocks(state, [ModeUnitary(np.eye(2))])
     assert p == 1.0
     assert sorted((d_a, d_b) for _, _, d_a, d_b in sectors) == [(2, 4), (3, 3), (4, 2)]
     assert occupations.shape == (25, 4)
@@ -477,7 +539,7 @@ def test_free_states_activate_to_zero(state, seed, data):
     r = np.array(data.draw(st.lists(
         st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=m, max_size=m),
         min_size=1, max_size=4)))
-    assert np.all(_filtered_negativities(_balanced_sectors(state, va, DESK), r) <= 1e-9)
+    assert np.all(score(balanced_blocks(state, [va]), r) <= 1e-9)
     report = activate(ActivationSpec(state, va, BeamSplitterArray(tuple(r[0]))))
     assert report.e_ssr_negativity <= 1e-9
     balanced = apply_mode_unitary(append_vacuum(state, m), ModeUnitary(
