@@ -23,6 +23,7 @@ from .fock import (
     UNCAPPED,
     BlockDiagonalState,
     DeskCaps,
+    FockBasis,
     ModePartition,
     SectorDecomposition,
     ValidationError,
@@ -44,9 +45,6 @@ from .optics import (
     append_vacuum,
     apply_mode_unitary,
     balanced_array,
-    beam_splitter_unitary,
-    block_direct_sum,
-    identity_unitary,
     lift_unitary,
 )
 from .measures import (
@@ -59,7 +57,7 @@ from .measures import (
     sector_negativity,
     schmidt_spectrum,
 )
-from .states import random_particle_separable
+from .states import _log_factorials, random_particle_separable
 
 SSR_ENTANGLED_TOL = 1e-9
 
@@ -98,9 +96,11 @@ class ActivationReport:
 
 def _activation_unitary(m: int, array: BeamSplitterArray,
                         pre_rotation: ModeUnitary | None) -> ModeUnitary:
-    """The splitter array after V_A on the m input modes (identity if None)."""
-    va = pre_rotation if pre_rotation is not None else identity_unitary(m)
-    return beam_splitter_unitary(array) @ block_direct_sum(va, identity_unitary(m))
+    """The splitter array after V_A on the m input modes (identity if None), one
+    checked matrix [[diag(r) V_A, diag(t)], [-diag(t) V_A, diag(r)]]."""
+    r, t = np.array(array.reflectivities), np.array(array.transmissivities)
+    va = np.eye(m) if pre_rotation is None else pre_rotation.matrix
+    return ModeUnitary(np.block([[r[:, None] * va, np.diag(t)], [-t[:, None] * va, np.diag(r)]]))
 
 
 def activate(spec: ActivationSpec, postselect=None,
@@ -166,10 +166,8 @@ def activate_pure_vector(occupation, array: BeamSplitterArray,
 
 
 def _multinomial(total: int, parts) -> float:
-    out = math.lgamma(total + 1)
-    for p in parts:
-        out -= math.lgamma(p + 1)
-    return math.exp(out)
+    log_fact = _log_factorials(total)
+    return math.exp(log_fact[total] - log_fact[list(parts)].sum())
 
 
 def fock_activation_amplitudes(occupation, alphas, sector) -> dict:
@@ -328,8 +326,8 @@ def activation_inequality_check(state: BlockDiagonalState,
 
 def _balanced_sectors(padded: BlockDiagonalState, vas: list) -> list:
     """The balanced-array activations of one input after each V_A of
-    ``vas``, stacked for ``_filtered_negativities``.  ``padded`` is the
-    input with its m vacuum modes already appended.  Per block N:
+    ``vas`` (None: the identity), stacked for ``_filtered_negativities``.
+    ``padded`` is the input with its m vacuum modes appended.  Per block N:
     (p_N, occupations of the 2m-mode basis rows the sectors use,
     [(rows, F_s, d_A, d_B)] per (N_A, N_B) sector).  F_s, of shape
     (len(vas), sector rows, k), holds for each V_A the sector's rows of the
@@ -359,13 +357,12 @@ def _balanced_sectors(padded: BlockDiagonalState, vas: list) -> list:
             k = padded.factor(N)[1].size
             layout.append((N, used, sectors, np.empty((len(vas), len(used), k), dtype=complex)))
 
-    splitter = beam_splitter_unitary(balanced_array(m))
     for v, va in enumerate(vas):
-        out = apply_mode_unitary(padded, splitter @ block_direct_sum(va, identity_unitary(m)))
+        out = apply_mode_unitary(padded, _activation_unitary(m, balanced_array(m), va))
         for N, used, _, stack in layout:
             V, lam = out.factor(N)
             stack[v] = (V * np.sqrt(lam))[used]
-    return [(padded.weight(N), enumerate_basis(2 * m, N, UNCAPPED).occupations[used],
+    return [(padded.weight(N), FockBasis(2 * m, N).occupations[used],
              [(rows, stack[:, rows], d_a, d_b) for rows, d_a, d_b in sectors])
             for N, used, sectors, stack in layout]
 
@@ -554,12 +551,11 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     if m == 1 or state.max_particles < 2:
         return 0.0
     rng = np.random.default_rng(seed)
-    vas = [identity_unitary(m)]
-    vas += [ModeUnitary(_haar_matrix(m, rng)) for _ in range(n_va_restarts)]
+    vas = [None] + [ModeUnitary(_haar_matrix(m, rng)) for _ in range(n_va_restarts)]
 
     padded = append_vacuum(state, m, caps=caps)
     # entries of one V_A's lifted factors, a bound on its share of a stack
-    per_va = sum(enumerate_basis(2 * m, N, UNCAPPED).dim * padded.factor(N)[1].size
+    per_va = sum(FockBasis(2 * m, N).dim * padded.factor(N)[1].size
                  for N in padded.sectors())
     group = max(1, _MAX_BLOCK_DIM**2 // per_va)
     best = 0.0

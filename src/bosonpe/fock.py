@@ -164,9 +164,10 @@ def _states_view(m: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Occupation-number basis of the N-particle sector on m modes, from
-    ``enumerate_basis``: ``occupations`` (read-only, dim x m) is the one
-    representation, ``rank`` inverts it, ``states`` is a tuple view to print."""
+    """Occupation-number basis of the N-particle sector on m modes:
+    ``occupations`` (read-only, dim x m) is the one representation, ``rank``
+    inverts it, ``states`` is a tuple view to print.  Unchecked: the library
+    builds one directly only to look up a sector it already holds."""
 
     modes: int
     particles: int
@@ -210,7 +211,9 @@ def enumerate_basis(m: int, N: int, caps: DeskCaps = DESK) -> FockBasis:
     """Canonical basis of the (m, N) sector, lexicographically descending.
     Raises ValidationError unless m >= 1 and N >= 0 are integers, and
     DeskScaleError, before enumerating, for a sector above ``caps`` and,
-    under any caps, for one of more than 1e6 states or 2**24 occupations."""
+    under any caps, for one of more than 1e6 states or 2**24 occupations.
+    The checked entry of every sector named or sized anew; a sector already
+    held is looked up as ``FockBasis(m, N)``."""
     _check_count(m, "m", 1)
     _check_count(N, "N")
     if N > caps.max_particles or m > caps.max_modes:
@@ -482,12 +485,17 @@ def tensor_compose(s1: BlockDiagonalState, s2: BlockDiagonalState,
     _check_block_state(s2, "s2")
     m1, m2 = s1.modes, s2.modes
     m = m1 + m2
+    # each joint block's basis and factor (d x its summed rank products), before any is built
+    for N in sorted({N1 + N2 for N1, N2 in product(s1.sectors(), s2.sectors())}):
+        k = sum(s1.factor(N1)[1].size * s2.factor(N - N1)[1].size
+                for N1 in s1.sectors() if N - N1 in s2.sectors())
+        _gate_dense(enumerate_basis(m, N, caps).dim, k, "factor of the joint block N=%d", N)
     parts: dict[int, list] = {}
     for N1, N2 in product(s1.sectors(), s2.sectors()):
         (V1, lam1), (V2, lam2) = s1.factor(N1), s2.factor(N2)
-        basis = enumerate_basis(m, N1 + N2, caps)
-        o1 = enumerate_basis(m1, N1, UNCAPPED).occupations
-        o2 = enumerate_basis(m2, N2, UNCAPPED).occupations
+        basis = FockBasis(m, N1 + N2)
+        o1 = FockBasis(m1, N1).occupations
+        o2 = FockBasis(m2, N2).occupations
         # the joined occupations a + b in kron order: a outer, b inner
         rows = basis.rank(np.hstack([np.repeat(o1, len(o2), axis=0), np.tile(o2, (len(o1), 1))]))
         V = np.zeros((basis.dim, V1.shape[1] * V2.shape[1]), dtype=complex)
@@ -611,7 +619,7 @@ def _local_number_layout(modes: int, N: int, partition: ModePartition) -> dict:
     basis indices carrying those local numbers, in the product order
     i_A * dim_b + i_B of the two sides' bases (each pair occurs once).  An
     empty side behaves as a single vacuum mode."""
-    occ = enumerate_basis(modes, N, UNCAPPED).occupations
+    occ = FockBasis(modes, N).occupations
     vacuum = np.zeros((len(occ), 1), dtype=occ.dtype)
     a = occ[:, list(partition.a_modes)] if partition.a_modes else vacuum
     b = occ[:, list(partition.b_modes)] if partition.b_modes else vacuum
@@ -622,8 +630,7 @@ def _local_number_layout(modes: int, N: int, partition: ModePartition) -> dict:
     layout = {}
     for g in np.argsort(first).tolist():  # N_A in order of first appearance
         n_a, members = int(values[g]), groups[g]
-        ba = enumerate_basis(a.shape[1], n_a, UNCAPPED)
-        bb = enumerate_basis(b.shape[1], N - n_a, UNCAPPED)
+        ba, bb = FockBasis(a.shape[1], n_a), FockBasis(b.shape[1], N - n_a)
         rows = np.empty(len(members), dtype=int)
         rows[ba.rank(a[members]) * bb.dim + bb.rank(b[members])] = members
         layout[(n_a, N - n_a)] = (_freeze(rows), ba, bb)
@@ -706,8 +713,8 @@ def _annihilation_maps(m: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     N >= 1, as (src, amp) of shape (m, d_{N-1}): a_i maps basis state
     src[i, t] = t + e_i to amp[i, t] = sqrt(t_i + 1) times basis state t,
     and every other basis state of sector N with n_i = 0 to zero."""
-    basis = enumerate_basis(m, N, UNCAPPED)
-    lowered = enumerate_basis(m, N - 1, UNCAPPED).occupations
+    basis = FockBasis(m, N)
+    lowered = FockBasis(m, N - 1).occupations
     src = np.empty((m, len(lowered)), dtype=np.intp)
     for i in range(m):
         raised = lowered.copy()

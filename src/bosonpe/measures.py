@@ -30,6 +30,7 @@ import numpy as np
 from .fock import (
     UNCAPPED,
     BlockDiagonalState,
+    FockBasis,
     ModePartition,
     SectorState,
     ValidationError,
@@ -524,7 +525,7 @@ def negativity(state: BlockDiagonalState, partition: ModePartition) -> float:
     # each basis state has its own (ia, ib), and blocks of different N share
     # none, so every block fills its entries in one assignment
     for N, layout in layouts:
-        ia = np.empty(enumerate_basis(state.modes, N, UNCAPPED).dim, dtype=int)
+        ia = np.empty(FockBasis(state.modes, N).dim, dtype=int)
         ib = np.empty_like(ia)
         for (na, nb), (rows, _, bb) in layout.items():
             i = np.arange(len(rows))
@@ -584,7 +585,8 @@ def _sector_negativities(factors: np.ndarray, da: int, db: int) -> np.ndarray:
     d_A x d_B matrix, in closed form when min(d_A, d_B) = 2
     (``_two_row_negativity``; on 2 x 2, its one minor |a00 a11 - a01 a10|,
     the same floats), a wider one through the partial transpose of
-    F F† (Vidal & Werner, PRA 65, 032314 (2002))."""
+    F F† (Vidal & Werner, PRA 65, 032314 (2002)), which raises
+    DeskScaleError first when d_A d_B is larger than one desk block (1716)."""
     if factors.shape[2] == 1 and da == db == 2:
         a = factors[:, :, 0]
         minor = a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2]
@@ -593,6 +595,8 @@ def _sector_negativities(factors: np.ndarray, da: int, db: int) -> np.ndarray:
         return _two_row_negativity(factors.reshape(-1, da, db))
     if factors.shape[2] == 1:
         return _pure_negativity(np.linalg.svd(factors.reshape(-1, da, db), compute_uv=False))
+    _gate_dense(da * db, da * db, "partial transpose of the d_A x d_B = %d x %d sector",
+                da, db)
     mat = factors @ np.swapaxes(factors, 1, 2).conj()
     mat = (mat + np.swapaxes(mat, 1, 2).conj()) / 2
     return _partial_transpose_negativity(mat.reshape(-1, da, db, da, db))

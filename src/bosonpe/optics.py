@@ -23,6 +23,7 @@ from .fock import (
     BlockDiagonalState,
     DeskCaps,
     DESK,
+    FockBasis,
     ModePartition,
     ValidationError,
     _annihilation_maps,
@@ -145,14 +146,14 @@ def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
 
     Column n is prod_i (sum_j u_ji a_j†)^{n_i} |0> / sqrt(prod_i n_i!).  As
     |n> = a_k† |n - e_k> / sqrt(n_k) and u a_k† u† = sum_j u_jk a_j†, it is
-    built one particle at a time, in mode order, by applying sum_j u_jk a_j†
-    (the scatter of the cached annihilation maps) to the column one sector
-    below; columns go in batches whose stacked creation terms are no larger
-    than the result.  ``columns``, a sequence of basis indices in [0, dim),
-    restricts the result to those columns (shape dim x len(columns)).  A
-    sector above ``caps`` or of more than 1e6 states, and a result of more
-    entries than one desk block (1716 x 1716), raise DeskScaleError before
-    allocating.
+    built one particle at a time, in mode order: the p-th particle of mode k
+    applies sum_j u_jk a_j† / sqrt(p) (the scatter of the cached annihilation
+    maps) to the column one sector below, so no factorial is formed.  Columns
+    go in batches whose stacked creation terms are no larger than the result.
+    ``columns``, a sequence of basis indices in [0, dim), restricts the
+    result to those columns (shape dim x len(columns)).  A sector above
+    ``caps`` or of more than 1e6 states, and a result of more entries than
+    one desk block (1716 x 1716), raise DeskScaleError before allocating.
     """
     _check_count(N, "N")
     m = u.modes
@@ -166,8 +167,11 @@ def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
     if N == 0:
         return np.ones((1, len(columns)), dtype=complex)
     occ = basis.occupations[columns]
-    # coef[c, l] is column k of u, for the l-th particle of column c in mode k
-    coef = u.matrix.T[np.repeat(np.arange(occ.size) % m, occ.ravel()).reshape(len(occ), N)]
+    # coef[c, l]: column k of u over sqrt(p), the l-th particle of column c the p-th of mode k
+    counts = occ.ravel()
+    mode = np.repeat(np.arange(occ.size) % m, counts).reshape(len(occ), N)
+    p = np.arange(1, mode.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    coef = u.matrix.T[mode] / np.sqrt(p).reshape(len(occ), N, 1)
     out = np.empty((basis.dim, len(occ)), dtype=complex)
     batch = max(1, -(-len(occ) * basis.dim // (m * math.comb(m + N - 2, N - 1))))
     for at in range(0, len(occ), batch):
@@ -182,11 +186,7 @@ def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
             flat = src + X.shape[1] * np.arange(len(cf))[:, None, None]
             np.add.at(X.reshape(-1), flat.ravel(), terms.ravel())
         out[:, at:at + batch] = X.T
-    # prod n_i! passes 2**63 at 21 particles in one mode: an exact product of
-    # Python ints (an object array), divided as floats
-    norms = np.prod(np.array([math.factorial(k) for k in range(N + 1)], dtype=object)[occ],
-                    axis=1)
-    return out / np.sqrt(norms.astype(float))
+    return out
 
 
 def apply_mode_unitary(state: BlockDiagonalState, u: ModeUnitary) -> BlockDiagonalState:
@@ -210,17 +210,20 @@ def apply_mode_unitary(state: BlockDiagonalState, u: ModeUnitary) -> BlockDiagon
 def append_vacuum(state: BlockDiagonalState, k: int,
                   caps: DeskCaps = DESK) -> BlockDiagonalState:
     """Append k modes in the vacuum; the rows of each block's V are re-indexed.
-    The largest sector is checked first: a refused state builds nothing."""
+    The largest sector, then all padded factors (sum_N d_N r_N entries, one
+    desk block at most) are checked first: a refused state builds nothing."""
     _check_block_state(state)
     _check_count(k, "k", 1)
     m = state.modes
     enumerate_basis(m + k, state.max_particles, caps)
+    _gate_dense(sum(FockBasis(m + k, N).dim * state.factor(N)[1].size for N in state.sectors()),
+                1, "entries of the padded factors on %d modes", m + k)
     factors = {}
     for N in state.sectors():
         V, lam = state.factor(N)
-        new = enumerate_basis(m + k, N, caps)
+        new = FockBasis(m + k, N)
         big = np.zeros((new.dim, V.shape[1]), dtype=complex)
-        big[new.rank(enumerate_basis(m, N, UNCAPPED).occupations)] = V
+        big[new.rank(FockBasis(m, N).occupations)] = V
         factors[N] = (state.weight(N), big, lam)
     return BlockDiagonalState._factored(m + k, factors)
 

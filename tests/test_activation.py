@@ -62,6 +62,7 @@ from helpers import (
     m_pe_from_activation_oracle,
     random_density,
     serial_m_pe_from_activation,
+    splitter_unitary,
 )
 
 
@@ -550,3 +551,49 @@ def test_cap_corner_activation_stays_factored(capsys):
     rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
     assert {(int(na), int(nb)): p for na, nb, p, _ in rows} == {
         key: f"{report.sectors.probability(key):.12g}" for key in report.sectors.keys()}
+
+
+def test_activation_unitary_is_the_splitter_after_va():
+    # one matrix, bit for bit the splitter array after V_A (or alone)
+    rng = np.random.default_rng(33)
+    for trial in range(60):
+        m = 1 + trial % 4
+        r = rng.uniform(size=m)
+        r[rng.uniform(size=m) < 0.2] = rng.integers(0, 2)  # r = 0 and r = 1 too
+        va = None if trial % 3 == 0 else haar_unitary(m, rng)
+        u = activation._activation_unitary(
+            m, BeamSplitterArray(tuple(r)), None if va is None else ModeUnitary(va))
+        assert np.array_equal(u.matrix, splitter_unitary(r, va))
+
+
+def count_unitary_checks(monkeypatch) -> list:
+    """Count the u†u checks of ModeUnitary from now on: the list's length."""
+    calls, check = [], ModeUnitary.__post_init__
+
+    def counted(self):
+        calls.append(self.matrix.shape)
+        check(self)
+
+    monkeypatch.setattr(ModeUnitary, "__post_init__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ActivationSpec(fock_state((2, 1)).to_block_state()),
+    lambda: ActivationSpec(noon_state(2).to_block_state(),
+                           pre_rotation=ModeUnitary(haar_unitary(2, np.random.default_rng(4)))),
+    lambda: ActivationSpec(random_free_state(3, 2, 3, 5), array=BeamSplitterArray((0.3, 0.6, 0.9))),
+])
+def test_activate_checks_one_unitary(make, monkeypatch):
+    spec = make()
+    calls = count_unitary_checks(monkeypatch)
+    activate(spec)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n_va_restarts", [0, 1, 4])
+def test_the_search_checks_at_most_two_unitaries_per_va(n_va_restarts, monkeypatch):
+    calls = count_unitary_checks(monkeypatch)
+    m_pe_from_activation(fock_state((1, 1, 1)).to_block_state(), n_va_restarts=n_va_restarts,
+                         grid_step=0.25)
+    assert len(calls) <= 2 * (n_va_restarts + 1)

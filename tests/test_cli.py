@@ -61,10 +61,18 @@ def test_activate_postselect(capsys):
 
 def test_activate_classical_above_twenty_particles(capsys):
     # the Poisson cutoff 25 puts more than 20 particles in one mode, where
-    # the lift's factorial norms pass 2**63
+    # prod n_i! would pass 2**63
     code, out, _ = run_cli(capsys, "activate", "--state", "classical:2,2")
     assert code == 0
     assert json.loads(out)["ssr_entangled"] is False
+
+
+def test_activate_classical_above_170_particles(capsys):
+    # the Poisson blocks of |alpha|^2 = 121 reach 187 particles in one mode,
+    # past the 170 where N! overflows a float
+    code, out, _ = run_cli(capsys, "activate", "--state", "classical:11")
+    assert code == 0
+    assert json.loads(out)["e_ssr_negativity"] == 0.0
 
 
 def test_qfi_subcommand(capsys):

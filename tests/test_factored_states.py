@@ -227,16 +227,22 @@ def test_classical_state_builds_only_sectors_with_weight():
 # |alpha|^2 = 18 (n_max 44), the 30-mode de Finetti reduction at N = 10, the
 # activated two copies of |2,2,1,1> (16 modes, N = 12), and the activated
 # four-mode classical preset (8 modes, n_max 27).  Each is refused before
-# its basis is enumerated.
+# its basis is enumerated.  Three more dense gates follow: the joint factor
+# of two copies of a rank-84 (4, 6) separable state (50388 x 7056 at
+# N = 12), the partial transpose of a mixed activated two-copy sector
+# (the 792 x 8 sector of two copies of |1,1,1,0> + |0,1,1,1> and of
+# |3,0,0,0> + |0,3,0,0>, mixed half and half), and the padded factors of
+# the one-mode classical preset |alpha| = 200, whose 2635 Poisson blocks
+# span 38566 to 41200 particles (1.05e8 entries once padded).
 DENSE_GATE_SCRIPT = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 import numpy as np
 from bosonpe.cli import main
-from bosonpe.fock import DeskScaleError, fock_state
+from bosonpe.fock import DeskScaleError, fock_state, mix_states
 from bosonpe.nonclassical import (ExchangeableSeparableSpec, definetti_classical_approx,
                                   two_copy_pe_check)
-from bosonpe.states import classical_nd_state
+from bosonpe.states import classical_nd_state, random_particle_separable
 state = classical_nd_state(np.full(8, 0.4242640687))
 print(state.sectors()[-1], *state.factor(10)[0].shape)
 print(0.0 < state.purity() < 1.0)
@@ -256,6 +262,17 @@ for call in (lambda: classical_nd_state(np.full(20, 0.3)),
     except DeskScaleError:
         print("refused")
 print(main(["activate", "--state", "classical:1.5,1.5,1.5,1.5"]))
+def halves(a, b):
+    return mix_states([(0.5, fock_state(a).to_block_state()),
+                       (0.5, fock_state(b).to_block_state())])
+for call in (lambda: two_copy_pe_check(random_particle_separable(4, 6, 100, 0)),
+             lambda: two_copy_pe_check(halves((1, 1, 1, 0), (0, 1, 1, 1))),
+             lambda: two_copy_pe_check(halves((3, 0, 0, 0), (0, 3, 0, 0)))):
+    try:
+        call()
+    except DeskScaleError:
+        print("refused")
+print(main(["activate", "--state", "classical:200"]))
 """
 
 
@@ -273,7 +290,8 @@ def _run_under_address_limit(script: str) -> list:
 
 def test_large_factored_blocks_are_never_made_dense():
     assert _run_under_address_limit(DENSE_GATE_SCRIPT) == \
-        ["10", "19448", "1", "True", "refused", "2"] + ["refused"] * 4 + ["2"]
+        ["10", "19448", "1", "True", "refused", "2"] + ["refused"] * 4 + ["2"] \
+        + ["refused"] * 3 + ["2"]
 
 
 # Each dense constructor at (8 modes, 10 particles), with caps raised to admit

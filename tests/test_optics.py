@@ -113,10 +113,23 @@ def test_lift_refuses_a_partial_lift_above_the_desk_size():
 
 @pytest.mark.parametrize("n", [21, 25])
 def test_lift_of_many_particles_in_one_mode(n):
-    # prod n_i! passes 2**63 from n = 21; |n, 0> splits binomially
+    # |n, 0> splits binomially; prod n_i! would pass 2**63 from n = 21
     u = beam_splitter_unitary(balanced_array(1))
     column = lift_unitary(u, n, caps=UNCAPPED, columns=[0])[:, 0]
     want = [(-1) ** k * math.sqrt(math.comb(n, k) / 2**n) for k in range(n + 1)]
+    assert np.max(np.abs(column - want)) <= 1e-12
+
+
+def test_lift_of_three_hundred_particles_in_one_mode():
+    # |N, 0> -> sum_k sqrt(C(N, k)) u00^(N-k) u10^k |N-k, k>, the closed form
+    # evaluated in log space; N! overflows a float from N = 171
+    N = 300
+    u = haar_unitary(2, np.random.default_rng(300))
+    column = lift_unitary(ModeUnitary(u), N, caps=UNCAPPED, columns=[0])[:, 0]
+    k = np.arange(N + 1)
+    log_comb = np.array([math.lgamma(N + 1) - math.lgamma(j + 1) - math.lgamma(N - j + 1)
+                         for j in k])
+    want = np.exp(0.5 * log_comb + (N - k) * np.log(u[0, 0]) + k * np.log(u[1, 0]))
     assert np.max(np.abs(column - want)) <= 1e-12
 
 
