@@ -128,7 +128,8 @@ def collective_generator(h: SingleParticleObservable, m: int,
                          n_max: int) -> SingleParticleObservable:
     """``h`` itself, after checking that it acts on ``m`` modes: ``qfi`` takes
     the observable directly.  Kept for the benchmark's calling convention
-    until its next change (ROADMAP item 1); ``n_max`` is unread."""
+    until the benchmark passes the observable to ``qfi`` itself; ``n_max``
+    is unread."""
     if h.modes != m:
         raise ValidationError("observable mode count mismatch")
     return h

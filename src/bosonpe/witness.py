@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,10 @@ class SpinShotDataset:
     ``SpinShotDataset(shots, eta_a, eta_b, n1_a_mean, n1_b_mean)`` takes a
     sequence of ``ShotRecord`` and converts it to columns once, and
     ``.shots`` builds the records back on first read.  Both stay only for
-    the benchmark's calling convention, until its next change (ROADMAP
-    item 1); every computation reads the columns."""
+    the benchmark's calling convention, until the benchmark builds its
+    datasets from columns; every computation reads the columns.  The
+    efficiencies must lie in (0, 1] and the mean counts must be finite reals
+    >= 0."""
 
     def __init__(self, shots, eta_a: float, eta_b: float, n1_a_mean: float,
                  n1_b_mean: float, description: str = ""):
@@ -80,6 +83,8 @@ class SpinShotDataset:
     def _set(self, axis_codes, counts, eta_a, eta_b, n1_a_mean, n1_b_mean, description):
         if not 0.0 < eta_a <= 1.0 or not 0.0 < eta_b <= 1.0:
             raise ValidationError("detection efficiencies must lie in (0, 1]")
+        _check_mean(n1_a_mean, "n1_a_mean")
+        _check_mean(n1_b_mean, "n1_b_mean")
         axis_codes = _freeze(np.array(axis_codes, dtype=np.int8))
         counts = _freeze(np.array(counts, dtype=float))
         if not np.all((0 <= axis_codes) & (axis_codes < len(AXES))):
@@ -112,6 +117,14 @@ class SpinShotDataset:
         if axis not in AXES:
             raise ValidationError(f"axis must be one of {AXES}, got {axis!r}")
         return _spins_by_axis(self)[axis]
+
+
+def _check_mean(value, name: str) -> None:
+    """Raise ValidationError unless ``value`` is a finite real >= 0, not a
+    bool: the check of every mean count that enters a normalization."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) \
+            or not 0.0 <= value < math.inf:
+        raise ValidationError(f"{name} must be a finite real >= 0, got {value!r}")
 
 
 _AXIS_CODE = {axis: code for code, axis in enumerate(AXES)}
@@ -253,6 +266,31 @@ def _bound_from_moments(m: SpinMoments, params: WitnessParams,
     return -witness / normalization, witness
 
 
+# Most indices that one block of bootstrap draws holds.  Row blocks of one
+# bound continue the same generator stream, so this bounds memory only: the
+# standard error does not depend on it.
+_BOOTSTRAP_BLOCK = 2**15
+
+
+def _resample_sums(rng, values: np.ndarray, n_bootstrap: int,
+                   squares: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sums, and with ``squares`` sums of squares, of ``n_bootstrap``
+    resamples of ``values``.  Row b of the (n_bootstrap, n) index matrix is
+    resample b; the matrix is drawn from ``rng`` in row blocks of at most
+    ``_BOOTSTRAP_BLOCK`` indices (one row when a row is longer)."""
+    n = values.size
+    rows = max(1, _BOOTSTRAP_BLOCK // n)
+    sums = np.empty(n_bootstrap)
+    sq = np.empty(n_bootstrap) if squares else None
+    for start in range(0, n_bootstrap, rows):
+        stop = min(start + rows, n_bootstrap)
+        picked = values[rng.integers(0, n, size=(stop - start, n))]
+        picked.sum(axis=1, out=sums[start:stop])
+        if squares:
+            np.einsum("ij,ij->i", picked, picked, out=sq[start:stop])
+    return sums, sq
+
+
 def _bootstrap_se(spins: dict, params: WitnessParams, normalization: float,
                   n_bootstrap: int, seed) -> float:
     """Standard deviation of the bound over shot resamples within each axis.
@@ -260,26 +298,22 @@ def _bootstrap_se(spins: dict, params: WitnessParams, normalization: float,
     Each axis folds into its witness statistic once: u = g_z S_A + S_B on z,
     g_y S_A + S_B on y and |g_z g_y| S_A + S_B on x.  Each u is centred by its
     full-sample mean, so the one-pass variance (g.g - (sum g)^2 / n) / (n - 1)
-    of a resample g does not cancel."""
+    of a resample g does not cancel.  The axes draw their resamples one after
+    another, in x, y, z order, from one generator."""
     gains = {"x": abs(params.g_z * params.g_y), "y": params.g_y, "z": params.g_z}
     u = {axis: gains[axis] * sa + sb for axis, (sa, sb) in spins.items()}
     mean_x = u["x"].mean()
     for values in u.values():
         values -= values.mean()
-    cx, cy, cz = (u[axis] for axis in AXES)
     nx, ny, nz = (u[axis].size for axis in AXES)
     rng = np.random.default_rng(seed)
-    witness = np.empty(n_bootstrap)
     # huge gains overflow to a non-finite result, which the caller rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(n_bootstrap):
-            # one draw per axis per resample, in x, y, z order
-            gx = cx[rng.integers(0, nx, size=nx)]
-            gy = cy[rng.integers(0, ny, size=ny)]
-            gz = cz[rng.integers(0, nz, size=nz)]
-            sy, sz = gy.sum(), gz.sum()
-            witness[b] = (gz @ gz - sz * sz / nz) / (nz - 1) \
-                + (gy @ gy - sy * sy / ny) / (ny - 1) - (mean_x + gx.sum() / nx)
+        sx, _ = _resample_sums(rng, u["x"], n_bootstrap, squares=False)
+        sy, qy = _resample_sums(rng, u["y"], n_bootstrap, squares=True)
+        sz, qz = _resample_sums(rng, u["z"], n_bootstrap, squares=True)
+        witness = (qz - sz * sz / nz) / (nz - 1) + (qy - sy * sy / ny) / (ny - 1) \
+            - (mean_x + sx / nx)
         return float(np.std(-witness / normalization, ddof=1))
 
 
@@ -289,22 +323,32 @@ def pe_lower_bound(data: SpinShotDataset, params: WitnessParams,
     """Witness-based lower bound on the trace-distance measure.
 
     ``counts`` may override the metadata means {"N1_A": ..., "N1_B": ...}
-    entering the normalization.  A normalization or bound that is not finite,
-    at huge gains or counts, raises ``ValidationError``.
+    entering the normalization; it must hold both, each a finite real >= 0.
+    A normalization or bound that is not finite, at huge gains or counts,
+    raises ``ValidationError``.
 
     The bootstrap standard error resamples shots with replacement within each
-    axis.  Each of the ``n_bootstrap`` resamples takes one
-    ``rng.integers(0, n, size=n)`` draw per axis, in x, y, z order, from
-    ``np.random.default_rng(seed)``, so a seed reproduces the standard error.
+    axis.  The stream of ``np.random.default_rng(seed)`` is read axis by
+    axis, in x, y, z order: each axis of n shots draws its whole
+    (n_bootstrap, n) index matrix with ``rng.integers(0, n, ...)``, row b
+    being resample b, so a seed reproduces the standard error.  The matrix
+    is drawn in row blocks that bound memory and continue the same stream.
     ``n_bootstrap=0`` skips the bootstrap (``bootstrap_se`` is None); 1 and
     negative counts are rejected, and so is a seed that is not a nonnegative
-    integer."""
+    integer.  More than 1e6 resamples raise DeskScaleError before anything
+    is drawn."""
     _check_seed(seed)
     _check_count(n_bootstrap, "n_bootstrap")
+    _gate_support(n_bootstrap, "n_bootstrap")
     if n_bootstrap == 1:
         raise ValidationError(f"n_bootstrap must be 0 or at least 2, got {n_bootstrap}")
-    n1_a = counts["N1_A"] if counts else data.n1_a_mean
-    n1_b = counts["N1_B"] if counts else data.n1_b_mean
+    if counts is None:
+        n1_a, n1_b = data.n1_a_mean, data.n1_b_mean
+    else:
+        # a missing entry reads as None, which the check refuses
+        n1_a, n1_b = counts.get("N1_A"), counts.get("N1_B")
+        _check_mean(n1_a, "counts['N1_A']")
+        _check_mean(n1_b, "counts['N1_B']")
     norm = witness_normalization(params, n1_a, n1_b, data.eta_a, data.eta_b)
     if not 0.0 < norm < math.inf:
         raise ValidationError(f"normalization must be positive and finite, got {norm!r}")

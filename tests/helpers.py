@@ -417,20 +417,21 @@ def poisson_pmf_mp(mu, n_max: int) -> list:
 def bootstrap_se_oracle(data, params, normalization: float, n_bootstrap: int,
                         seed) -> float:
     """Bootstrap standard error of the witness bound, one resample at a time:
-    per axis in x, y, z order, rng.integers(0, n, size=n) picks shots, and the
-    witness is rebuilt from np.var and np.mean of the picked spins."""
+    axis by axis in x, y, z order, n_bootstrap calls of
+    rng.integers(0, n, size=n) pick each resample's shots, and the witness is
+    rebuilt from np.var and np.mean of the picked spins."""
     spins = {}
     for axis in "xyz":
         rows = [r for r in data.shots if r.setting == axis]
         spins[axis] = (np.array([(r.n1a - r.n2a) / (2.0 * data.eta_a) for r in rows]),
                        np.array([(r.n1b - r.n2b) / (2.0 * data.eta_b) for r in rows]))
     rng = np.random.default_rng(seed)
+    picks = {axis: [rng.integers(0, sa.size, size=sa.size) for _ in range(n_bootstrap)]
+             for axis, (sa, _) in spins.items()}
     values = np.empty(n_bootstrap)
     for b in range(n_bootstrap):
-        picked = {}
-        for axis, (sa, sb) in spins.items():
-            idx = rng.integers(0, sa.size, size=sa.size)
-            picked[axis] = (sa[idx], sb[idx])
+        picked = {axis: (sa[picks[axis][b]], sb[picks[axis][b]])
+                  for axis, (sa, sb) in spins.items()}
         (za, zb), (ya, yb), (xa, xb) = picked["z"], picked["y"], picked["x"]
         witness = (float(np.var(params.g_z * za + zb, ddof=1))
                    + float(np.var(params.g_y * ya + yb, ddof=1))

@@ -145,6 +145,38 @@ def test_witness_pipeline_files(tmp_path, capsys):
     assert doc["bootstrap_se"] > 0.0
 
 
+def test_witness_bound_rejects_bad_metadata_mean(tmp_path, capsys):
+    # a negative mean count shrinks the normalization: the bound would overclaim
+    csv_path = tmp_path / "shots.csv"
+    code, out, _ = run_cli(capsys, "witness", "synth", "--model", "squeezed", "--shots", "300",
+                           "--seed", "1", "--out", str(csv_path))
+    assert code == 0
+    meta_path = json.loads(out)["meta"]
+    args = ("witness", "bound", "--data", str(csv_path), "--meta", meta_path, "--optimize")
+    assert run_cli(capsys, *args)[0] == 0
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    for mean in (-5, math.nan):
+        with open(meta_path, "w") as fh:
+            json.dump(dict(meta, n1_a_mean=mean), fh)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert "n1_a_mean" in err
+
+
+def test_witness_bound_gates_bootstrap_count(tmp_path, capsys):
+    # refused before an array of 1e10 resample values (74.5 GiB) is allocated
+    csv_path = tmp_path / "shots.csv"
+    code, out, _ = run_cli(capsys, "witness", "synth", "--model", "squeezed", "--shots", "300",
+                           "--seed", "1", "--out", str(csv_path))
+    assert code == 0
+    meta_path = json.loads(out)["meta"]
+    code, out, err = run_cli(capsys, "witness", "bound", "--data", str(csv_path), "--meta",
+                             meta_path, "--optimize", "--bootstrap", "10000000000")
+    assert (code, out) == (2, "")
+    assert "n_bootstrap" in err and "dense support cap" in err
+
+
 def test_witness_bound_requires_params(tmp_path, capsys):
     csv_path = tmp_path / "shots.csv"
     run_cli(capsys, "witness", "synth", "--model", "constant", "--out", str(csv_path))

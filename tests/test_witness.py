@@ -129,6 +129,33 @@ def test_counts_override_metadata():
     assert res.normalization == pytest.approx(0.25 * 40**2 * 2 + 40)
 
 
+@pytest.mark.parametrize("mean", [-5.0, -1, math.nan, math.inf, True, "20", None])
+def test_mean_counts_validated_where_they_enter(mean):
+    rows = [("z", 2, 0, 1, 1), ("z", 0, 2, 1, 1), ("y", 1, 1, 2, 0), ("y", 1, 1, 0, 2),
+            ("x", 2, 0, 2, 0)]
+    with pytest.raises(ValidationError, match="n1_a_mean"):
+        make_dataset(rows, n1a=mean)
+    with pytest.raises(ValidationError, match="n1_b_mean"):
+        make_dataset(rows, n1b=mean)
+
+
+@pytest.mark.parametrize("text", ["-5", "-1e-300", "NaN", "Infinity"])
+def test_metadata_mean_counts_validated(text):
+    meta = f'{{"eta_a": 1, "eta_b": 1, "n1_a_mean": {text}, "n1_b_mean": 10}}'
+    with pytest.raises(ValidationError, match="n1_a_mean"):
+        dataset_from_csv(dataset_to_csv(synthesize_dataset("constant")), meta)
+
+
+@pytest.mark.parametrize("counts", [
+    {"N1_A": 20.0}, {"N1_B": 20.0}, {}, {"N1_A": "20", "N1_B": 20.0},
+    {"N1_A": 20.0, "N1_B": -5.0}, {"N1_A": math.nan, "N1_B": 20.0},
+    {"N1_A": 20.0, "N1_B": math.inf}, {"N1_A": False, "N1_B": 20.0}])
+def test_counts_override_validated(counts):
+    data = synthesize_dataset("constant")
+    with pytest.raises(ValidationError, match="counts"):
+        pe_lower_bound(data, WitnessParams(1.0, 1.0), counts=counts, n_bootstrap=0)
+
+
 def test_optimizer_symmetric_data():
     data = synthesize_dataset("squeezed", n_atoms=100, n_shots=4000, seed=11)
     params = optimize_witness_params(data)
@@ -297,6 +324,32 @@ def test_bootstrap_count_validated(n_bootstrap):
         pe_lower_bound(data, WitnessParams(1.0, 1.0), n_bootstrap=n_bootstrap)
     assert pe_lower_bound(data, WitnessParams(1.0, 1.0), n_bootstrap=0).bootstrap_se is None
     assert pe_lower_bound(data, WitnessParams(1.0, 1.0), n_bootstrap=2).bootstrap_se > 0.0
+
+
+@pytest.mark.parametrize("n_bootstrap", [10**6 + 1, 300_000_000, 10**10])
+def test_bootstrap_count_gated_before_allocating(n_bootstrap):
+    # refused before any resample is drawn or any array of n_bootstrap entries is made
+    data = synthesize_dataset("squeezed", n_atoms=60, n_shots=300, seed=5)
+    with pytest.raises(DeskScaleError, match="n_bootstrap"):
+        pe_lower_bound(data, WitnessParams(1.0, 1.0), n_bootstrap=n_bootstrap)
+
+
+@pytest.mark.parametrize("n_shots", [300, 301, 302])
+def test_bootstrap_se_does_not_depend_on_the_block(monkeypatch, n_shots):
+    # 1000 resamples are no multiple of the default block's 321 to 327 rows
+    data = synthesize_dataset("squeezed", n_atoms=100, n_shots=n_shots, seed=5, xi2=0.25)
+    params = optimize_witness_params(data)
+
+    def se():
+        return pe_lower_bound(data, params, n_bootstrap=1000, seed=3).bootstrap_se
+
+    default = se()
+    # one row per block on every axis: z and y hold n_shots // 3 shots, x the rest
+    monkeypatch.setattr(bosonpe.witness, "_BOOTSTRAP_BLOCK", n_shots // 3)
+    assert se() == default
+    # one block per axis
+    monkeypatch.setattr(bosonpe.witness, "_BOOTSTRAP_BLOCK", 1000 * n_shots)
+    assert se() == default
 
 
 @pytest.mark.parametrize("gains", [(1e100, 1e100), (1e200, 1e200), (1e-200, 1e200),
