@@ -11,7 +11,6 @@ for non-degenerate beam splitters.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -30,6 +29,7 @@ from .fock import (
     _MAX_BLOCK_DIM,
     _check_block_state,
     _check_count,
+    _check_real,
     _check_seed,
     _counts,
     _gate_support,
@@ -45,6 +45,7 @@ from .optics import (
     append_vacuum,
     apply_mode_unitary,
     balanced_array,
+    beam_splitter_unitary,
     lift_unitary,
 )
 from .measures import (
@@ -94,22 +95,12 @@ class ActivationReport:
     postselected: tuple | None = None
 
 
-def _activation_unitary(m: int, array: BeamSplitterArray,
-                        pre_rotation: ModeUnitary | None) -> ModeUnitary:
-    """The splitter array after V_A on the m input modes (identity if None), one
-    checked matrix [[diag(r) V_A, diag(t)], [-diag(t) V_A, diag(r)]]."""
-    r, t = np.array(array.reflectivities), np.array(array.transmissivities)
-    va = np.eye(m) if pre_rotation is None else pre_rotation.matrix
-    return ModeUnitary(np.block([[r[:, None] * va, np.diag(t)], [-t[:, None] * va, np.diag(r)]]))
-
-
 def activate(spec: ActivationSpec, postselect=None,
              caps: DeskCaps = DESK) -> ActivationReport:
     """Run the protocol and analyse the output across (N_A, N_B) sectors."""
     m = spec.input_state.modes
     padded = append_vacuum(spec.input_state, m, caps=caps)
-    u = _activation_unitary(m, spec.array, spec.pre_rotation)
-    out = apply_mode_unitary(padded, u)
+    out = apply_mode_unitary(padded, beam_splitter_unitary(spec.array, spec.pre_rotation))
     partition = ModePartition(tuple(range(m)), tuple(range(m, 2 * m)))
     dec = project_local_number(out, partition)
 
@@ -159,10 +150,10 @@ def activate_pure_vector(occupation, array: BeamSplitterArray,
     occupation = _counts(occupation)
     m = len(occupation)
     N = sum(occupation)
-    u = _activation_unitary(m, array, pre_rotation)
     basis = enumerate_basis(2 * m, N, caps)
     column = basis.index(occupation + (0,) * m)
-    return basis, lift_unitary(u, N, caps=caps, columns=[column])[:, 0]
+    return basis, lift_unitary(beam_splitter_unitary(array, pre_rotation), N, caps=caps,
+                               columns=[column])[:, 0]
 
 
 def _multinomial(total: int, parts) -> float:
@@ -358,7 +349,7 @@ def _balanced_sectors(padded: BlockDiagonalState, vas: list) -> list:
             layout.append((N, used, sectors, np.empty((len(vas), len(used), k), dtype=complex)))
 
     for v, va in enumerate(vas):
-        out = apply_mode_unitary(padded, _activation_unitary(m, balanced_array(m), va))
+        out = apply_mode_unitary(padded, beam_splitter_unitary(balanced_array(m), va))
         for N, used, _, stack in layout:
             V, lam = out.factor(N)
             stack[v] = (V * np.sqrt(lam))[used]
@@ -504,8 +495,7 @@ def _stacked_search(blocks: list, walks: int, m: int, grid: np.ndarray, count: i
 
 
 def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
-                         seed=0, grid_step: float = 0.05,
-                         caps: DeskCaps = DESK) -> float:
+                         seed=0, grid_step: float = 0.05) -> float:
     """Best SSR-entanglement (negativity) found over activation unitaries.
 
     For each V_A (identity plus seeded Haar restarts), sweep the
@@ -540,8 +530,7 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     candidates raises DeskScaleError before anything is allocated.
     """
     _check_block_state(state)
-    if not (isinstance(grid_step, numbers.Real) and 0.0 < grid_step < 1.0):
-        raise ValidationError(f"grid_step must be a finite number in (0, 1), got {grid_step!r}")
+    grid_step = _check_real(grid_step, "grid_step", 0.0, 1.0, "()")
     _check_count(n_va_restarts, "n_va_restarts")
     m = state.modes
     n_grid = math.ceil((1.0 - grid_step) / grid_step)  # len(np.arange(grid_step, 1, grid_step))
@@ -553,7 +542,7 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     rng = np.random.default_rng(seed)
     vas = [None] + [ModeUnitary(_haar_matrix(m, rng)) for _ in range(n_va_restarts)]
 
-    padded = append_vacuum(state, m, caps=caps)
+    padded = append_vacuum(state, m)
     # entries of one V_A's lifted factors, a bound on its share of a stack
     per_va = sum(FockBasis(2 * m, N).dim * padded.factor(N)[1].size
                  for N in padded.sectors())

@@ -328,7 +328,7 @@ def cmd_definetti(args) -> int:
             terms = []
             for entry in json.loads(text)["terms"]:
                 vec = np.array([complex(re, im) for re, im in entry["c"]], dtype=complex)
-                terms.append((float(entry["q"]), vec))
+                terms.append((entry["q"], vec))  # checked by the mixture parser
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed mixture JSON: {exc}") from exc
     else:

@@ -90,8 +90,7 @@ def _check_seed(seed) -> None:
     numpy but not a bool: ``np.random.default_rng`` refuses a negative or
     non-integer seed with a bare ValueError or TypeError, and would run True
     as seed 1.  Every seeded entry point calls this before its first draw."""
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_count(seed, "seed")
 
 
 def _check_block_state(state, name: str = "state") -> None:
@@ -104,11 +103,34 @@ def _check_block_state(state, name: str = "state") -> None:
         raise ValidationError(f"{name} must be a BlockDiagonalState, got {type(state).__name__}")
 
 
-def _check_count(value, name: str, least: int = 0) -> None:
-    """Raise ValidationError unless ``value`` is an integer, not a bool, of
-    at least ``least``: the check of every count argument."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(value, name: str, least: int = 0, most: float = math.inf) -> int:
+    """``value`` as an int; raises ValidationError unless it is an integer,
+    Python or numpy but not a bool, in [least, most]: the check of every
+    count argument.  An int passes after one type test: hot paths call this."""
+    if type(value) is not int and (not isinstance(value, numbers.Integral)
+                                   or isinstance(value, bool)) or not least <= value <= most:
+        bound = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise ValidationError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
+def _check_real(value, name: str, low: float = -math.inf, high: float = math.inf,
+                ends: str = "[]") -> float:
+    """``value`` as a float; raises ValidationError unless it is a finite real,
+    Python or numpy, not a bool, between ``low`` and ``high``, each end closed
+    ("[", "]") or open ("(", ")") as ``ends`` says: the check of every real
+    argument.  A float passes after one type test: hot paths call this."""
+    x = value
+    if type(x) is not float:
+        try:
+            x = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+        except OverflowError:  # an integer past the float range
+            x = math.nan
+    if not (math.isfinite(x) and (low < x if ends[0] == "(" else low <= x)
+            and (x < high if ends[1] == ")" else x <= high)):
+        where = "" if -low == high == math.inf else f" in {ends[0]}{low:g}, {high:g}{ends[1]}"
+        raise ValidationError(f"{name} must be a finite real{where}, got {value!r}")
+    return x
 
 
 def _check_hermitian(mat: np.ndarray, tol: float, what: str) -> None:
@@ -125,10 +147,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _counts(values, name: str = "an occupation") -> tuple[int, ...]:
     """``values`` as Python ints, each checked by ``_check_count``."""
-    values = tuple(values)
-    for n in values:
-        _check_count(n, name)
-    return tuple(map(int, values))
+    return tuple(_check_count(n, name) for n in values)
 
 
 @lru_cache(maxsize=None)
@@ -214,8 +233,8 @@ def enumerate_basis(m: int, N: int, caps: DeskCaps = DESK) -> FockBasis:
     under any caps, for one of more than 1e6 states or 2**24 occupations.
     The checked entry of every sector named or sized anew; a sector already
     held is looked up as ``FockBasis(m, N)``."""
-    _check_count(m, "m", 1)
-    _check_count(N, "N")
+    m = _check_count(m, "m", 1)
+    N = _check_count(N, "N")
     if N > caps.max_particles or m > caps.max_modes:
         raise DeskScaleError(
             f"sector (m={m}, N={N}) exceeds desk caps "
@@ -227,7 +246,7 @@ def enumerate_basis(m: int, N: int, caps: DeskCaps = DESK) -> FockBasis:
     if d * m > _MAX_BASIS_ENTRIES:
         raise DeskScaleError(f"basis of the sector (m={m}, N={N}): {d} x {m} occupations "
                              f"exceed {_MAX_BASIS_ENTRIES} entries")
-    return FockBasis(int(m), int(N))
+    return FockBasis(m, N)
 
 
 @dataclass(frozen=True)
@@ -349,19 +368,17 @@ class BlockDiagonalState:
     __slots__ = ("modes", "_weights", "_dense", "_factors")
 
     def __init__(self, modes: int, blocks: dict, caps: DeskCaps = DESK):
-        _check_count(modes, "modes", 1)
+        modes = _check_count(modes, "modes", 1)
         cleaned = {}
         total = 0.0
-        for N, (p, mat) in sorted(blocks.items()):
-            p = float(p)
-            if p < -WEIGHT_TOL:
-                raise ValidationError(f"negative weight {p} for block N={N}")
+        for N, (p, mat) in sorted((_check_count(N, "block key N"), b) for N, b in blocks.items()):
+            p = _check_real(p, f"weight of block N={N}", -WEIGHT_TOL)
             total += p
             if p < BLOCK_DROP_TOL:
                 continue
-            basis = enumerate_basis(modes, int(N), caps)
-            cleaned[int(N)] = (p, _validate_block(np.asarray(mat, dtype=complex),
-                                                  basis.dim, f"block N={N}"))
+            basis = enumerate_basis(modes, N, caps)
+            cleaned[N] = (p, _validate_block(np.asarray(mat, dtype=complex),
+                                             basis.dim, f"block N={N}"))
         if not abs(total - 1.0) <= WEIGHT_TOL:
             raise ValidationError(f"block weights sum to {total}, not 1")
         kept = sum(p for p, _ in cleaned.values())
@@ -458,14 +475,14 @@ def fock_state(occupation, caps: DeskCaps = DESK) -> PureSectorState:
 
 def mix_states(pairs) -> BlockDiagonalState:
     """Convex mixture of block-diagonal states on a common mode count."""
-    pairs = list(pairs)
+    pairs = [(_check_real(w, "mixture weight", 0.0), s) for w, s in pairs]
     if not pairs:
         raise ValidationError("empty mixture")
     modes = pairs[0][1].modes
     if any(s.modes != modes for _, s in pairs):
         raise ValidationError("mixture components must share the mode count")
-    if not all(w >= 0 for w, _ in pairs) or abs(sum(w for w, _ in pairs) - 1.0) > 1e-10:
-        raise ValidationError("mixture weights must be nonnegative and sum to 1")
+    if abs(sum(w for w, _ in pairs) - 1.0) > 1e-10:
+        raise ValidationError("mixture weights must sum to 1")
     columns: dict[int, list] = {}
     for w, s in pairs:
         for N in s.sectors():
@@ -515,8 +532,8 @@ class ModePartition:
     b_modes: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(int(i) for i in self.a_modes)
-        b = tuple(int(i) for i in self.b_modes)
+        a = _counts(self.a_modes, "a mode index")
+        b = _counts(self.b_modes, "a mode index")
         if set(a) & set(b):
             raise ValidationError("partition sides must be disjoint")
         if len(set(a)) != len(a) or len(set(b)) != len(b):
@@ -771,13 +788,13 @@ def state_to_json(state: BlockDiagonalState) -> str:
     return json.dumps({"modes": state.modes, "blocks": blocks})
 
 
-def state_from_json(text: str, caps: DeskCaps = DESK) -> BlockDiagonalState:
+def state_from_json(text: str) -> BlockDiagonalState:
+    """Inverse of ``state_to_json``: the JSON values go to the checked constructor."""
     try:
         doc = json.loads(text)
-        modes = int(doc["modes"])
-        blocks = {}
-        for entry in doc["blocks"]:
-            blocks[int(entry["N"])] = (float(entry["p"]), _complex_from_json(entry["matrix"]))
+        blocks = {entry["N"]: (entry["p"], _complex_from_json(entry["matrix"]))
+                  for entry in doc["blocks"]}
+        modes = doc["modes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed state JSON: {exc}") from exc
-    return BlockDiagonalState(modes, blocks, caps=caps)
+    return BlockDiagonalState(modes, blocks)

@@ -29,6 +29,7 @@ from .fock import (
     _CHUNK_ENTRIES,
     _check_block_state,
     _check_count,
+    _check_real,
     _gate_dense,
     _gate_support,
     tensor_compose,
@@ -90,8 +91,7 @@ def binomial_poisson_distance(N: int, p: float) -> BinomialPoissonResult:
     at N = 1e5 (p = 0.003, 0.5, 0.9, 0.999).  The distance never exceeds
     p.  Raises DeskScaleError for N above 1e6, before allocating the
     support."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("p must lie in [0, 1]")
+    p = _check_real(p, "p", 0.0, 1.0)
     _check_count(N, "N")
     _gate_support(N, "binomial N")
     mu = N * p

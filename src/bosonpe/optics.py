@@ -29,6 +29,7 @@ from .fock import (
     _annihilation_maps,
     _check_block_state,
     _check_count,
+    _check_real,
     _check_seed,
     _complex_from_json,
     _complex_to_json,
@@ -80,7 +81,7 @@ def mode_unitary_from_json(text: str) -> ModeUnitary:
     try:
         doc = json.loads(text)
         mat = _complex_from_json(doc["matrix"])
-        if mat.shape != (int(doc["modes"]),) * 2:
+        if mat.shape != (_check_count(doc["modes"], "modes", 1),) * 2:
             raise ValidationError("matrix shape disagrees with the mode count")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed unitary JSON: {exc}") from exc
@@ -106,9 +107,7 @@ class BeamSplitterArray:
     reflectivities: tuple[float, ...]
 
     def __post_init__(self):
-        r = tuple(float(x) for x in self.reflectivities)
-        if not all(0 <= x <= 1 for x in r):
-            raise ValidationError("reflectivities must lie in [0, 1]")
+        r = tuple(_check_real(x, "reflectivity", 0.0, 1.0) for x in self.reflectivities)
         object.__setattr__(self, "reflectivities", r)
 
     @property
@@ -123,21 +122,22 @@ def balanced_array(m: int) -> BeamSplitterArray:
     return BeamSplitterArray((1.0 / math.sqrt(2.0),) * m)
 
 
-def beam_splitter_unitary(bs: BeamSplitterArray) -> ModeUnitary:
-    """2m-mode unitary coupling mode i of A with mode i of B.
+def beam_splitter_unitary(bs: BeamSplitterArray,
+                          pre_rotation: ModeUnitary | None = None) -> ModeUnitary:
+    """2m-mode unitary coupling mode i of A with mode i of B, after the
+    rotation V_A = ``pre_rotation`` of the m A modes (None: the identity).
 
     On states: a_i† -> r_i a_i† - t_i b_i†,  b_i† -> t_i a_i† + r_i b_i†,
     i.e. creation operators carry the blocks [[r, t], [-t, r]] in the
     Heisenberg row reading.  r=1 is the identity, r=0 swaps A and B up to sign.
+    One checked matrix [[diag(r) V_A, diag(t)], [-diag(t) V_A, diag(r)]].
     """
     m = len(bs)
-    u = np.zeros((2 * m, 2 * m), dtype=complex)
-    for i, (r, t) in enumerate(zip(bs.reflectivities, bs.transmissivities)):
-        u[i, i] = r
-        u[i, m + i] = t
-        u[m + i, i] = -t
-        u[m + i, m + i] = r
-    return ModeUnitary(u)
+    if pre_rotation is not None and pre_rotation.modes != m:
+        raise ValidationError(f"pre-rotation on {pre_rotation.modes} modes, splitters on {m}")
+    r, t = np.array(bs.reflectivities), np.array(bs.transmissivities)
+    va = np.eye(m) if pre_rotation is None else pre_rotation.matrix
+    return ModeUnitary(np.block([[r[:, None] * va, np.diag(t)], [-t[:, None] * va, np.diag(r)]]))
 
 
 def lift_unitary(u: ModeUnitary, N: int, caps: DeskCaps = DESK,
@@ -300,10 +300,12 @@ def measure_destructive(state: BlockDiagonalState, partition: ModePartition,
 
 
 def _haar_matrix(d: int, rng) -> np.ndarray:
-    """Q of the QR decomposition of a d x d complex Gaussian matrix, its
-    real parts drawn from ``rng`` before its imaginary parts."""
+    """A Haar d x d unitary: the Q of Z = QR, Z complex Gaussian with its real
+    parts drawn from ``rng`` first, times the phases of R's diagonal, without
+    which Q is not Haar (Mezzadri, Notices AMS 54, 592 (2007))."""
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return np.linalg.qr(z)[0]
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_ssr_povm(modes: int, n_max: int, n_outcomes: int, seed) -> list[np.ndarray]:

@@ -28,6 +28,7 @@ from .fock import (
     ValidationError,
     _CHUNK_ENTRIES,
     _check_count,
+    _check_real,
     _check_seed,
     _column_factors,
     _eigh_factors,
@@ -140,9 +141,9 @@ def _css_block(dirs: np.ndarray, coef: np.ndarray, n: int) -> np.ndarray:
     return mat
 
 
-def coherent_spin_state(spec: CoherentSpinSpec, caps: DeskCaps = DESK) -> PureSectorState:
+def coherent_spin_state(spec: CoherentSpinSpec) -> PureSectorState:
     """Amplitudes of (sum_i psi_i a_i†)^N |0> / sqrt(N!) in the canonical basis."""
-    basis = enumerate_basis(spec.modes, spec.N, caps)
+    basis = enumerate_basis(spec.modes, spec.N)
     amps = _css_amplitudes(spec.psi[None, :], spec.N)[0]
     return PureSectorState(basis, amps / np.linalg.norm(amps))
 
@@ -304,8 +305,10 @@ def default_poisson_truncation(mu: float) -> int:
     """Smallest cutoff of the form ceil(mu + 6 sqrt(mu)) or above whose
     Poisson tail satisfies the 1e-6 truncation guard (the bare 6-sigma rule
     undershoots for small means).  Raises DeskScaleError, before allocating,
-    for a cutoff above 1e6."""
-    if mu <= 0:
+    for a cutoff above 1e6, and ValidationError unless mu is a finite real
+    >= 0."""
+    mu = _check_real(mu, "Poisson mean mu", 0.0)
+    if mu == 0.0:
         return 0
     n_max = int(math.ceil(mu + 6.0 * math.sqrt(mu)))
     _gate_support(n_max, "Poisson cutoff n_max for mean %.6g", mu)
@@ -331,7 +334,8 @@ def _classical_terms(alpha) -> list[tuple[float, np.ndarray]]:
     """One amplitude vector, or a list of (weight, vector) pairs, as a checked
     list of (weight, vector) terms; a parsed list parses to itself."""
     if isinstance(alpha, (list, tuple)) and alpha and isinstance(alpha[0], tuple):
-        terms = [(float(w), np.asarray(a, dtype=complex).ravel()) for w, a in alpha]
+        terms = [(_check_real(w, "classical mixture weight", 0.0),
+                  np.asarray(a, dtype=complex).ravel()) for w, a in alpha]
     else:
         terms = [(1.0, np.asarray(alpha, dtype=complex).ravel())]
     m = terms[0][1].size
@@ -341,8 +345,6 @@ def _classical_terms(alpha) -> list[tuple[float, np.ndarray]]:
         raise ValidationError("all coherent vectors must share the mode count")
     if not all(np.all(np.isfinite(a)) for _, a in terms):
         raise ValidationError("coherent amplitudes must be finite")
-    if not all(w >= 0 for w, _ in terms):
-        raise ValidationError("classical mixture weights must be nonnegative")
     if not abs(sum(w for w, _ in terms) - 1.0) <= 1e-12:
         raise ValidationError("classical mixture weights must sum to 1")
     return terms
@@ -391,10 +393,10 @@ def classical_truncation_mass(alpha, n_max: int) -> float:
     return max(tail, 0.0)
 
 
-def noon_state(N: int, caps: DeskCaps = DESK) -> PureSectorState:
-    """(|N,0> + |0,N>)/sqrt(2) on two modes."""
+def noon_state(N: int) -> PureSectorState:
+    """(|N,0> + |0,N>)/sqrt(2) on two modes, under the desk caps."""
     _check_count(N, "N", 1)
-    basis = enumerate_basis(2, N, caps)
+    basis = enumerate_basis(2, N)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[basis.index((N, 0))] = 1.0 / math.sqrt(2.0)
     amps[basis.index((0, N))] = 1.0 / math.sqrt(2.0)

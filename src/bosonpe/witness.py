@@ -21,13 +21,13 @@ import io
 import itertools
 import json
 import math
-import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (ValidationError, _MAX_DENSE_SUPPORT, _check_count, _check_seed, _freeze,
-                   _gate_support)
+from .fock import (ValidationError, _MAX_DENSE_SUPPORT, _check_count, _check_real, _check_seed,
+                   _freeze, _gate_support)
 
 AXES = ("x", "y", "z")
 
@@ -81,10 +81,10 @@ class SpinShotDataset:
         return data
 
     def _set(self, axis_codes, counts, eta_a, eta_b, n1_a_mean, n1_b_mean, description):
-        if not 0.0 < eta_a <= 1.0 or not 0.0 < eta_b <= 1.0:
-            raise ValidationError("detection efficiencies must lie in (0, 1]")
-        _check_mean(n1_a_mean, "n1_a_mean")
-        _check_mean(n1_b_mean, "n1_b_mean")
+        eta_a = _check_real(eta_a, "eta_a", 0.0, 1.0, "(]")
+        eta_b = _check_real(eta_b, "eta_b", 0.0, 1.0, "(]")
+        n1_a_mean = _check_real(n1_a_mean, "n1_a_mean", 0.0)
+        n1_b_mean = _check_real(n1_b_mean, "n1_b_mean", 0.0)
         axis_codes = _freeze(np.array(axis_codes, dtype=np.int8))
         counts = _freeze(np.array(counts, dtype=float))
         if not np.all((0 <= axis_codes) & (axis_codes < len(AXES))):
@@ -117,14 +117,6 @@ class SpinShotDataset:
         if axis not in AXES:
             raise ValidationError(f"axis must be one of {AXES}, got {axis!r}")
         return _spins_by_axis(self)[axis]
-
-
-def _check_mean(value, name: str) -> None:
-    """Raise ValidationError unless ``value`` is a finite real >= 0, not a
-    bool: the check of every mean count that enters a normalization."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) \
-            or not 0.0 <= value < math.inf:
-        raise ValidationError(f"{name} must be a finite real >= 0, got {value!r}")
 
 
 _AXIS_CODE = {axis: code for code, axis in enumerate(AXES)}
@@ -210,8 +202,8 @@ class WitnessParams:
     g_y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.g_z) and math.isfinite(self.g_y)):
-            raise ValidationError("witness parameters must be finite")
+        object.__setattr__(self, "g_z", _check_real(self.g_z, "g_z"))
+        object.__setattr__(self, "g_y", _check_real(self.g_y, "g_y"))
 
 
 def separability_ratio_from_moments(m: SpinMoments, params: WitnessParams) -> float:
@@ -323,7 +315,8 @@ def pe_lower_bound(data: SpinShotDataset, params: WitnessParams,
     """Witness-based lower bound on the trace-distance measure.
 
     ``counts`` may override the metadata means {"N1_A": ..., "N1_B": ...}
-    entering the normalization; it must hold both, each a finite real >= 0.
+    entering the normalization; it must be a mapping that holds both, each a
+    finite real >= 0.
     A normalization or bound that is not finite, at huge gains or counts,
     raises ``ValidationError``.
 
@@ -344,11 +337,12 @@ def pe_lower_bound(data: SpinShotDataset, params: WitnessParams,
         raise ValidationError(f"n_bootstrap must be 0 or at least 2, got {n_bootstrap}")
     if counts is None:
         n1_a, n1_b = data.n1_a_mean, data.n1_b_mean
+    elif not isinstance(counts, Mapping):
+        raise ValidationError(f"counts must be a mapping, got {type(counts).__name__}")
     else:
         # a missing entry reads as None, which the check refuses
-        n1_a, n1_b = counts.get("N1_A"), counts.get("N1_B")
-        _check_mean(n1_a, "counts['N1_A']")
-        _check_mean(n1_b, "counts['N1_B']")
+        n1_a = _check_real(counts.get("N1_A"), "counts['N1_A']", 0.0)
+        n1_b = _check_real(counts.get("N1_B"), "counts['N1_B']", 0.0)
     norm = witness_normalization(params, n1_a, n1_b, data.eta_a, data.eta_b)
     if not 0.0 < norm < math.inf:
         raise ValidationError(f"normalization must be positive and finite, got {norm!r}")
@@ -413,7 +407,7 @@ def _optimal_params(m: SpinMoments) -> WitnessParams:
     for a, b in candidates:
         if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
             continue
-        params = WitnessParams(sign_z * float(a), sign_y * float(b))
+        params = WitnessParams(sign_z * a, sign_y * b)
         try:
             ratio = separability_ratio_from_moments(m, params)
         except ValidationError:
@@ -462,14 +456,11 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
     _check_seed(seed)
     if model not in ("constant", "css", "squeezed"):
         raise ValidationError(f"unknown model {model!r}")
-    if not 0.0 < split_fraction < 1.0:
-        raise ValidationError("split fraction must lie strictly between 0 and 1")
-    if not 0 <= n_atoms <= _MAX_ATOMS:
-        raise ValidationError(f"n_atoms must lie in [0, 2**53], got {n_atoms}")
+    split_fraction = _check_real(split_fraction, "split_fraction", 0.0, 1.0, "()")
+    n_atoms = _check_count(n_atoms, "n_atoms", 0, _MAX_ATOMS)
     _check_count(n_shots, "n_shots", _MIN_SHOTS)
     _gate_support(n_shots, "n_shots")
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"detection efficiency must lie in (0, 1], got {eta!r}")
+    eta = _check_real(eta, "eta", 0.0, 1.0, "(]")
     if model == "constant":
         # two shots each on x, z and y
         counts = np.repeat([[10.0, 0.0, 10.0, 0.0], [5.0, 5.0, 5.0, 5.0], [5.0, 5.0, 5.0, 5.0]],
@@ -480,8 +471,7 @@ def synthesize_dataset(model: str, n_atoms: int = 100, split_fraction: float = 0
     if model == "css":
         xi_z = xi_y = 1.0
     else:
-        if not 0.0 < xi2 <= 1.0:
-            raise ValidationError("xi2 must lie in (0, 1]")
+        xi2 = _check_real(xi2, "xi2", 0.0, 1.0, "(]")
         xi_z, xi_y = xi2, 1.0 / xi2
 
     rng = np.random.default_rng(seed)
@@ -544,14 +534,13 @@ def dataset_from_csv(csv_text: str, meta_json: str) -> SpinShotDataset:
     """A dataset from CSV rows under ``CSV_HEADER`` and its metadata JSON,
     each count parsed by ``float()``.  Raises DeskScaleError at the first row
     past 1e6 shots, and ValidationError for a row of another length, a count
-    that does not parse or is negative or not finite, and a setting that is
-    no axis."""
+    that does not parse or is negative or not finite, a setting that is no
+    axis, and metadata values the dataset's checks refuse (a JSON true or
+    string among them)."""
     try:
         meta = json.loads(meta_json)
-        eta_a = float(meta["eta_a"])
-        eta_b = float(meta["eta_b"])
-        n1_a = float(meta["n1_a_mean"])
-        n1_b = float(meta["n1_b_mean"])
+        eta_a, eta_b = meta["eta_a"], meta["eta_b"]
+        n1_a, n1_b = meta["n1_a_mean"], meta["n1_b_mean"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed metadata JSON: {exc}") from exc
     reader = csv.reader(io.StringIO(csv_text))

@@ -502,9 +502,7 @@ def m_pe_from_activation_oracle(state, n_va_restarts: int = 4, seed=0,
     rng = np.random.default_rng(seed)
     vas = [identity_unitary(m)]
     for _ in range(n_va_restarts):
-        z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        q, _ = np.linalg.qr(z)
-        vas.append(ModeUnitary(q))
+        vas.append(ModeUnitary(haar_unitary(m, rng)))
 
     best = 0.0
     grid = np.arange(grid_step, 1.0, grid_step)

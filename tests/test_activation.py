@@ -34,6 +34,7 @@ from bosonpe.optics import (
     ModeUnitary,
     append_vacuum,
     balanced_array,
+    beam_splitter_unitary,
     random_ssr_povm,
 )
 from bosonpe.activation import (
@@ -561,8 +562,8 @@ def test_activation_unitary_is_the_splitter_after_va():
         r = rng.uniform(size=m)
         r[rng.uniform(size=m) < 0.2] = rng.integers(0, 2)  # r = 0 and r = 1 too
         va = None if trial % 3 == 0 else haar_unitary(m, rng)
-        u = activation._activation_unitary(
-            m, BeamSplitterArray(tuple(r)), None if va is None else ModeUnitary(va))
+        u = beam_splitter_unitary(BeamSplitterArray(tuple(r)),
+                                  None if va is None else ModeUnitary(va))
         assert np.array_equal(u.matrix, splitter_unitary(r, va))
 
 

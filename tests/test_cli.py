@@ -146,7 +146,8 @@ def test_witness_pipeline_files(tmp_path, capsys):
 
 
 def test_witness_bound_rejects_bad_metadata_mean(tmp_path, capsys):
-    # a negative mean count shrinks the normalization: the bound would overclaim
+    # a negative mean count shrinks the normalization: the bound would overclaim;
+    # a JSON true or string is no number, not 1.0 or 20.0
     csv_path = tmp_path / "shots.csv"
     code, out, _ = run_cli(capsys, "witness", "synth", "--model", "squeezed", "--shots", "300",
                            "--seed", "1", "--out", str(csv_path))
@@ -156,12 +157,13 @@ def test_witness_bound_rejects_bad_metadata_mean(tmp_path, capsys):
     assert run_cli(capsys, *args)[0] == 0
     with open(meta_path) as fh:
         meta = json.load(fh)
-    for mean in (-5, math.nan):
+    for key, value in (("n1_a_mean", -5), ("n1_a_mean", math.nan), ("n1_a_mean", "20"),
+                       ("eta_a", True)):
         with open(meta_path, "w") as fh:
-            json.dump(dict(meta, n1_a_mean=mean), fh)
+            json.dump(dict(meta, **{key: value}), fh)
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (2, "")
-        assert "n1_a_mean" in err
+        assert key in err
 
 
 def test_witness_bound_gates_bootstrap_count(tmp_path, capsys):
@@ -265,6 +267,9 @@ BAD_INPUTS = (
     # 9! distinct mode permutations exceed the 8! at the desk mode cap
     ("definetti", "--N", "2", "--m", "9", "--l", "1", "--mixture", "{generic}"),
     ("definetti", "--N", "2", "--m", "2", "--l", "1", "--mixture", "{nan_entry}"),
+    # a weight that is a JSON true or a string, not 1.0
+    ("definetti", "--N", "2", "--m", "2", "--l", "1", "--mixture", "{true_weight}"),
+    ("definetti", "--N", "2", "--m", "2", "--l", "1", "--mixture", "{string_weight}"),
     # and a de Finetti one
     ("definetti", "--N", "1000000000000", "--m", "2", "--l", "1"),
     # gains whose separability ratio, then whose normalization, overflow
@@ -297,6 +302,8 @@ def test_validation_error_exit_code(capsys, tmp_path):
         "no_terms": {},
         "generic": {"terms": [{"q": 1.0, "c": [[x, 0.0] for x in c]}]},
         "nan_entry": {"terms": [{"q": 1.0, "c": [[math.nan, 0.0], [0.0, 0.0]]}]},
+        "true_weight": {"terms": [{"q": True, "c": [[1.0, 0.0], [0.0, 0.0]]}]},
+        "string_weight": {"terms": [{"q": "1", "c": [[1.0, 0.0], [0.0, 0.0]]}]},
     }
     paths = {}
     for name, doc in mixtures.items():

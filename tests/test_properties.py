@@ -25,7 +25,8 @@ sector's rows in product order for any partition.
 The vectorised coherent-spin amplitudes, and the mixture states built from them,
 are pinned against the per-basis-state formula.  The closed-form witness
 optimum is checked against the grid the witness search used to scan and
-against random parameters.
+against random parameters.  The int, float, np.int64 and np.float64 forms of
+a valid number give bit-identical splitters, witness parameters and states.
 """
 
 import json
@@ -57,6 +58,7 @@ from bosonpe.fock import (
     enumerate_basis,
     project_local_number,
     state_from_json,
+    state_to_json,
     trace_out,
 )
 from bosonpe.measures import (
@@ -69,6 +71,7 @@ from bosonpe.measures import (
 from bosonpe.optics import (
     BeamSplitterArray,
     ModeUnitary,
+    beam_splitter_unitary,
     append_vacuum,
     apply_mode_unitary,
     lift_unitary,
@@ -229,6 +232,38 @@ def test_invalid_user_blocks_still_rejected(data):
         BlockDiagonalState(m, {N: (1.0, bad)})
     with pytest.raises(ValidationError):
         state_from_json(_block_json(m, N, bad))
+
+
+REAL_FORMS = (int, float, np.int64, np.float64)
+COUNT_FORMS = (int, np.int64)
+
+
+@FEW
+@given(st.data())
+def test_number_forms_give_bit_identical_results(data):
+    # each checker hands on float(value) or int(value), whatever the form
+    r = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    arrays = [BeamSplitterArray(tuple(map(form, r))) for form in REAL_FORMS]
+    assert len({repr((a.reflectivities, a.transmissivities)) for a in arrays}) == 1
+    assert len({beam_splitter_unitary(a).matrix.tobytes() for a in arrays}) == 1
+    g = data.draw(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)))
+    params = {repr(WitnessParams(*map(form, g))) for form in REAL_FORMS}
+    assert params == {repr(WitnessParams(float(g[0]), float(g[1])))}
+
+    m, N = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rho = random_density(enumerate_basis(m, N, UNCAPPED).dim, rng)
+    # the second block weighs zero and is dropped
+    states = [BlockDiagonalState(count(m), {count(N): (real(1), rho), count(N + 1): (real(0), [])})
+              for count in COUNT_FORMS for real in REAL_FORMS]
+    assert all(type(s.modes) is int and [type(n) for n in s.sectors()] == [int]
+               and type(s.weight(N)) is float for s in states)
+    texts = {state_to_json(s) for s in states}
+    assert len(texts) == 1
+    doc = json.loads(texts.pop())
+    for p in (1, 1.0):
+        doc["blocks"][0]["p"] = p
+        assert state_to_json(state_from_json(json.dumps(doc))) == state_to_json(states[0])
 
 
 @FEW

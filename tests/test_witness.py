@@ -139,7 +139,8 @@ def test_mean_counts_validated_where_they_enter(mean):
         make_dataset(rows, n1b=mean)
 
 
-@pytest.mark.parametrize("text", ["-5", "-1e-300", "NaN", "Infinity"])
+# an integer past the float range would overflow float()
+@pytest.mark.parametrize("text", ["-5", "-1e-300", "NaN", "Infinity", "1" + "0" * 400])
 def test_metadata_mean_counts_validated(text):
     meta = f'{{"eta_a": 1, "eta_b": 1, "n1_a_mean": {text}, "n1_b_mean": 10}}'
     with pytest.raises(ValidationError, match="n1_a_mean"):
@@ -149,7 +150,7 @@ def test_metadata_mean_counts_validated(text):
 @pytest.mark.parametrize("counts", [
     {"N1_A": 20.0}, {"N1_B": 20.0}, {}, {"N1_A": "20", "N1_B": 20.0},
     {"N1_A": 20.0, "N1_B": -5.0}, {"N1_A": math.nan, "N1_B": 20.0},
-    {"N1_A": 20.0, "N1_B": math.inf}, {"N1_A": False, "N1_B": 20.0}])
+    {"N1_A": 20.0, "N1_B": math.inf}, {"N1_A": False, "N1_B": 20.0}, [20.0, 20.0]])
 def test_counts_override_validated(counts):
     data = synthesize_dataset("constant")
     with pytest.raises(ValidationError, match="counts"):
