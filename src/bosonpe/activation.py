@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -49,9 +50,6 @@ from .optics import (
     lift_unitary,
 )
 from .measures import (
-    _pure_negativity,
-    _schmidt_probabilities,
-    _schmidt_values,
     _sector_negativities,
     _shannon_entropy_bits,
     distance_to_candidate_set,
@@ -84,15 +82,31 @@ class ActivationSpec:
 
 @dataclass(frozen=True)
 class ActivationReport:
+    """The output, scored once per (N_A, N_B) sector by ``sector_negativity``;
+    ``schmidt`` and ``e_ssr_entropy`` are built on first access."""
+
     output: BlockDiagonalState
     partition: ModePartition
     sectors: SectorDecomposition
-    schmidt: dict | None
     e_ssr_negativity: float
-    e_ssr_entropy: float | None
     ssr_entangled: bool
     sector_negativities: dict
     postselected: tuple | None = None
+
+    @cached_property
+    def schmidt(self) -> dict | None:
+        """Each sector's ``schmidt_spectrum`` if the output's purity is >= 1 - 1e-10."""
+        if self.output.purity() < 1.0 - 1e-10:
+            return None
+        return {key: schmidt_spectrum(s) for key, (_, s) in self.sectors.entries.items()}
+
+    @cached_property
+    def e_ssr_entropy(self) -> float | None:
+        """The sector-weighted entropy of ``schmidt``; None if that is None."""
+        if self.schmidt is None:
+            return None
+        return sum(p * _shannon_entropy_bits(self.schmidt[key])
+                   for key, (p, _) in self.sectors.entries.items())
 
 
 def activate(spec: ActivationSpec, postselect=None,
@@ -103,24 +117,7 @@ def activate(spec: ActivationSpec, postselect=None,
     out = apply_mode_unitary(padded, beam_splitter_unitary(spec.array, spec.pre_rotation))
     partition = ModePartition(tuple(range(m)), tuple(range(m, 2 * m)))
     dec = project_local_number(out, partition)
-
-    global_pure = out.purity() >= 1.0 - 1e-10
-    schmidt = {} if global_pure else None
-    negativities = {}
-    for key, (_, s) in dec.entries.items():
-        if global_pure and s.factor().shape[1] == 1:
-            # one SVD gives both the Schmidt spectrum and the negativity
-            svals = _schmidt_values(s)
-            schmidt[key] = _schmidt_probabilities(svals)
-            negativities[key] = float(_pure_negativity(svals))
-            continue
-        if global_pure:
-            schmidt[key] = schmidt_spectrum(s)
-        negativities[key] = sector_negativity(s)
-    entropy = None
-    if global_pure:
-        entropy = sum(p * _shannon_entropy_bits(schmidt[key])
-                      for key, (p, _) in dec.entries.items())
+    negativities = {key: sector_negativity(s) for key, (_, s) in dec.entries.items()}
     neg = float(sum(p * negativities[key] for key, (p, _) in dec.entries.items()))
 
     selected = None
@@ -134,9 +131,7 @@ def activate(spec: ActivationSpec, postselect=None,
         output=out,
         partition=partition,
         sectors=dec,
-        schmidt=schmidt,
         e_ssr_negativity=neg,
-        e_ssr_entropy=entropy,
         ssr_entangled=neg > SSR_ENTANGLED_TOL,
         sector_negativities=negativities,
         postselected=selected,
@@ -328,10 +323,9 @@ def _balanced_sectors(padded: BlockDiagonalState, vas: list) -> list:
     is the input's weight, so both are shared by every V_A; each V_A's
     factor is lifted alone and written into the stack.
 
-    A sector with d_A = 1 or d_B = 1 (N_A = 0, N_B = 0 or m = 1) is left out:
-    every state on it, pure or mixed, is a product state with negativity
-    zero (Vidal & Werner, PRA 65, 032314 (2002)).  A block with no other
-    sector is left out as well."""
+    A sector with d_A = 1 or d_B = 1 (N_A = 0, N_B = 0 or m = 1), a product
+    sector that ``_sector_negativities`` scores 0.0, is left out, as is a
+    block with no other sector."""
     m = padded.modes // 2
     partition = ModePartition(tuple(range(m)), tuple(range(m, 2 * m)))
     layout = []
@@ -533,7 +527,9 @@ def m_pe_from_activation(state: BlockDiagonalState, n_va_restarts: int = 4,
     grid_step = _check_real(grid_step, "grid_step", 0.0, 1.0, "()")
     _check_count(n_va_restarts, "n_va_restarts")
     m = state.modes
-    n_grid = math.ceil((1.0 - grid_step) / grid_step)  # len(np.arange(grid_step, 1, grid_step))
+    n_grid = (1.0 - grid_step) / grid_step  # inf for a subnormal grid_step
+    _gate_support(n_grid, "grid points of grid_step=%r", grid_step)
+    n_grid = math.ceil(n_grid)  # len(np.arange(grid_step, 1, grid_step))
     count = n_grid**m if m <= 2 else m * n_grid + 1
     _gate_support(count, "grid candidates of grid_step=%r on %d modes", grid_step, m)
     _check_seed(seed)

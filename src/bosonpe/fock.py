@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
@@ -131,6 +132,14 @@ def _check_real(value, name: str, low: float = -math.inf, high: float = math.inf
         where = "" if -low == high == math.inf else f" in {ends[0]}{low:g}, {high:g}{ends[1]}"
         raise ValidationError(f"{name} must be a finite real{where}, got {value!r}")
     return x
+
+
+def _pair(value, name: str) -> tuple:
+    """``value`` as a 2-tuple; raises ValidationError unless it is a tuple or
+    list of two entries."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise ValidationError(f"{name} must be a pair, got {type(value).__name__}")
+    return tuple(value)
 
 
 def _check_hermitian(mat: np.ndarray, tol: float, what: str) -> None:
@@ -369,9 +378,14 @@ class BlockDiagonalState:
 
     def __init__(self, modes: int, blocks: dict, caps: DeskCaps = DESK):
         modes = _check_count(modes, "modes", 1)
+        if not isinstance(blocks, Mapping):
+            raise ValidationError(f"blocks must be a mapping N -> (weight, matrix), "
+                                  f"got {type(blocks).__name__}")
         cleaned = {}
         total = 0.0
-        for N, (p, mat) in sorted((_check_count(N, "block key N"), b) for N, b in blocks.items()):
+        pairs = ((_check_count(N, "block key N"), _pair(b, "each block (weight, matrix)"))
+                 for N, b in blocks.items())
+        for N, (p, mat) in sorted(pairs):
             p = _check_real(p, f"weight of block N={N}", -WEIGHT_TOL)
             total += p
             if p < BLOCK_DROP_TOL:
@@ -475,6 +489,9 @@ def fock_state(occupation, caps: DeskCaps = DESK) -> PureSectorState:
 
 def mix_states(pairs) -> BlockDiagonalState:
     """Convex mixture of block-diagonal states on a common mode count."""
+    pairs = [_pair(pair, "each mixture entry (weight, state)") for pair in pairs]
+    for _, s in pairs:
+        _check_block_state(s, "mixture component")
     pairs = [(_check_real(w, "mixture weight", 0.0), s) for w, s in pairs]
     if not pairs:
         raise ValidationError("empty mixture")

@@ -535,26 +535,11 @@ def negativity(state: BlockDiagonalState, partition: ModePartition) -> float:
     return float(_partial_transpose_negativity(rho))
 
 
-def _schmidt_values(sector: SectorState) -> np.ndarray:
-    """Singular values of the d_A x d_B amplitude matrix of the sector's
-    leading vector: its one-column factor, or the leading left singular
-    vector of a wider factor."""
-    da, db = sector.dims
-    f = sector.factor()
-    vec = f[:, 0] if f.shape[1] == 1 else np.linalg.svd(f, full_matrices=False)[0][:, 0]
-    return np.linalg.svd(vec.reshape(da, db), compute_uv=False)
-
-
 def _pure_negativity(svals: np.ndarray) -> np.ndarray:
     """((sum_i s_i)^2 - 1) / 2 over the Schmidt values (last axis) of unit
     vectors (Vidal & Werner, PRA 65, 032314 (2002)), clipped at 0; leading
     axes are a batch."""
     return np.maximum((np.sum(svals, axis=-1) ** 2 - 1.0) / 2.0, 0.0)
-
-
-def _schmidt_probabilities(svals: np.ndarray) -> np.ndarray:
-    probs = svals**2
-    return probs / probs.sum()
 
 
 def _partial_transpose_negativity(rho: np.ndarray) -> np.ndarray:
@@ -582,12 +567,15 @@ def _two_row_negativity(amps: np.ndarray) -> np.ndarray:
 def _sector_negativities(factors: np.ndarray, da: int, db: int) -> np.ndarray:
     """Negativities of a stack of (N_A, N_B) sector states F F† from their
     unit-norm factors F, shape (B, d_A d_B, k) in the product order
-    i_A * d_B + i_B: a one-column F through the singular values of F as a
+    i_A * d_B + i_B: exactly 0.0 when d_A = 1 or d_B = 1, where every state
+    is a product state; a one-column F through the singular values of F as a
     d_A x d_B matrix, in closed form when min(d_A, d_B) = 2
     (``_two_row_negativity``; on 2 x 2, its one minor |a00 a11 - a01 a10|,
     the same floats), a wider one through the partial transpose of
     F F† (Vidal & Werner, PRA 65, 032314 (2002)), which raises
     DeskScaleError first when d_A d_B is larger than one desk block (1716)."""
+    if min(da, db) == 1:
+        return np.zeros(len(factors))
     if factors.shape[2] == 1 and da == db == 2:
         a = factors[:, :, 0]
         minor = a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2]
@@ -616,7 +604,10 @@ def schmidt_spectrum(sector: SectorState, tol: float = 1e-8) -> np.ndarray:
     matrix's singular values."""
     if not sector.is_pure(tol):
         raise ValidationError("sector state is not pure")
-    return _schmidt_probabilities(_schmidt_values(sector))
+    f = sector.factor()
+    vec = f[:, 0] if f.shape[1] == 1 else np.linalg.svd(f, full_matrices=False)[0][:, 0]
+    probs = np.linalg.svd(vec.reshape(sector.dims), compute_uv=False) ** 2
+    return probs / probs.sum()
 
 
 def _shannon_entropy_bits(probs: np.ndarray) -> float:

@@ -45,9 +45,8 @@ class ShotRecord:
     def __post_init__(self):
         if self.setting not in AXES:
             raise ValidationError(f"setting must be one of {AXES}, got {self.setting!r}")
-        for v in (self.n1a, self.n2a, self.n1b, self.n2b):
-            if not 0 <= v < math.inf:
-                raise ValidationError(f"counts must be finite and nonnegative, got {v!r}")
+        for name in ("n1a", "n2a", "n1b", "n2b"):
+            object.__setattr__(self, name, _check_real(getattr(self, name), name, 0.0))
 
 
 class SpinShotDataset:

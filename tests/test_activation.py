@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bosonpe import activation
+from bosonpe import activation, measures
 from bosonpe.cli import main
 from bosonpe.fock import (
+    BLOCK_DROP_TOL,
     BlockDiagonalState,
     DeskScaleError,
     ModePartition,
@@ -27,6 +28,7 @@ from bosonpe.measures import (
     m_pe_f,
     negativity,
     qfi,
+    sector_negativity,
 )
 from bosonpe.nonclassical import many_copy_nc_bound_check, two_copy_pe_check
 from bosonpe.optics import (
@@ -495,6 +497,9 @@ def test_m_pe_from_activation_stacks_one_desk_block_of_factors_at_most(monkeypat
     ((1, 1), 1e-13),    # about 1e26 candidates on the 2-mode product grid
     ((1, 1), 9.9e-4),   # 1010^2 candidates, just above the cap
     ((1, 0, 1), 1e-13),  # the per-coordinate sweep on 3 modes
+    ((1, 1), 1e-300),   # about 1e600 candidates, past the float range
+    ((1, 1), 5e-324),   # a subnormal step: (1 - step) / step is inf
+    ((1, 0, 1), 5e-324),
 ])
 def test_m_pe_from_activation_refuses_huge_grids_before_allocating(occupation, grid_step):
     state = fock_state(occupation).to_block_state()
@@ -598,3 +603,89 @@ def test_the_search_checks_at_most_two_unitaries_per_va(n_va_restarts, monkeypat
     m_pe_from_activation(fock_state((1, 1, 1)).to_block_state(), n_va_restarts=n_va_restarts,
                          grid_step=0.25)
     assert len(calls) <= 2 * (n_va_restarts + 1)
+
+
+def test_activate_builds_schmidt_spectra_on_first_read(monkeypatch):
+    # activate scores its sectors without a Schmidt spectrum; the first read
+    # of .schmidt builds one per sector, and later reads, of it or of
+    # e_ssr_entropy, reuse it
+    calls = []
+
+    def counted(sector, tol=1e-8):
+        calls.append(sector)
+        return measures.schmidt_spectrum(sector, tol)
+    monkeypatch.setattr(activation, "schmidt_spectrum", counted)
+    report = activate(ActivationSpec(fock_state((2, 1)).to_block_state()))
+    assert calls == []
+    schmidt = report.schmidt
+    assert len(calls) == len(report.sectors.entries)
+    assert report.schmidt is schmidt
+    entropy = report.e_ssr_entropy
+    assert report.e_ssr_entropy == entropy
+    assert len(calls) == len(report.sectors.entries)
+    for key, (p, s) in report.sectors.entries.items():
+        assert np.array_equal(schmidt[key], measures.schmidt_spectrum(s))
+    assert entropy == sum(p * measures.entanglement_entropy(s)
+                          for p, s in report.sectors.entries.values())
+
+    mixed = activate(ActivationSpec(classical_nd_state(0.5)))
+    assert mixed.schmidt is None and mixed.e_ssr_entropy is None
+    assert len(calls) == len(report.sectors.entries)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fock_state((1, 1)).to_block_state(),
+    lambda: fock_state((2, 1, 1)).to_block_state(),
+    lambda: noon_state(3).to_block_state(),
+    lambda: random_particle_separable(2, 3, 3, 1),
+    lambda: classical_nd_state(0.5),
+    lambda: mix_states([(0.5, fock_state((1, 1)).to_block_state()),
+                        (0.5, fock_state((2, 0)).to_block_state())]),
+], ids=["fock11", "fock211", "noon3", "separable", "classical", "fock_mixture"])
+def test_activate_scores_each_sector_by_the_kernel(make):
+    # one scorer per sector: activate's negativities are sector_negativity's
+    # floats, a one-sided sector scores exactly 0.0, and e_ssr, which sums
+    # the same floats in the same order, gives the same total
+    report = activate(ActivationSpec(make()))
+    one_sided = 0
+    for key, (_, s) in report.sectors.entries.items():
+        assert report.sector_negativities[key] == sector_negativity(s)
+        if min(s.dims) == 1:
+            one_sided += 1
+            assert report.sector_negativities[key] == 0.0
+    assert one_sided >= 2
+    assert e_ssr(report.output, report.partition) == report.e_ssr_negativity
+
+
+def test_pure_output_with_a_mixed_sector_raises_on_reading_schmidt():
+    # purity 1 - 2e-11 counts as pure, but the 1e-11 admixture of |0,2> fills
+    # the one-sided (0, 2) sector, where |2,0> leaves only 1e-8: that sector
+    # is mixed, so its spectrum is refused when read, not inside activate
+    eps = 1e-11
+    state = mix_states([(1 - eps, fock_state((2, 0)).to_block_state()),
+                        (eps, fock_state((0, 2)).to_block_state())])
+    report = activate(ActivationSpec(
+        state, array=BeamSplitterArray((math.sqrt(1 - 1e-4), 1e-3))))
+    assert report.output.purity() >= 1.0 - 1e-10
+    assert not report.sectors.state((0, 2)).is_pure()
+    assert report.sector_negativities[(0, 2)] == 0.0
+    with pytest.raises(ValidationError):
+        report.schmidt
+
+
+def test_filtered_negativities_drop_a_sector_in_some_rows_only():
+    # with r_0 = 1e-6 the (3, 1) sector of |3,1> holds about 1.5e-24, under
+    # BLOCK_DROP_TOL, while the balanced row keeps it: the stack drops it in
+    # that row only, and each row scores as it does alone
+    state = fock_state((3, 1)).to_block_state()
+    blocks = activation._balanced_sectors(append_vacuum(state, 2), [None])
+    r = np.array([[2**-0.5, 2**-0.5], [1e-6, 2**-0.5]])
+    restart = np.zeros(2, dtype=int)
+    (p_n, occupations, sectors), = blocks
+    w = activation._local_filter_weights(occupations, r)
+    probs = [p_n * np.sum(np.abs(w[:, rows, None] * f[restart]) ** 2, axis=(1, 2))
+             for rows, f, _, _ in sectors]
+    assert any(prob[0] >= BLOCK_DROP_TOL > prob[1] for prob in probs)
+    both = activation._filtered_negativities(blocks, r, restart)
+    for i in range(2):
+        assert both[i] == activation._filtered_negativities(blocks, r[i:i + 1], restart[:1])[0]

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bosonpe.activation import ActivationSpec, activate
 from bosonpe.cli import main, parse_r_vector, parse_state
 
 
@@ -48,6 +49,21 @@ def test_activate_table(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "sector_na,sector_nb,probability,schmidt_spectrum"
     assert len(lines) == 4  # sectors (0,2), (1,1), (2,0)
+
+
+def test_activate_json_carries_schmidt_and_entropy(capsys):
+    # built on first read, the spectra and the entropy still reach the JSON
+    # of a pure output; a mixed output carries a null entropy and no spectra
+    code, out, _ = run_cli(capsys, "activate", "--state", "fock:1,1")
+    doc = json.loads(out)
+    assert code == 0
+    report = activate(ActivationSpec(parse_state("fock:1,1")))
+    assert doc["e_ssr_entropy"] == report.e_ssr_entropy
+    assert doc["schmidt"] == {f"{k[0]},{k[1]}": v.tolist() for k, v in report.schmidt.items()}
+    code, out, _ = run_cli(capsys, "activate", "--state", "classical:1")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["e_ssr_entropy"] is None and "schmidt" not in doc
 
 
 def test_activate_postselect(capsys):

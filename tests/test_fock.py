@@ -374,3 +374,28 @@ def _count_cases():
 def test_count_arguments_end_in_validation_error(case):
     with pytest.raises(ValidationError, match="must be (an )?integer"):
         _count_cases()[case]()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BlockDiagonalState(1, [(0, (1.0, [[1.0]]))]),
+    lambda: BlockDiagonalState(1, {0: 1.0}),
+    lambda: BlockDiagonalState(1, {0: (1.0, [[1.0]], "extra")}),
+    lambda: mix_states([(1.0, "x")]),
+    lambda: mix_states([(1.0, fock_state((1,)))]),
+    lambda: mix_states([(1.0,)]),
+    lambda: mix_states([1.0]),
+], ids=["blocks_list", "block_not_a_pair", "block_triple", "component_string",
+        "component_pure_sector_state", "entry_one_item", "entry_number"])
+def test_containers_of_the_wrong_shape_are_refused(call):
+    # blocks must be a mapping N -> (weight, matrix), and a mixture a list of
+    # (weight, BlockDiagonalState) pairs
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_blocks_and_mixture_entries_may_be_lists():
+    # a JSON-style list pair reads as the tuple it holds
+    state = BlockDiagonalState(1, {0: [1.0, [[1.0]]]})
+    assert state.sectors() == [0] and state.weight(0) == 1.0
+    mixed = mix_states([[0.5, vacuum_state()], (0.5, vacuum_state())])
+    assert mixed.sectors() == [0] and mixed.weight(0) == 1.0

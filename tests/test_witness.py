@@ -541,6 +541,21 @@ def test_shot_record_validation():
             ShotRecord("z", 1, 1, bad, 1)
 
 
+@pytest.mark.parametrize("bad", [True, "1", None, 1j, -1.0])
+@pytest.mark.parametrize("position", range(4))
+def test_shot_record_counts_go_through_the_real_checker(position, bad):
+    counts = [1.0, 1.0, 1.0, 1.0]
+    counts[position] = bad
+    with pytest.raises(ValidationError):
+        ShotRecord("x", *counts)
+
+
+def test_shot_record_stores_its_counts_as_floats():
+    record = ShotRecord("x", 1, np.int64(2), np.float64(3.5), 4.0)
+    assert (record.n1a, record.n2a, record.n1b, record.n2b) == (1.0, 2.0, 3.5, 4.0)
+    assert all(type(v) is float for v in (record.n1a, record.n2a, record.n1b, record.n2b))
+
+
 def test_bound_below_measure_upper_bound_matched_model():
     # Population-level consistency of the activation inequality: evaluate the
     # witness bound directly on the activated two-particle state via
