@@ -35,9 +35,9 @@ from .fock import (
     _counts,
     _gate_support,
     _local_number_layout,
+    _pair,
     enumerate_basis,
     project_local_number,
-    vacuum_state,
 )
 from .optics import (
     BeamSplitterArray,
@@ -56,7 +56,7 @@ from .measures import (
     sector_negativity,
     schmidt_spectrum,
 )
-from .states import _log_factorials, random_particle_separable
+from .states import _free_state, _log_multinomial
 
 SSR_ENTANGLED_TOL = 1e-9
 
@@ -111,7 +111,10 @@ class ActivationReport:
 
 def activate(spec: ActivationSpec, postselect=None,
              caps: DeskCaps = DESK) -> ActivationReport:
-    """Run the protocol and analyse the output across (N_A, N_B) sectors."""
+    """Run the protocol and analyse the output across (N_A, N_B) sectors;
+    ``postselect``, a pair of particle counts, also reports that sector."""
+    if postselect is not None:
+        postselect = _counts(_pair(postselect, "postselect"), "a post-selected particle number")
     m = spec.input_state.modes
     padded = append_vacuum(spec.input_state, m, caps=caps)
     out = apply_mode_unitary(padded, beam_splitter_unitary(spec.array, spec.pre_rotation))
@@ -122,10 +125,9 @@ def activate(spec: ActivationSpec, postselect=None,
 
     selected = None
     if postselect is not None:
-        key = tuple(postselect)
-        if key not in dec.entries:
-            raise ValidationError(f"no weight in sector {key}")
-        selected = (key, dec.entries[key][0], dec.entries[key][1])
+        if postselect not in dec.entries:
+            raise ValidationError(f"no weight in sector {postselect}")
+        selected = (postselect, *dec.entries[postselect])
 
     return ActivationReport(
         output=out,
@@ -149,11 +151,6 @@ def activate_pure_vector(occupation, array: BeamSplitterArray,
     column = basis.index(occupation + (0,) * m)
     return basis, lift_unitary(beam_splitter_unitary(array, pre_rotation), N, caps=caps,
                                columns=[column])[:, 0]
-
-
-def _multinomial(total: int, parts) -> float:
-    log_fact = _log_factorials(total)
-    return math.exp(log_fact[total] - log_fact[list(parts)].sum())
 
 
 def fock_activation_amplitudes(occupation, alphas, sector) -> dict:
@@ -182,7 +179,8 @@ def fock_activation_amplitudes(occupation, alphas, sector) -> dict:
             f"sector totals {sector} do not add up to the particle number {N}"
         )
 
-    prefactor = math.sqrt(_multinomial(N, sector) / _multinomial(N, occupation))
+    prefactor = math.sqrt(math.exp(_log_multinomial(N, sector))
+                          / math.exp(_log_multinomial(N, occupation)))
     out = {}
     # the ways to split each n_i among the parties, ascending lexicographically
     splits = [enumerate_basis(parties, n_i, UNCAPPED).occupations[::-1].tolist()
@@ -196,7 +194,7 @@ def fock_activation_amplitudes(occupation, alphas, sector) -> dict:
             continue
         amp = prefactor
         for K in range(parties):
-            amp *= math.sqrt(_multinomial(sector[K], per_party[K]))
+            amp *= math.sqrt(math.exp(_log_multinomial(sector[K], per_party[K])))
             for i in range(m):
                 n_ki = per_party[K][i]
                 if n_ki:
@@ -208,15 +206,15 @@ def fock_activation_amplitudes(occupation, alphas, sector) -> dict:
 def splitter_alphas(array: BeamSplitterArray, pre_rotation=None) -> np.ndarray:
     """Per-party substitution coefficients realized by the splitter array.
 
-    Row 0 feeds party A (coefficient r_i), row 1 feeds party B (-t_i, the
-    sign fixed by the beam-splitter convention).  Only valid without a
-    pre-rotation, where each input mode feeds exactly one A/B mode pair.
+    Row 0 feeds party A, row 1 party B: the diagonals of the blocks of
+    ``beam_splitter_unitary`` that take input mode i to A mode i (r_i) and
+    to B mode i (-t_i).  Only valid without a pre-rotation, where each input
+    mode feeds exactly one A/B mode pair.
     """
     if pre_rotation is not None:
         raise ValidationError("closed form applies to bare splitter arrays only")
-    r = np.array(array.reflectivities)
-    t = np.array(array.transmissivities)
-    return np.vstack([r, -t]).astype(complex)
+    u, m = beam_splitter_unitary(array).matrix, len(array)
+    return np.stack([np.diagonal(u[:m, :m]), np.diagonal(u[m:, :m])])
 
 
 def _local_filter_weights(occupations: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -292,15 +290,8 @@ def activation_inequality_check(state: BlockDiagonalState,
     e_lower = e_ssr_trace_lower_bound(report)
 
     rng = np.random.default_rng(seed)
-    m = state.modes
-    candidates = []
-    for _ in range(n_candidates):
-        factors = {}
-        for N in state.sectors():
-            cand = vacuum_state(m) if N == 0 else \
-                random_particle_separable(m, N, 3, int(rng.integers(0, 2**31)))
-            factors[N] = (state.weight(N), *cand.factor(N))
-        candidates.append(BlockDiagonalState._factored(m, factors))
+    weights = {N: state.weight(N) for N in state.sectors()}
+    candidates = [_free_state(state.modes, weights, 3, rng, DESK) for _ in range(n_candidates)]
     m_upper = distance_to_candidate_set(state, candidates)
     return ActivationInequalityReport(
         e_ssr_lower=e_lower,

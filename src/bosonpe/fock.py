@@ -154,9 +154,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _entries(values, what: str):
+    """iter(values), or ValidationError expecting ``what`` if it fails."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ValidationError(f"expected {what}, got {type(values).__name__}") from None
+
+
 def _counts(values, name: str = "an occupation") -> tuple[int, ...]:
     """``values`` as Python ints, each checked by ``_check_count``."""
-    return tuple(_check_count(n, name) for n in values)
+    return tuple(_check_count(n, name) for n in _entries(values, "a sequence of counts"))
 
 
 @lru_cache(maxsize=None)
@@ -489,7 +497,7 @@ def fock_state(occupation, caps: DeskCaps = DESK) -> PureSectorState:
 
 def mix_states(pairs) -> BlockDiagonalState:
     """Convex mixture of block-diagonal states on a common mode count."""
-    pairs = [_pair(pair, "each mixture entry (weight, state)") for pair in pairs]
+    pairs = [_pair(p, "each mixture entry (weight, state)") for p in _entries(pairs, "pairs")]
     for _, s in pairs:
         _check_block_state(s, "mixture component")
     pairs = [(_check_real(w, "mixture weight", 0.0), s) for w, s in pairs]

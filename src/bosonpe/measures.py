@@ -166,50 +166,58 @@ def _factor_qfi_form(BV: np.ndarray, V: np.ndarray, mu: np.ndarray) -> np.ndarra
     return form.real
 
 
+def _qfi_form(state: BlockDiagonalState, ops: np.ndarray) -> np.ndarray:
+    """Q with F(rho, H) = x^T Q x for H the sum over particles of
+    sum_a x_a ops[a] (Hermitians (n, k, k) on the leading k modes) over
+    sqrt(N) on each sector N: ``_factor_qfi_form`` summed over the blocks'
+    factors (V, lam), with mu = p_N lam and ops applied to V through the
+    annihilation maps; no dense block or d x d eigensolve is formed."""
+    form = np.zeros((len(ops), len(ops)))
+    for N in state.sectors():
+        if N == 0:
+            continue
+        V, lam = state.factor(N)
+        bv = _apply_one_body(ops, V, state.modes, N) / math.sqrt(N)
+        form += _factor_qfi_form(bv, V, state.weight(N) * lam)
+    return form
+
+
 def qfi(state: BlockDiagonalState, h: SingleParticleObservable) -> float:
     """QFI of the number-block state for the generator (sum over particles of
-    h) / sqrt(N) on each sector N.
-
-    Additive over blocks.  Each block is read as factors (V, lam) with global
-    eigenvalues mu = p_N lam, so the eigenvalue cutoff acts on the weighted
-    spectrum; h acts on V through the annihilation maps, and no dense block,
-    sector matrix or d x d eigensolve is formed.
-    """
+    h) / sqrt(N) on each sector N: the one entry of ``_qfi_form``."""
     _check_block_state(state)
     if h.modes != state.modes:
         raise ValidationError("observable mode count mismatch")
-    total = 0.0
+    return float(_qfi_form(state, h.h[None])[0, 0])
+
+
+def _variance_form(state: BlockDiagonalState, ops: np.ndarray) -> np.ndarray:
+    """S - mu mu^T, with S_ab = <{g_a, g_b}/2> and mu_a = <g_a> single-particle
+    averages over the blocks, for the Hermitians g_a = ops[a] (n, k, k) on
+    the leading k modes: V(rho, sum_a x_a g_a) = x^T (S - mu mu^T) x.  The
+    averages read <a_i† a_j> / N for i, j < k, the sum over blocks N of
+    (p_N / N) sum_r lam_r <a_i v_r, a_j v_r>; the vacuum contributes 0."""
+    k = ops.shape[-1]
+    one_body = np.zeros((k, k), dtype=complex)
     for N in state.sectors():
         if N == 0:
             continue
         V, lam = state.factor(N)
-        hv = _apply_one_body(h.h, V, h.modes, N) / math.sqrt(N)
-        total += _factor_qfi_form(hv[None], V, state.weight(N) * lam)[0, 0]
-    return float(total)
-
-
-def _one_body(state: BlockDiagonalState, modes: int) -> np.ndarray:
-    """<a_i† a_j> / N averaged over the blocks, for i, j < modes: sum over N
-    of (p_N / N) sum_k lam_k <a_i v_k, a_j v_k>; the vacuum contributes 0."""
-    out = np.zeros((modes, modes), dtype=complex)
-    for N in state.sectors():
-        if N == 0:
-            continue
-        V, lam = state.factor(N)
-        lowered = _annihilate(V * np.sqrt(lam), state.modes, N, modes)
-        out += state.weight(N) / N * np.einsum("itr,jtr->ij", lowered.conj(), lowered)
-    return out
+        lowered = _annihilate(V * np.sqrt(lam), state.modes, N, k)
+        one_body += state.weight(N) / N * np.einsum("itr,jtr->ij", lowered.conj(), lowered)
+    mu = np.einsum("aij,ij->a", ops, one_body).real
+    second = np.einsum("aij,bjk,ik->ab", ops, ops, one_body).real
+    return (second + second.T) / 2 - np.outer(mu, mu)
 
 
 def single_particle_variance(state: BlockDiagonalState,
                              h: SingleParticleObservable) -> float:
-    """V = <h^2> - <h>^2 with single-particle averages over the blocks."""
+    """V = <h^2> - <h>^2 with single-particle averages over the blocks: the
+    one entry of ``_variance_form``."""
+    _check_block_state(state)
     if h.modes != state.modes:
         raise ValidationError("observable mode count mismatch")
-    one_body = _one_body(state, state.modes)
-    mean = float(np.sum(h.h * one_body).real)
-    mean_sq = float(np.sum((h.h @ h.h) * one_body).real)
-    return float(mean_sq - mean * mean)
+    return float(_variance_form(state, h.h[None])[0, 0])
 
 
 def qfi_minus_variance(state: BlockDiagonalState, h: SingleParticleObservable) -> float:
@@ -289,26 +297,10 @@ def _pauli_params() -> np.ndarray:
 
 def _mpef_form(state: BlockDiagonalState, h_support: int) -> np.ndarray:
     """M with F(rho, H_h) - 4 V(rho, h) = x^T M x for h = h(x) on the leading
-    ``h_support`` modes.
-
-    The QFI part is ``_factor_qfi_form`` over each block's factors (V, lam),
-    with B_a the sector matrix of g_a divided by sqrt(N) applied to V through
-    the annihilation maps, shape (h_support^2, d, r); the variance part is
-    -4 (S - mu mu^T) with S_ab = <{g_a, g_b}/2> and mu_a = <g_a>
-    single-particle averages over the blocks.
-    """
+    ``h_support`` modes: ``_qfi_form`` - 4 ``_variance_form`` on the
+    Hermitian basis g_a of h(x), symmetrised."""
     g = _hermitian_basis(h_support)
-    qfi_part = np.zeros((len(g), len(g)))
-    for N in state.sectors():
-        if N == 0:
-            continue
-        V, lam = state.factor(N)
-        bv = _apply_one_body(g, V, state.modes, N) / math.sqrt(N)
-        qfi_part += _factor_qfi_form(bv, V, state.weight(N) * lam)
-    one_body = _one_body(state, h_support)
-    mu = np.einsum("aij,ij->a", g, one_body).real
-    second = np.einsum("aij,bjk,ik->ab", g, g, one_body).real
-    form = qfi_part - 4.0 * ((second + second.T) / 2 - np.outer(mu, mu))
+    form = _qfi_form(state, g) - 4.0 * _variance_form(state, g)
     return (form + form.T) / 2
 
 

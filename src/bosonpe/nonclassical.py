@@ -40,9 +40,9 @@ from .states import (
     _classical_terms,
     _css_block,
     _direction_mixture_state,
+    _fixed_n_mixture,
     _log_factorials,
     _poisson_rows,
-    _unit_rows,
     classical_truncation_mass,
     default_poisson_truncation,
     is_particle_separable_two_qubit,
@@ -186,9 +186,7 @@ def _distinct_orderings(labels):
 def exchangeable_state(spec: ExchangeableSeparableSpec) -> BlockDiagonalState:
     """The full m-mode state described by ``spec`` (single block at N)."""
     weights, vectors = zip(*spec.symmetrized_terms())
-    rows = np.zeros((len(weights), spec.N + 1))
-    rows[:, spec.N] = weights
-    return _direction_mixture_state(_unit_rows(vectors), rows, spec.m, UNCAPPED)
+    return _fixed_n_mixture(weights, vectors, spec.N, UNCAPPED)
 
 
 def _css_trace_distance(directions, rho_weights: np.ndarray,

@@ -32,11 +32,11 @@ from .fock import (
     _check_seed,
     _column_factors,
     _eigh_factors,
+    _freeze,
     _gate_dense,
     _gate_support,
     _normalized_state,
     enumerate_basis,
-    mix_states,
     single_particle_rdm,
     vacuum_state,
 )
@@ -107,13 +107,18 @@ class SeparableMixtureSpec:
         object.__setattr__(self, "terms", terms)
 
 
+def _log_multinomial(n: int, parts) -> np.ndarray:
+    """log (n! / prod_i parts_i!) over the last axis of counts ``parts``."""
+    log_fact = _log_factorials(n)
+    return log_fact[n] - np.sum(log_fact[np.asarray(parts)], axis=-1)
+
+
 def _css_amplitudes(dirs: np.ndarray, n: int) -> np.ndarray:
     """Rows: the Fock amplitudes sqrt(n! / prod n_i!) prod d_i^{n_i} of
     |css(d, n)> for each row d of ``dirs``; a zero row is the vacuum at n = 0
     and vanishes above it; the (rows, dim, modes) powers go 2**20 at a time."""
     occ = enumerate_basis(dirs.shape[1], n, UNCAPPED).occupations
-    log_fact = _log_factorials(n)
-    log_multinom = log_fact[n] - np.sum(log_fact[occ], axis=1)
+    log_multinom = _log_multinomial(n, occ)
     out = np.empty((len(dirs), len(occ)), dtype=complex)
     chunk = max(1, _CHUNK_ENTRIES // occ.size)
     for s in range(0, len(dirs), chunk):
@@ -194,13 +199,20 @@ def _direction_mixture_state(directions, weights: np.ndarray, l: int,
     return _normalized_state(l, factors)
 
 
+def _fixed_n_mixture(weights, vectors, n: int, caps: DeskCaps) -> BlockDiagonalState:
+    """sum_t weights[t] |css(v_t / |v_t|, n)><..| for the rows v_t of
+    ``vectors``: the one builder of a fixed-N coherent-spin mixture."""
+    dirs = _unit_rows(vectors)
+    rows = np.zeros((len(dirs), n + 1))
+    rows[:, n] = weights
+    return _direction_mixture_state(dirs, rows, dirs.shape[1], caps)
+
+
 def particle_separable_mixture(spec: SeparableMixtureSpec,
                                caps: DeskCaps = DESK) -> BlockDiagonalState:
     """Convex mixture of coherent spin states with a common particle number."""
-    n, m = spec.terms[0][1].N, spec.terms[0][1].modes
-    rows = np.zeros((len(spec.terms), n + 1))
-    rows[:, n] = [w for w, _ in spec.terms]
-    return _direction_mixture_state(_unit_rows([cs.psi for _, cs in spec.terms]), rows, m, caps)
+    return _fixed_n_mixture([w for w, _ in spec.terms], [cs.psi for _, cs in spec.terms],
+                            spec.terms[0][1].N, caps)
 
 
 def random_direction(m: int, rng) -> np.ndarray:
@@ -213,13 +225,23 @@ def random_particle_separable(m: int, N: int, k: int, seed,
     """Seeded random k-term mixture of coherent spin states at fixed N."""
     _check_seed(seed)
     _check_count(m, "m", 1)
+    _check_count(N, "N")
     _check_count(k, "k", 1)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(k))
-    terms = tuple(
-        (w, CoherentSpinSpec(random_direction(m, rng), N)) for w in weights
-    )
-    return particle_separable_mixture(SeparableMixtureSpec(terms), caps)
+    return _fixed_n_mixture(weights, [random_direction(m, rng) for _ in weights], N, caps)
+
+
+def _free_state(m: int, weights: dict, k: int, rng, caps: DeskCaps) -> BlockDiagonalState:
+    """The free state with block weights {N: p_N}: the vacuum at N = 0, and
+    at each N >= 1 in turn the k-term ``random_particle_separable`` seeded
+    by the next integer drawn from ``rng``."""
+    factors = {}
+    for N, p in weights.items():
+        block = vacuum_state(m, caps) if N == 0 else \
+            random_particle_separable(m, N, k, int(rng.integers(0, 2**31)), caps)
+        factors[N] = (p, *block.factor(N))
+    return BlockDiagonalState._factored(m, factors)
 
 
 def random_free_state(m: int, max_n: int, seed, k: int = 3,
@@ -228,15 +250,8 @@ def random_free_state(m: int, max_n: int, seed, k: int = 3,
     _check_seed(seed)
     _check_count(max_n, "max_n")
     rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(max_n + 1))
-    parts = []
-    for n, w in enumerate(weights):
-        if n == 0:
-            parts.append((w, vacuum_state(m, caps)))
-        else:
-            sub = int(rng.integers(0, 2**31))
-            parts.append((w, random_particle_separable(m, n, k, sub, caps)))
-    return mix_states(parts)
+    weights = rng.dirichlet(np.ones(max_n + 1)).tolist()
+    return _free_state(m, dict(enumerate(weights)), k, rng, caps)
 
 
 def is_coherent_spin_pure(s: PureSectorState, tol: float = 1e-9) -> bool:
@@ -247,20 +262,13 @@ def is_coherent_spin_pure(s: PureSectorState, tol: float = 1e-9) -> bool:
     return np.trace(rdm @ rdm).real >= 1.0 - tol
 
 
-_SYM_EMBED = None
+_SYM_EMBED = _freeze(np.array([[1.0, 0.0, 0.0], [0.0, 1.0 / math.sqrt(2.0), 0.0],
+                               [0.0, 1.0 / math.sqrt(2.0), 0.0], [0.0, 0.0, 1.0]]))
 
 
 def symmetric_two_qubit_embedding() -> np.ndarray:
     """Isometry from the (m=2, N=2) sector onto the symmetric two-qubit space:
     |2,0> -> |00>, |1,1> -> (|01>+|10>)/sqrt(2), |0,2> -> |11>."""
-    global _SYM_EMBED
-    if _SYM_EMBED is None:
-        e = np.zeros((4, 3))
-        e[0, 0] = 1.0
-        e[1, 1] = e[2, 1] = 1.0 / math.sqrt(2.0)
-        e[3, 2] = 1.0
-        e.flags.writeable = False
-        _SYM_EMBED = e
     return _SYM_EMBED
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from bosonpe.activation import ActivationSpec, activate
 from bosonpe.cli import main, parse_r_vector, parse_state
+from bosonpe.optics import ModeUnitary, _haar_matrix
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +65,31 @@ def test_activate_json_carries_schmidt_and_entropy(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["e_ssr_entropy"] is None and "schmidt" not in doc
+
+
+@pytest.mark.parametrize("r", ["balanced", "0.6,0.8"])
+def test_activate_va_random_matches_library(capsys, r):
+    # --va random:<seed> is the Haar V_A that numpy's generator draws from the
+    # seed; a balanced array commutes with V_A on both sides, so only an
+    # unbalanced one shows it in the local particle numbers
+    code, out, _ = run_cli(capsys, "activate", "--state", "fock:1,1", "--va", "random:3",
+                           "--r", r)
+    assert code == 0
+    state, array = parse_state("fock:1,1"), parse_r_vector(r, 2)
+    va = ModeUnitary(_haar_matrix(2, np.random.default_rng(3)))
+    report = activate(ActivationSpec(state, pre_rotation=va, array=array))
+    assert json.loads(out) == {
+        "modes_out": 4,
+        "e_ssr_negativity": report.e_ssr_negativity,
+        "e_ssr_entropy": report.e_ssr_entropy,
+        "ssr_entangled": report.ssr_entangled,
+        "sectors": {f"{k[0]},{k[1]}": report.sectors.probability(k)
+                    for k in report.sectors.keys()},
+        "schmidt": {f"{k[0]},{k[1]}": v.tolist() for k, v in report.schmidt.items()},
+    }
+    if r != "balanced":
+        bare = activate(ActivationSpec(state, array=array)).sectors
+        assert abs(report.sectors.probability((1, 1)) - bare.probability((1, 1))) > 1e-3
 
 
 def test_activate_postselect(capsys):

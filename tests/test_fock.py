@@ -221,6 +221,20 @@ def test_dephase_idempotent():
     assert once.allclose(twice, tol=1e-12)
 
 
+def test_allclose_tells_states_apart():
+    # a mode count, a block weight and a block entry that differ each make it False
+    one, vac = fock_state((1, 0)).to_block_state(), vacuum_state(2)
+    state = mix_states([(0.5, one), (0.5, vac)])
+    assert state.allclose(mix_states([(0.5, one), (0.5, vac)]))
+    assert not state.allclose(mix_states([(0.5, fock_state((1, 0, 0)).to_block_state()),
+                                          (0.5, vacuum_state(3))]))
+    # the weights differ at N = 0 and N = 2, where only one side holds a block
+    assert not state.allclose(mix_states([(0.5, one),
+                                          (0.5, fock_state((2, 0)).to_block_state())]))
+    assert not state.allclose(mix_states([(0.5, fock_state((0, 1)).to_block_state()),
+                                          (0.5, vac)]))
+
+
 def test_dephase_keeps_number_eigenstates():
     state = fock_state((1, 2, 0)).to_block_state()
     part = ModePartition((0,), (1, 2))

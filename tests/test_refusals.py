@@ -79,6 +79,13 @@ REFUSALS = {
     "pre-rotation modes": lambda: ActivationSpec(fock11(), pre_rotation=eye(3)),
     "post-selected sector without weight": lambda: activate(ActivationSpec(fock11()),
                                                             postselect=(3, 0)),
+    "post-selected sector not a pair": lambda: activate(ActivationSpec(fock11()), postselect=5),
+    "post-selected numbers not counts": lambda: activate(ActivationSpec(fock11()),
+                                                         postselect=[[1], [1]]),
+    "post-selected float numbers": lambda: activate(ActivationSpec(fock11()),
+                                                    postselect=(1.0, 1.0)),
+    "post-selected bool numbers": lambda: activate(ActivationSpec(fock11()),
+                                                   postselect=(True, True)),
     "alpha columns": lambda: fock_activation_amplitudes((1, 1), np.full((2, 3), HALF), (1, 1)),
     "numbers per party": lambda: fock_activation_amplitudes(
         (1, 1), splitter_alphas(balanced_array(2)), (1, 1, 0)),
@@ -87,11 +94,13 @@ REFUSALS = {
     # fock
     "amplitude count": lambda: PureSectorState(enumerate_basis(2, 1), np.ones(3)),
     "empty mixture": lambda: mix_states([]),
+    "mixture not iterable": lambda: mix_states(5),
     "mixture mode counts": lambda: mix_states([(0.5, vacuum_state(1)),
                                                (0.5, vacuum_state(2))]),
     "mixture weight sum": lambda: mix_states([(0.5, vacuum_state(1)),
                                               (0.4, vacuum_state(1))]),
     "repeated partition index": lambda: ModePartition((0, 0), (1,)),
+    "partition side not iterable": lambda: ModePartition(5, (1,)),
     "trace out every mode": lambda: trace_out(fock11(), ModePartition((), (0, 1))),
     # measures
     "observable not square": lambda: SingleParticleObservable(np.ones(3)),
@@ -99,6 +108,8 @@ REFUSALS = {
     "qfi modes": lambda: qfi(fock11(), SingleParticleObservable(np.eye(3))),
     "variance modes": lambda: single_particle_variance(fock11(),
                                                        SingleParticleObservable(np.eye(3))),
+    "variance of a pure sector state": lambda: single_particle_variance(
+        noon_state(2), SingleParticleObservable(np.eye(2))),
     "h_support above the modes": lambda: m_pe_f(noon_state(2).to_block_state(), h_support=3),
     "two_mode_exact on three modes": lambda: m_pe_f(fock_state((1, 1, 1)).to_block_state(),
                                                     search="two_mode_exact"),
